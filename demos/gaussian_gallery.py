@@ -6,7 +6,7 @@ parts, each at most N.  These polynomials are symmetric, palindromic, and
 punches zero gaps into the coefficient sequence, so unimodality dies.
 """
 
-from qpartitions import GaussianParams, check_gr1, check_gr2, pochhammer_q, qbinom
+from qpartitions import check_gr1, check_gr2, pochhammer_q, qbinom
 
 print("a small triangle of Gaussian polynomials [n, k]:")
 for n in range(5):
@@ -23,8 +23,7 @@ print()
 
 print("both Pascal-style recurrences hold exactly at every step r:")
 for step in (1, 2, 3):
-    params = GaussianParams(top=5, bottom=2, step=step)
-    print(f"    step {step}: GR1 {check_gr1(params)}, GR2 {check_gr2(params)}")
+    print(f"    step {step}: GR1 {check_gr1(5, 2, step)}, GR2 {check_gr2(5, 2, step)}")
 print()
 
 print("symmetry and self-reciprocity:")

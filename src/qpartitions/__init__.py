@@ -3,7 +3,7 @@
 The package computes, enumerates, and cross-verifies:
 
 * Gaussian polynomials (q-binomial coefficients) in q and q^r, built by
-  recurrence in exact integer arithmetic (``qbinom``, ``gaussian``);
+  recurrence in exact integer arithmetic (``qbinom``);
 * one-kind restricted partition counts ``p(N, k, n)`` and the partition
   number ``partition_p(n)``;
 * two-kind counts with a divisibility step r, by three independent routes:
@@ -20,14 +20,7 @@ count, enumerate, verify, table).
 """
 
 from .polynomial import ONE, ZERO, IntPolynomial, monomial, q
-from .qbinomial import (
-    GaussianParams,
-    check_gr1,
-    check_gr2,
-    gaussian,
-    pochhammer_q,
-    qbinom,
-)
+from .qbinomial import check_gr1, check_gr2, pochhammer_q, qbinom
 from .partitions import (
     DistinctTwoKindPartition,
     Q,
@@ -77,10 +70,8 @@ __all__ = [
     "ZERO",
     "ONE",
     "q",
-    "GaussianParams",
     "pochhammer_q",
     "qbinom",
-    "gaussian",
     "check_gr1",
     "check_gr2",
     "TwoKindQuery",

@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from typing import Callable
 
 from .identities import IDENTITY_IDS, VerificationReport, run_identity
 from .partitions import (
@@ -24,7 +25,7 @@ from .partitions import (
     qbar_enumerate,
     qbar_genfun,
 )
-from .qbinomial import GaussianParams, gaussian
+from .qbinomial import qbinom
 
 
 class UsageError(Exception):
@@ -38,11 +39,31 @@ _COUNT_PARAMS = {
     "qbar": ("r", "n1", "n2", "k1", "k2", "n"),
 }
 
-_COUNT_METHODS = {
-    "p": ("genfun", "enumerate"),
-    "partition": ("genfun", "enumerate"),
-    "pbar": ("genfun", "convolution", "enumerate"),
-    "qbar": ("genfun", "enumerate"),
+# Every count route, by function and method; each takes the values named in
+# _COUNT_PARAMS.  The bodies look the library functions up when called, so
+# that a test or a tracer can rebind them on this module.
+_ROUTES: dict[str, dict[str, Callable[[dict[str, int]], int]]] = {
+    "p": {
+        "genfun": lambda v: p(v["N"], v["k"], v["n"]),
+        "enumerate": lambda v: len(
+            pbar_enumerate(TwoKindQuery(1, 0, v["N"], 0, v["k"], v["n"]))
+        ),
+    },
+    "partition": {
+        "genfun": lambda v: partition_p(v["n"]),
+        "enumerate": lambda v: len(
+            pbar_enumerate(TwoKindQuery(1, 0, v["n"], 0, v["n"], v["n"]))
+        ),
+    },
+    "pbar": {
+        "genfun": lambda v: pbar_genfun(TwoKindQuery(**v)),
+        "convolution": lambda v: pbar_convolution(TwoKindQuery(**v)),
+        "enumerate": lambda v: len(pbar_enumerate(TwoKindQuery(**v))),
+    },
+    "qbar": {
+        "genfun": lambda v: qbar_genfun(TwoKindQuery(**v)),
+        "enumerate": lambda v: len(qbar_enumerate(TwoKindQuery(**v))),
+    },
 }
 
 _MAX_TEXT_FAILURES = 10
@@ -77,61 +98,20 @@ def _no_csv(args) -> None:
         raise UsageError("csv format is only available for the table command")
 
 
-def _query_from(values: dict[str, int]) -> TwoKindQuery:
-    try:
-        return TwoKindQuery(
-            r=values["r"],
-            n1=values["n1"],
-            n2=values["n2"],
-            k1=values["k1"],
-            k2=values["k2"],
-            n=values["n"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _one_route(function: str, method: str, values: dict[str, int]) -> int:
-    if function == "p":
-        if method == "genfun":
-            return p(values["N"], values["k"], values["n"])
-        return len(
-            pbar_enumerate(
-                TwoKindQuery(1, 0, values["N"], 0, values["k"], values["n"])
-            )
-        )
-    if function == "partition":
-        n = values["n"]
-        if method == "genfun":
-            return partition_p(n)
-        return len(pbar_enumerate(TwoKindQuery(1, 0, n, 0, n, n)))
-    query = _query_from(values)
-    if function == "pbar":
-        if method == "genfun":
-            return pbar_genfun(query)
-        if method == "convolution":
-            return pbar_convolution(query)
-        return len(pbar_enumerate(query))
-    if method == "genfun":
-        return qbar_genfun(query)
-    return len(qbar_enumerate(query))
-
-
 def _cmd_gauss(args) -> int:
     _no_csv(args)
     try:
-        params = GaussianParams(top=args.top, bottom=args.bottom, step=args.step)
+        poly = qbinom(args.top, args.bottom, args.step)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    poly = gaussian(params)
     if args.format == "json":
         _emit(
             args,
             _dump_json(
                 {
-                    "top": str(params.top),
-                    "bottom": str(params.bottom),
-                    "step": str(params.step),
+                    "top": str(args.top),
+                    "bottom": str(args.bottom),
+                    "step": str(args.step),
                     "polynomial": str(poly),
                     "coeffs": poly.coeffs_as_strings(),
                 }
@@ -146,12 +126,12 @@ def _cmd_count(args) -> int:
     _no_csv(args)
     function = args.function
     values = _require_params(args, function)
-    methods = _COUNT_METHODS[function]
+    methods = tuple(_ROUTES[function])
     if args.method != "all" and args.method not in methods:
         raise UsageError(f"method {args.method!r} is not valid for {function}")
     wanted = methods if args.method == "all" else (args.method,)
     try:
-        results = {method: _one_route(function, method, values) for method in wanted}
+        results = {method: _ROUTES[function][method](values) for method in wanted}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -200,7 +180,10 @@ def _cmd_enumerate(args) -> int:
     _no_csv(args)
     function = args.function
     values = _require_params(args, function)
-    query = _query_from(values)
+    try:
+        query = TwoKindQuery(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     listing = pbar_enumerate(query) if function == "pbar" else qbar_enumerate(query)
     if args.format == "json":
         _emit(
@@ -247,7 +230,10 @@ def _cmd_verify(args) -> int:
         "param_max": args.param_max,
     }
     ids = IDENTITY_IDS if args.identity == "all" else (args.identity,)
-    reports = [run_identity(identity_id, **overrides) for identity_id in ids]
+    try:
+        reports = [run_identity(identity_id, **overrides) for identity_id in ids]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.format == "json":
         if len(reports) == 1:
             _emit(args, _dump_json(reports[0].as_dict()))
@@ -283,22 +269,11 @@ def _parse_range(text: str) -> range:
 def _cmd_table(args) -> int:
     function = args.function
     span = _parse_range(args.n)
-    names = [name for name in _COUNT_PARAMS[function] if name != "n"]
-    fixed = {}
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            flags = ", ".join(f"--{w}" for w in names)
-            raise UsageError(f"table {function} requires {flags} and --n A..B")
-        fixed[name] = value
-    for name in ("N", "k", "r", "n1", "n2", "k1", "k2"):
-        if name not in names and getattr(args, name, None) is not None:
-            raise UsageError(f"--{name} is not valid for {function}")
-
+    fixed = _require_params(args, function)
+    del fixed["n"]  # the range text; each row supplies its own n
+    genfun = _ROUTES[function]["genfun"]
     try:
-        rows = [
-            (n, _one_route(function, "genfun", {**fixed, "n": n})) for n in span
-        ]
+        rows = [(n, genfun({**fixed, "n": n})) for n in span]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -86,10 +86,6 @@ def _pbar(r: int, n1: int, n2: int, k1: int, k2: int, n: int) -> int:
     return pbar_convolution(TwoKindQuery(r, n1, n2, k1, k2, n))
 
 
-def _shifted(poly: IntPolynomial, e: int) -> IntPolynomial:
-    return poly if poly.is_zero() else poly.shift(e)
-
-
 # ---------------------------------------------------------------------------
 # Polynomial identities for sums of Gaussian products.
 
@@ -109,7 +105,7 @@ def verify_guo_yang_1(m_max: int = 10, n_max: int = 10) -> VerificationReport:
             lhs = ZERO
             for k in range(n // 2 + 1):
                 term = qbinom(m + k, k, 2) * qbinom(m + 1, n - 2 * k)
-                lhs = lhs + _shifted(term, comb(n - 2 * k, 2))
+                lhs = lhs + term.shift(comb(n - 2 * k, 2))
             rhs = qbinom(m + n, n)
             if lhs != rhs:
                 failures.append(Counterexample((m, n), str(lhs), str(rhs)))
@@ -131,7 +127,7 @@ def verify_guo_yang_2(m_max: int = 10, n_max: int = 10) -> VerificationReport:
             lhs = ZERO
             for k in range(n // 4 + 1):
                 term = qbinom(m + k, k, 4) * qbinom(m + 1, n - 4 * k)
-                lhs = lhs + _shifted(term, comb(n - 4 * k, 2))
+                lhs = lhs + term.shift(comb(n - 4 * k, 2))
             rhs = ZERO
             for k in range(n // 2 + 1):
                 term = qbinom(m + k, k, 2) * qbinom(m + n - 2 * k, n - 2 * k)
@@ -203,18 +199,18 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     for r, n1, n2, k1, k2 in _two_kind_grid(r_max, param_max, lower=1):
         gf = pbar_gf(r, n1, n2, k1, k2)
         relations = (
-            _shifted(pbar_gf(r, n1 - 1, n2 - 1, k1, k2), k1 * r + k2)
-            + _shifted(pbar_gf(r, n1 - 1, n2, k1, k2 - 1), k1 * r)
-            + _shifted(pbar_gf(r, n1, n2 - 1, k1 - 1, k2), k2)
+            pbar_gf(r, n1 - 1, n2 - 1, k1, k2).shift(k1 * r + k2)
+            + pbar_gf(r, n1 - 1, n2, k1, k2 - 1).shift(k1 * r)
+            + pbar_gf(r, n1, n2 - 1, k1 - 1, k2).shift(k2)
             + pbar_gf(r, n1, n2, k1 - 1, k2 - 1),
             pbar_gf(r, n1 - 1, n2 - 1, k1, k2)
-            + _shifted(pbar_gf(r, n1 - 1, n2, k1, k2 - 1), n2)
-            + _shifted(pbar_gf(r, n1, n2 - 1, k1 - 1, k2), n1 * r)
-            + _shifted(pbar_gf(r, n1, n2, k1 - 1, k2 - 1), n1 * r + n2),
-            _shifted(pbar_gf(r, n1 - 1, n2 - 1, k1, k2), k1 * r)
-            + _shifted(pbar_gf(r, n1 - 1, n2, k1, k2 - 1), k1 * r + n2)
+            + pbar_gf(r, n1 - 1, n2, k1, k2 - 1).shift(n2)
+            + pbar_gf(r, n1, n2 - 1, k1 - 1, k2).shift(n1 * r)
+            + pbar_gf(r, n1, n2, k1 - 1, k2 - 1).shift(n1 * r + n2),
+            pbar_gf(r, n1 - 1, n2 - 1, k1, k2).shift(k1 * r)
+            + pbar_gf(r, n1 - 1, n2, k1, k2 - 1).shift(k1 * r + n2)
             + pbar_gf(r, n1, n2 - 1, k1 - 1, k2)
-            + _shifted(pbar_gf(r, n1, n2, k1 - 1, k2 - 1), n2),
+            + pbar_gf(r, n1, n2, k1 - 1, k2 - 1).shift(n2),
         )
         for index, rhs in enumerate(relations, start=1):
             checked += 1
@@ -275,7 +271,7 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
         checked += 1
         lhs = qbar_gf(r, n1, n2, k1, k2)
         offset = r * comb(k1 + 1, 2) + comb(k2 + 1, 2)
-        rhs = _shifted(pbar_gf(r, n1 - k1, n2 - k2, k1, k2), offset)
+        rhs = pbar_gf(r, n1 - k1, n2 - k2, k1, k2).shift(offset)
         if lhs != rhs:
             failures.append(Counterexample((r, n1, n2, k1, k2), str(lhs), str(rhs)))
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}"

@@ -150,8 +150,6 @@ def qbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
     if n1 < 0 or n2 < 0 or k1 < 0 or k2 < 0:
         return ZERO
     product = qbinom(n1, k1, r) * qbinom(n2, k2)
-    if product.is_zero():
-        return ZERO
     return product.shift(r * comb(k1 + 1, 2) + comb(k2 + 1, 2))
 
 

@@ -37,9 +37,9 @@ class IntPolynomial:
         return self._coeffs
 
     @property
-    def degree(self) -> int | float:
-        """Degree of the polynomial; ``float('-inf')`` for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else float("-inf")
+    def degree(self) -> int:
+        """Degree of the polynomial; ``-1`` for the zero polynomial."""
+        return len(self._coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -59,13 +59,19 @@ class IntPolynomial:
     def shift(self, e: int) -> IntPolynomial:
         """Multiply by ``q**e`` (prepend ``e`` zero coefficients).
 
+        The zero polynomial shifts to itself for every ``e``, negative
+        included: recurrences shift a factor by an exponent that is negative
+        only where that factor vanishes.
+
         >>> IntPolynomial([1, 1]).shift(2)
         IntPolynomial('q^2 + q^3')
+        >>> IntPolynomial([]).shift(-1)
+        IntPolynomial('0')
         """
-        if e < 0:
-            raise ValueError(f"shift exponent must be nonnegative, got {e}")
         if not self._coeffs:
             return self
+        if e < 0:
+            raise ValueError(f"shift exponent must be nonnegative, got {e}")
         return IntPolynomial((0,) * e + self._coeffs)
 
     def inflate(self, r: int) -> IntPolynomial:

@@ -17,32 +17,9 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 from .polynomial import ONE, ZERO, IntPolynomial
 
 
-@dataclass(frozen=True)
-class GaussianParams:
-    """Parameters of a q-binomial: ``[top, bottom]`` evaluated at ``q**step``.
-
-    ``bottom`` may lie outside ``[0, top]``; that is meaningful and selects
-    the zero polynomial.  ``step`` must be at least 1.
-    """
-
-    top: int
-    bottom: int
-    step: int = 1
-
-    def __post_init__(self) -> None:
-        if self.top < 0:
-            raise ValueError(f"top must be nonnegative, got {self.top}")
-        if self.step < 1:
-            raise ValueError(f"step must be a positive integer, got {self.step}")
-
-
-@lru_cache(maxsize=None)
 def pochhammer_q(n: int) -> IntPolynomial:
     """The q-shifted factorial (q; q)_n, i.e. the product of (1 - q^i) for i <= n.
 
@@ -108,33 +85,21 @@ def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:
     return _gaussian_base(top, bottom).inflate(step)
 
 
-def gaussian(params: GaussianParams) -> IntPolynomial:
-    """The Gaussian polynomial described by ``params``."""
-    return qbinom(params.top, params.bottom, params.step)
-
-
-def _shifted(p: IntPolynomial, e: int) -> IntPolynomial:
-    # The zero polynomial may carry a negative exponent (its term is absent).
-    return p if p.is_zero() else p.shift(e)
-
-
-def check_gr1(params: GaussianParams) -> bool:
+def check_gr1(top: int, bottom: int, step: int = 1) -> bool:
     """Exact check of [N, k] = q^(k*r) [N-1, k] + [N-1, k-1] at q^r."""
-    top, bottom, step = params.top, params.bottom, params.step
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
-    rhs = _shifted(qbinom(top - 1, bottom, step), bottom * step) + qbinom(
+    rhs = qbinom(top - 1, bottom, step).shift(bottom * step) + qbinom(
         top - 1, bottom - 1, step
     )
     return qbinom(top, bottom, step) == rhs
 
 
-def check_gr2(params: GaussianParams) -> bool:
+def check_gr2(top: int, bottom: int, step: int = 1) -> bool:
     """Exact check of [N, k] = [N-1, k] + q^((N-k)*r) [N-1, k-1] at q^r."""
-    top, bottom, step = params.top, params.bottom, params.step
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
-    rhs = qbinom(top - 1, bottom, step) + _shifted(
-        qbinom(top - 1, bottom - 1, step), (top - bottom) * step
+    rhs = qbinom(top - 1, bottom, step) + qbinom(top - 1, bottom - 1, step).shift(
+        (top - bottom) * step
     )
     return qbinom(top, bottom, step) == rhs

@@ -239,6 +239,18 @@ class TestVerify:
         assert "FAIL" in out
         assert "params=(3, 4)" in out
 
+    def test_empty_grid_is_a_usage_error(self, capsys):
+        for argv in (
+            ("eq2", "--m-max", "-1"),
+            ("thm2.1", "--r-max", "0"),
+            ("thm2.3", "--param-max", "0"),
+            ("all", "--param-max", "-1"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: ") and "empty verification grid" in err
+
     def test_all_json_shape(self, capsys):
         code, out, _ = run(
             capsys, "verify", "all",

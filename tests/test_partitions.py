@@ -303,8 +303,7 @@ class TestStaircaseBijection:
                         for k2 in range(5):
                             offset = r * comb(k1 + 1, 2) + comb(k2 + 1, 2)
                             lhs = qbar_gf(r, n1, n2, k1, k2)
-                            rhs = pbar_gf(r, n1 - k1, n2 - k2, k1, k2)
-                            rhs = rhs if rhs.is_zero() else rhs.shift(offset)
+                            rhs = pbar_gf(r, n1 - k1, n2 - k2, k1, k2).shift(offset)
                             assert lhs == rhs, (r, n1, n2, k1, k2)
 
 

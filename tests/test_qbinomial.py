@@ -1,16 +1,13 @@
 """Gaussian polynomials: examples, the product characterization, recurrences."""
 
+import sys
+import threading
+
 import pytest
 
+from qpartitions import qbinomial
 from qpartitions.polynomial import ONE, IntPolynomial
-from qpartitions.qbinomial import (
-    GaussianParams,
-    check_gr1,
-    check_gr2,
-    gaussian,
-    pochhammer_q,
-    qbinom,
-)
+from qpartitions.qbinomial import check_gr1, check_gr2, pochhammer_q, qbinom
 
 
 def brute_restricted_counts(max_part, max_count):
@@ -73,15 +70,9 @@ class TestGaussian:
                 got = qbinom(max_part + max_count, max_part)
                 assert [got.coeff(i) for i in range(len(expected))] == expected
 
-    def test_params_wrapper(self):
-        assert gaussian(GaussianParams(4, 2)) == qbinom(4, 2)
-        assert gaussian(GaussianParams(3, 1, step=2)) == qbinom(3, 1, 2)
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            GaussianParams(-1, 0)
-        with pytest.raises(ValueError):
-            GaussianParams(3, 1, step=0)
+            qbinom(-1, 0)
         with pytest.raises(ValueError):
             qbinom(3, 1, 0)
 
@@ -129,25 +120,69 @@ class TestStructure:
 
 class TestRecurrences:
     def test_gr1_examples(self):
-        assert check_gr1(GaussianParams(4, 2, 1))
-        assert check_gr1(GaussianParams(1, 0, 3))
-        assert check_gr1(GaussianParams(5, 3, 2))
+        assert check_gr1(4, 2, 1)
+        assert check_gr1(1, 0, 3)
+        assert check_gr1(5, 3, 2)
 
     def test_gr2_examples(self):
-        assert check_gr2(GaussianParams(4, 2, 1))
-        assert check_gr2(GaussianParams(1, 1, 1))
-        assert check_gr2(GaussianParams(6, 2, 4))
+        assert check_gr2(4, 2, 1)
+        assert check_gr2(1, 1, 1)
+        assert check_gr2(6, 2, 4)
 
     def test_full_grid(self):
         for top in range(1, 13):
             for bottom in range(-1, top + 2):
                 for step in range(1, 5):
-                    params = GaussianParams(top, bottom, step)
-                    assert check_gr1(params), params
-                    assert check_gr2(params), params
+                    params = (top, bottom, step)
+                    assert check_gr1(*params), params
+                    assert check_gr2(*params), params
 
     def test_top_zero_rejected(self):
         with pytest.raises(ValueError):
-            check_gr1(GaussianParams(0, 0, 1))
+            check_gr1(0, 0, 1)
         with pytest.raises(ValueError):
-            check_gr2(GaussianParams(0, 0, 1))
+            check_gr2(0, 0, 1)
+
+
+class TestThreadSafety:
+    def test_concurrent_fills_match_serial(self):
+        cells = [(top, bottom) for top in range(26) for bottom in range(-1, top + 2)]
+        qbinomial._BASE_CACHE.clear()
+        expected = [qbinom(top, bottom) for top, bottom in cells]
+        qbinomial._BASE_CACHE.clear()
+
+        workers = 8
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+        errors = []
+
+        def fill(index):
+            # each thread walks the same cells from a different start and
+            # direction, so the threads race to fill overlapping rows
+            start = index * len(cells) // workers
+            order = list(range(start, len(cells))) + list(range(start))
+            if index % 2:
+                order.reverse()
+            got = [None] * len(cells)
+            try:
+                barrier.wait(timeout=30)
+                for i in order:
+                    got[i] = qbinom(*cells[i])
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+            results[index] = got
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for got in results:
+            assert got == expected
