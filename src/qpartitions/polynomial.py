@@ -192,6 +192,9 @@ class IntPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like it too
+        if len(self._coeffs) <= 1:
+            return hash(self.coeff(0))
         return hash(self._coeffs)
 
     def __bool__(self) -> bool:

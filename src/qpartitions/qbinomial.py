@@ -5,17 +5,20 @@ coefficient with ``q`` replaced by ``q**step``.  Out-of-range ``bottom``
 (negative, or larger than ``top``) gives the zero polynomial; this is the
 convention that makes every recurrence in this package total.
 
-Polynomials are built by the Pascal-style recurrence
+Each polynomial is built on its own from the product formula
 
-    [N, k] = q^k [N-1, k] + [N-1, k-1]
+    [N, j] = [N, j-1] * (1 - q^(N-j+1)) / (1 - q^j),    j = 1..k,
 
-over a persistent memo table, never by polynomial division, so everything
-stays in plain integer arithmetic.  The product characterization against the
-q-shifted factorial is kept as an independent test, not as the construction
+in plain integer arithmetic: the division is an exact running sum, and its
+zero remainder is checked.  Finished polynomials are memoized.  The Pascal
+recurrences (``check_gr1``, ``check_gr2``) and the product characterization
+against the q-shifted factorial are independent checks, not the construction
 path.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .polynomial import ONE, ZERO, IntPolynomial
 
@@ -36,36 +39,25 @@ def pochhammer_q(n: int) -> IntPolynomial:
     return out
 
 
-# Memo table for step-1 q-binomials, keyed (top, bottom) with 0 < bottom < top.
-# Values are immutable; concurrent duplicate inserts are idempotent, so plain
-# dict access is safe under the GIL.
-_BASE_CACHE: dict[tuple[int, int], IntPolynomial] = {}
-
-
-def _cell(top: int, bottom: int) -> IntPolynomial:
-    if bottom < 0 or bottom > top:
-        return ZERO
-    if bottom == 0 or bottom == top:
-        return ONE
-    return _BASE_CACHE[(top, bottom)]
-
-
+@functools.lru_cache(maxsize=None)
 def _gaussian_base(top: int, bottom: int) -> IntPolynomial:
-    """``[top, bottom]`` at step 1, filled iteratively row by row."""
-    if bottom < 0 or bottom > top:
-        return ZERO
-    if bottom == 0 or bottom == top:
-        return ONE
-    got = _BASE_CACHE.get((top, bottom))
-    if got is not None:
-        return got
-    for t in range(2, top + 1):
-        lo = max(1, bottom - (top - t))
-        hi = min(t - 1, bottom)
-        for b in range(lo, hi + 1):
-            if (t, b) not in _BASE_CACHE:
-                _BASE_CACHE[(t, b)] = _cell(t - 1, b).shift(b) + _cell(t - 1, b - 1)
-    return _BASE_CACHE[(top, bottom)]
+    """``[top, bottom]`` at step 1, for ``0 <= bottom <= top``."""
+    bottom = min(bottom, top - bottom)
+    cs = [1]
+    for j in range(1, bottom + 1):
+        m = top - j + 1
+        cs.extend([0] * m)
+        # multiply by 1 - q^m
+        for i in range(len(cs) - 1, m - 1, -1):
+            cs[i] -= cs[i - m]
+        # divide by 1 - q^j: the quotient is the running sum along each
+        # residue class mod j, and the top j entries are the remainder
+        for i in range(j, len(cs)):
+            cs[i] += cs[i - j]
+        if any(cs[-j:]):
+            raise ArithmeticError(f"[{top}, {j}]: 1 - q^{j} left a remainder")
+        del cs[-j:]
+    return IntPolynomial(cs)
 
 
 def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:
@@ -82,6 +74,8 @@ def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:
         raise ValueError(f"top must be nonnegative, got {top}")
     if step < 1:
         raise ValueError(f"step must be a positive integer, got {step}")
+    if bottom < 0 or bottom > top:
+        return ZERO
     return _gaussian_base(top, bottom).inflate(step)
 
 

@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpartitions.partitions import (
     DistinctTwoKindPartition,
@@ -109,6 +111,9 @@ class TestOneKindCounts:
         assert partition_p(0) == 1
         assert partition_p(6) == 11
         assert partition_p(10) == len(all_partitions(10)) == 42
+        # large n: storing every intermediate Gaussian cell would exhaust memory
+        assert partition_p(100) == 190569292
+        assert partition_p(200) == 3972999029388
 
 
 class TestDistinctCounts:
@@ -263,6 +268,17 @@ class TestRouteAgreement:
                                 query = TwoKindQuery(r, n1, n2, k1, k2, n)
                                 assert pbar_genfun(query) == expected
                                 assert pbar_convolution(query) == expected
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_routes_agree_on_random_queries(self, data):
+        r = data.draw(st.integers(1, 3))
+        n1, n2, k1, k2 = (data.draw(st.integers(0, 4)) for _ in range(4))
+        n = data.draw(st.integers(0, r * n1 * k1 + n2 * k2))
+        query = TwoKindQuery(r, n1, n2, k1, k2, n)
+        count = len(pbar_enumerate(query))
+        assert pbar_genfun(query) == pbar_convolution(query) == count
+        assert qbar_genfun(query) == len(qbar_enumerate(query))
 
     def test_totals_match_materialized_enumeration(self):
         totals = pbar_enumerate_totals(2, 2, 3, 2, 2)

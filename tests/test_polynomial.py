@@ -30,6 +30,12 @@ class TestConstruction:
     def test_zero_degree_is_minus_one(self):
         assert ZERO.degree == -1
 
+    def test_constants_hash_like_equal_ints(self):
+        assert ONE == 1 and ZERO == 0
+        assert hash(ONE) == hash(1) and hash(ZERO) == hash(0)
+        assert len({ONE, 1}) == 1
+        assert {1: "x"}[ONE] == "x"
+
 
 class TestAdd:
     def test_cancellation(self):

@@ -147,9 +147,9 @@ class TestRecurrences:
 class TestThreadSafety:
     def test_concurrent_fills_match_serial(self):
         cells = [(top, bottom) for top in range(26) for bottom in range(-1, top + 2)]
-        qbinomial._BASE_CACHE.clear()
+        qbinomial._gaussian_base.cache_clear()
         expected = [qbinom(top, bottom) for top, bottom in cells]
-        qbinomial._BASE_CACHE.clear()
+        qbinomial._gaussian_base.cache_clear()
 
         workers = 8
         barrier = threading.Barrier(workers)
