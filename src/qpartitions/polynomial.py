@@ -3,11 +3,22 @@
 Every generating function in this package is an ``IntPolynomial``: an
 immutable, normalized, dense coefficient sequence.  All arithmetic is exact;
 Python's native integers carry the arbitrary precision.
+
+Multiplication is the schoolbook double loop when the shorter operand is
+short, and Kronecker substitution above that: each operand is packed into one
+integer, one big-integer product does the whole convolution, and the digits
+are read back.  The digit width is chosen so that no product coefficient can
+overflow its digit, so both paths give the same exact result.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+# Shortest operand length for the Kronecker path.  Against a 350-coefficient
+# operand the two methods tie when the shorter one has 6 to 8 coefficients,
+# and Kronecker wins from 10 up; packing costs more than the loop below that.
+_KRONECKER_MIN_LEN = 10
 
 
 class IntPolynomial:
@@ -163,6 +174,8 @@ class IntPolynomial:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return ZERO
+        if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
+            return IntPolynomial(_kronecker(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -175,12 +188,18 @@ class IntPolynomial:
     def __pow__(self, n: int) -> IntPolynomial:
         if n < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        acc = ONE
+        if n == 0:
+            return ONE
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        acc = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
         return acc
 
@@ -240,6 +259,44 @@ def _coerce(value: IntPolynomial | int) -> IntPolynomial:
     if isinstance(value, int):
         return IntPolynomial((value,))
     return NotImplemented
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The convolution of two nonempty coefficient sequences, by one int product.
+
+    Each sequence is packed as digits of ``width`` bytes into one integer, so
+    that the integer product's digits are the product's coefficients.  A
+    product coefficient is a sum of at most ``min(len(a), len(b))`` terms, each
+    at most ``max|a| * max|b|`` in size, so it stays below ``2**(w-1)`` and
+    below half a digit.  Adding half a digit to every digit of the product
+    makes each digit nonnegative, so unpacking is exact whatever the signs.
+    """
+    w = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (w + 7) // 8
+    half = 1 << (8 * width - 1)
+
+    def pack(cs: Sequence[int]) -> int:
+        if min(cs) >= 0:
+            return int.from_bytes(
+                b"".join([c.to_bytes(width, "little") for c in cs]), "little"
+            )
+        # the positive and the negative coefficients, packed apart
+        return pack([c if c > 0 else 0 for c in cs]) - pack(
+            [-c if c < 0 else 0 for c in cs]
+        )
+
+    n = len(a) + len(b) - 1
+    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    raw = (pack(a) * pack(b) + bias).to_bytes(n * width, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, n * width, width)
+    ]
 
 
 def monomial(exponent: int, coefficient: int = 1) -> IntPolynomial:

@@ -41,8 +41,7 @@ def pochhammer_q(n: int) -> IntPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def _gaussian_base(top: int, bottom: int) -> IntPolynomial:
-    """``[top, bottom]`` at step 1, for ``0 <= bottom <= top``."""
-    bottom = min(bottom, top - bottom)
+    """``[top, bottom]`` at step 1, for ``0 <= 2 * bottom <= top``."""
     cs = [1]
     for j in range(1, bottom + 1):
         m = top - j + 1
@@ -76,6 +75,9 @@ def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:
         raise ValueError(f"step must be a positive integer, got {step}")
     if bottom < 0 or bottom > top:
         return ZERO
+    if 2 * bottom > top:
+        # [top, bottom] == [top, top - bottom]: one memo entry serves both
+        bottom = top - bottom
     return _gaussian_base(top, bottom).inflate(step)
 
 

@@ -1,10 +1,12 @@
 """Exact-arithmetic polynomial substrate: examples and algebraic laws."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpartitions.polynomial import ONE, ZERO, IntPolynomial, monomial, q
+from qpartitions.polynomial import ONE, ZERO, IntPolynomial, _kronecker, monomial, q
 
 
 def P(*coeffs):
@@ -13,6 +15,28 @@ def P(*coeffs):
 
 polys = st.builds(IntPolynomial, st.lists(st.integers(-9, 9), max_size=8))
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+# Coefficient lists long enough for the Kronecker path: up to 60 entries, a
+# run of zeros in front, signed or all nonnegative, small or near 2**200.
+_BIG = 2**200
+long_lists = st.builds(
+    lambda zeros, body: [0] * zeros + body,
+    st.integers(0, 5),
+    st.one_of(
+        st.lists(st.integers(-9, 9) | st.integers(-_BIG, _BIG), max_size=55),
+        st.lists(st.integers(0, 9) | st.integers(0, _BIG), max_size=55),
+    ),
+)
+long_polys = st.builds(IntPolynomial, long_lists)
+
+
+def schoolbook(a, b):
+    """Convolution by the double loop: the reference for every multiply."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
 
 
 class TestConstruction:
@@ -69,6 +93,21 @@ class TestMul:
     def test_pow(self):
         assert (ONE + q) ** 2 == P(1, 2, 1)
         assert P(0, 1) ** 0 == ONE
+
+    def test_pow_multiplies_only_what_it_uses(self, monkeypatch):
+        # (1 + q)**40 also takes the Kronecker path
+        calls = []
+        mul = IntPolynomial.__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(IntPolynomial, "__mul__", counting_mul)
+        for n, products in ((1, 0), (3, 2), (4, 2), (40, 6)):
+            calls.clear()
+            assert P(1, 1) ** n == IntPolynomial(math.comb(n, i) for i in range(n + 1))
+            assert len(calls) == products, n
 
 
 class TestShift:
@@ -195,6 +234,40 @@ def test_mul_associates(a, b, c):
 @given(polys, polys, polys)
 def test_mul_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+@given(long_polys, long_polys, long_polys)
+def test_mul_associates_long(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@given(long_polys, long_polys, long_polys)
+def test_mul_distributes_long(a, b, c):
+    assert a * (b + c) == a * b + a * c
+
+
+@given(long_lists, long_lists)
+def test_kronecker_matches_schoolbook(a, b):
+    expected = IntPolynomial(schoolbook(a, b))
+    if a and b:
+        assert IntPolynomial(_kronecker(a, b)) == expected
+    A, B = IntPolynomial(a), IntPolynomial(b)
+    assert A * B == expected
+    for x in (-3, 2):
+        assert (A * B).evaluate(x) == A.evaluate(x) * B.evaluate(x)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_kronecker_at_the_digit_bound(sign):
+    # every coefficient at its largest for its bit length drives the middle
+    # product coefficient up to the bound the digit width is sized for, at
+    # every total width modulo a byte
+    for bits_a in range(1, 25):
+        for bits_b in (1, 8, 9):
+            for n in (15, 16, 31):
+                a = [2**bits_a - 1] * n
+                b = [sign * (2**bits_b - 1)] * n
+                assert _kronecker(a, b) == schoolbook(a, b), (bits_a, bits_b, n)
 
 
 @given(nonzero_polys, nonzero_polys)

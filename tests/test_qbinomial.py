@@ -70,6 +70,12 @@ class TestGaussian:
                 got = qbinom(max_part + max_count, max_part)
                 assert [got.coeff(i) for i in range(len(expected))] == expected
 
+    def test_symmetric_bottoms_share_one_memo_entry(self):
+        qbinomial._gaussian_base.cache_clear()
+        low, high = qbinom(10, 3), qbinom(10, 7)
+        assert qbinomial._gaussian_base.cache_info().currsize == 1
+        assert low is high
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             qbinom(-1, 0)
@@ -82,6 +88,13 @@ class TestDefinitionConsistency:
         # [n, k] (q;q)_k (q;q)_{n-k} == (q;q)_n, checked without any division
         for n in range(11):
             for k in range(n + 1):
+                lhs = qbinom(n, k) * pochhammer_q(k) * pochhammer_q(n - k)
+                assert lhs == pochhammer_q(n), (n, k)
+
+    def test_product_identity_at_real_sizes(self):
+        # signed operands of hundreds of coefficients take the Kronecker path
+        for n in (20, 30):
+            for k in (3, n // 2, n - 4):
                 lhs = qbinom(n, k) * pochhammer_q(k) * pochhammer_q(n - k)
                 assert lhs == pochhammer_q(n), (n, k)
 
