@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterator
 
@@ -161,13 +161,18 @@ def pbar_genfun(query: TwoKindQuery) -> int:
 def pbar_convolution(query: TwoKindQuery) -> int:
     """Two-kind count as a convolution of one-kind counts.
 
-    Sums p(N1, k1, j) * p(N2, k2, n - r*j) over j up to n // r.
+    Sums p(N1, k1, j) * p(N2, k2, n - r*j) over j up to n // r.  Each
+    p(N, k, m) is the coefficient of q^m in [N+k, N], so both rows are read
+    once, and j runs only where both coefficients can be nonzero: at most
+    N1*k1 and at least (n - N2*k2) / r.  The work is therefore bounded by
+    the rows, not by n.
     """
     r, n = query.r, query.n
-    return sum(
-        p(query.n1, query.k1, j) * p(query.n2, query.k2, n - r * j)
-        for j in range(n // r + 1)
-    )
+    first = qbinom(query.n1 + query.k1, query.n1).coeffs
+    second = qbinom(query.n2 + query.k2, query.n2).coeffs
+    low = max(0, -((len(second) - 1 - n) // r))
+    high = min(n // r, len(first) - 1)
+    return sum(first[j] * second[n - r * j] for j in range(low, high + 1))
 
 
 def qbar_genfun(query: TwoKindQuery) -> int:
@@ -179,7 +184,8 @@ def _multisets(max_value: int, max_count: int, total: int) -> Iterator[tuple[int
     """Multisets of integers in [1, max_value], size <= max_count, given total.
 
     Yields descending tuples; the empty tuple is the unique multiset with
-    total 0.
+    total 0.  Only multisets of the given total are visited, which lets
+    ``pbar_enumerate`` list one target without walking every multiset.
     """
     if total == 0:
         yield ()
@@ -242,21 +248,19 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     Entry ``n`` of the result is the number of two-kind partitions of ``n``
     under the bounds; the list covers 0 through r*N1*k1 + N2*k2.  This is the
     bulk form of the enumeration oracle: it generates every admissible
-    multiset pair and tallies by total, with no polynomial arithmetic.
+    multiset pair and tallies by total, with no polynomial arithmetic.  A
+    multiset of at most k parts from 1..N is listed as k picks with
+    replacement from 0..N, a 0 standing for "no part".
     """
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
     if min(n1, n2, k1, k2) < 0:
         raise ValueError("bounds must be nonnegative")
     first_totals = [
-        r * s
-        for s in range(n1 * k1 + 1)
-        for _ in _multisets(n1, k1, s)
+        r * sum(parts) for parts in combinations_with_replacement(range(n1 + 1), k1)
     ]
     second_totals = [
-        s
-        for s in range(n2 * k2 + 1)
-        for _ in _multisets(n2, k2, s)
+        sum(parts) for parts in combinations_with_replacement(range(n2 + 1), k2)
     ]
     counts = [0] * (r * n1 * k1 + n2 * k2 + 1)
     for a in first_totals:
@@ -280,8 +284,9 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
         return [0]
     top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
     counts = [0] * (top + 1)
+    second_totals = [sum(parts) for parts in combinations(range(1, n2 + 1), k2)]
     for multipliers in combinations(range(1, n1 + 1), k1):
         first_total = r * sum(multipliers)
-        for second in combinations(range(1, n2 + 1), k2):
-            counts[first_total + sum(second)] += 1
+        for b in second_totals:
+            counts[first_total + b] += 1
     return counts

@@ -75,6 +75,15 @@ class TestCount:
         assert out == "genfun: 6\nconvolution: 6\nenumerate: 6\n"
         assert err == ""
 
+    def test_convolution_far_beyond_degree(self, capsys):
+        code, out, _ = run(
+            capsys, "count", "pbar", "--r", "1", "--n1", "2", "--n2", "2",
+            "--k1", "2", "--k2", "2", "--n", str(10**12),
+            "--method", "convolution", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == "0"
+
     def test_partition_number(self, capsys):
         code, out, _ = run(capsys, "count", "partition", "--n", "6")
         assert code == 0

@@ -175,6 +175,21 @@ class TestTwoKindRoutes:
     def test_unreachable_target(self):
         assert pbar_enumerate(TwoKindQuery(2, 1, 0, 1, 0, 3)) == []
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_convolution_matches_unclipped_sum(self, data):
+        r = data.draw(st.integers(1, 4))
+        n1, n2, k1, k2 = (data.draw(st.integers(0, 4)) for _ in range(4))
+        n = data.draw(st.integers(0, r * n1 * k1 + n2 * k2 + 2 * r))
+        expected = sum(
+            p(n1, k1, j) * p(n2, k2, n - r * j) for j in range(n // r + 1)
+        )
+        assert pbar_convolution(TwoKindQuery(r, n1, n2, k1, k2, n)) == expected
+
+    def test_convolution_far_beyond_degree_returns_at_once(self):
+        # the clipped range is empty, so no loop runs up to n // r
+        assert pbar_convolution(TwoKindQuery(3, 2, 2, 2, 2, 10**12)) == 0
+
 
 class TestEnumerationGolden:
     def test_worked_example_six_partitions_in_canonical_order(self):
@@ -279,6 +294,20 @@ class TestRouteAgreement:
         count = len(pbar_enumerate(query))
         assert pbar_genfun(query) == pbar_convolution(query) == count
         assert qbar_genfun(query) == len(qbar_enumerate(query))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_totals_match_listings_on_random_bounds(self, data):
+        r = data.draw(st.integers(1, 3))
+        n1, n2, k1, k2 = (data.draw(st.integers(0, 3)) for _ in range(4))
+        pbar_totals = pbar_enumerate_totals(r, n1, n2, k1, k2)
+        qbar_totals = qbar_enumerate_totals(r, n1, n2, k1, k2)
+        n = data.draw(st.integers(0, len(pbar_totals) - 1))
+        query = TwoKindQuery(r, n1, n2, k1, k2, n)
+        assert pbar_totals[n] == len(pbar_enumerate(query))
+        # the distinct-part list stops at its largest achievable total
+        qbar_count = qbar_totals[n] if n < len(qbar_totals) else 0
+        assert qbar_count == len(qbar_enumerate(query))
 
     def test_totals_match_materialized_enumeration(self):
         totals = pbar_enumerate_totals(2, 2, 3, 2, 2)
