@@ -2,13 +2,15 @@
 
 The package computes, enumerates, and cross-verifies:
 
-* Gaussian polynomials (q-binomial coefficients) in q and q^r, built by
-  recurrence in exact integer arithmetic (``qbinom``);
+* Gaussian polynomials (q-binomial coefficients) in q and q^r, built from
+  the product formula in exact integer arithmetic (``qbinom``);
 * one-kind restricted partition counts ``p(N, k, n)`` and the partition
   number ``partition_p(n)``;
 * two-kind counts with a divisibility step r, by three independent routes:
   generating function, convolution, and brute-force enumeration
-  (``pbar_genfun``, ``pbar_convolution``, ``pbar_enumerate``);
+  (``pbar_genfun``, ``pbar_convolution``, ``pbar_enumerate``), the last two
+  also for every target at once (``pbar_convolution_totals``,
+  ``pbar_enumerate_totals``);
 * distinct-part companions ``qbar_genfun``, ``qbar_enumerate``, ``Q``;
 * a battery of identity verifiers returning structured reports
   (``run_identity``, ``verify_*``), including two q-series summation
@@ -29,6 +31,7 @@ from .partitions import (
     p,
     partition_p,
     pbar_convolution,
+    pbar_convolution_totals,
     pbar_enumerate,
     pbar_enumerate_totals,
     pbar_genfun,
@@ -84,6 +87,7 @@ __all__ = [
     "qbar_gf",
     "pbar_genfun",
     "pbar_convolution",
+    "pbar_convolution_totals",
     "pbar_enumerate",
     "pbar_enumerate_totals",
     "qbar_genfun",

@@ -13,16 +13,17 @@ point used by the command-line front end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from math import comb, isqrt
-from typing import Callable
+from typing import Callable, Sequence
 
 from .polynomial import ZERO, IntPolynomial
 from .qbinomial import qbinom
 from .partitions import (
     TwoKindQuery,
-    p,
     partition_p,
     pbar_convolution,
+    pbar_convolution_totals,
     pbar_enumerate_totals,
     pbar_gf,
     qbar_enumerate_totals,
@@ -75,15 +76,19 @@ class VerificationReport:
         return f"{self.identity_id}: {status} (checked={self.checked}, grid {self.grid})"
 
 
-def _pbar(r: int, n1: int, n2: int, k1: int, k2: int, n: int) -> int:
-    """Two-kind count, extended to out-of-range arguments as 0.
+def _row_failures(
+    params: tuple[int, ...], got: Sequence[int], expected: Sequence[int]
+) -> list[Counterexample]:
+    """One counterexample per target n where two rows of counts differ.
 
-    Summands in the partition formulas shift their arguments below zero near
-    the boundary; those terms contribute nothing.
+    Entry n of a row is the count at target n; a row that ends early reads
+    as 0 past its end.
     """
-    if n1 < 0 or n2 < 0 or k1 < 0 or k2 < 0 or n < 0:
-        return 0
-    return pbar_convolution(TwoKindQuery(r, n1, n2, k1, k2, n))
+    return [
+        Counterexample(params + (n,), str(lhs), str(rhs))
+        for n, (lhs, rhs) in enumerate(zip_longest(got, expected, fillvalue=0))
+        if lhs != rhs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -151,40 +156,35 @@ def _two_kind_grid(r_max: int, param_max: int, lower: int = 0):
                         yield r, n1, n2, k1, k2
 
 
-def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
-    """Convolution route against the enumeration oracle, every target."""
+def _rows_against_oracle(
+    identity_id: str,
+    route: Callable[..., Sequence[int]],
+    oracle: Callable[..., Sequence[int]],
+    r_max: int,
+    param_max: int,
+) -> VerificationReport:
+    """Compare a route's row of counts with the oracle's for every bound tuple."""
     failures = []
     checked = 0
-    for r, n1, n2, k1, k2 in _two_kind_grid(r_max, param_max):
+    for bounds in _two_kind_grid(r_max, param_max):
         checked += 1
-        totals = pbar_enumerate_totals(r, n1, n2, k1, k2)
-        for n, expected in enumerate(totals):
-            got = pbar_convolution(TwoKindQuery(r, n1, n2, k1, k2, n))
-            if got != expected:
-                failures.append(
-                    Counterexample((r, n1, n2, k1, k2, n), str(got), str(expected))
-                )
+        failures += _row_failures(bounds, route(*bounds), oracle(*bounds))
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}, all n"
-    return VerificationReport("thm2.1", grid, checked, failures)
+    return VerificationReport(identity_id, grid, checked, failures)
+
+
+def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
+    """Convolution route against the enumeration oracle, every target."""
+    return _rows_against_oracle(
+        "thm2.1", pbar_convolution_totals, pbar_enumerate_totals, r_max, param_max
+    )
 
 
 def verify_thm22(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Generating-function coefficients against the enumeration oracle."""
-    failures = []
-    checked = 0
-    for r, n1, n2, k1, k2 in _two_kind_grid(r_max, param_max):
-        checked += 1
-        totals = pbar_enumerate_totals(r, n1, n2, k1, k2)
-        gf = pbar_gf(r, n1, n2, k1, k2)
-        for n, expected in enumerate(totals):
-            if gf.coeff(n) != expected:
-                failures.append(
-                    Counterexample(
-                        (r, n1, n2, k1, k2, n), str(gf.coeff(n)), str(expected)
-                    )
-                )
-    grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}, all n"
-    return VerificationReport("thm2.2", grid, checked, failures)
+    return _rows_against_oracle(
+        "thm2.2", lambda *b: pbar_gf(*b).coeffs, pbar_enumerate_totals, r_max, param_max
+    )
 
 
 def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -280,27 +280,29 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
 
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     """Distinct-part generating function against the enumeration oracle."""
-    failures = []
-    checked = 0
-    for r, n1, n2, k1, k2 in _two_kind_grid(r_max, param_max):
-        checked += 1
-        totals = qbar_enumerate_totals(r, n1, n2, k1, k2)
-        gf = qbar_gf(r, n1, n2, k1, k2)
-        span = max(len(totals), len(gf.coeffs))
-        for n in range(span):
-            expected = totals[n] if n < len(totals) else 0
-            if gf.coeff(n) != expected:
-                failures.append(
-                    Counterexample(
-                        (r, n1, n2, k1, k2, n), str(gf.coeff(n)), str(expected)
-                    )
-                )
-    grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}, all n"
-    return VerificationReport("thm2.6", grid, checked, failures)
+    return _rows_against_oracle(
+        "thm2.6", lambda *b: qbar_gf(*b).coeffs, qbar_enumerate_totals, r_max, param_max
+    )
 
 
 # ---------------------------------------------------------------------------
 # The two partition formulas.
+
+
+def _expansion(r: int, N: int, k: int) -> IntPolynomial:
+    """The step-r expansion of Thm 3.1 (r=2) and Thm 3.3 (r=4) as a polynomial in q.
+
+    The sum over j up to k // r of q^C(k-rj, 2) times the two-kind row at
+    bounds (N, N+1-k+rj, j, k-rj).  A term whose second bound is negative
+    counts nothing.
+    """
+    total = ZERO
+    for j in range(k // r + 1):
+        n2 = N + 1 - k + r * j
+        if n2 >= 0:
+            row = IntPolynomial(pbar_convolution_totals(r, N, n2, j, k - r * j))
+            total = total + row.shift(comb(k - r * j, 2))
+    return total
 
 
 def expand_p_thm31(N: int, k: int, n: int) -> int:
@@ -311,24 +313,26 @@ def expand_p_thm31(N: int, k: int, n: int) -> int:
     """
     if N < 0 or k < 0 or n < 0:
         raise ValueError("expand_p_thm31 needs nonnegative arguments")
-    return sum(
-        _pbar(2, N, N + 1 - k + 2 * j, j, k - 2 * j, n - comb(k - 2 * j, 2))
-        for j in range(k // 2 + 1)
-    )
+    return _expansion(2, N, k).coeff(n)
 
 
 def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:
-    """The r=2 expansion against the one-kind count, over a full grid."""
+    """The r=2 expansion against the one-kind count, over a full grid.
+
+    With the two-kind generating function substituted, Thm 3.1 at (N, k) is
+    the first Guo-Yang identity (eq2) at (m, n) = (N, k).  Here it is checked
+    on rows of counts with a plain convolution loop, and ``eq2`` checks the
+    same identity through the polynomial product; their agreement is a route
+    agreement.
+    """
     failures = []
     checked = 0
     for N in range(n_max + 1):
         for k in range(k_max + 1):
-            for n in range(N * k + 1):
-                checked += 1
-                lhs = expand_p_thm31(N, k, n)
-                rhs = p(N, k, n)
-                if lhs != rhs:
-                    failures.append(Counterexample((N, k, n), str(lhs), str(rhs)))
+            checked += N * k + 1
+            failures += _row_failures(
+                (N, k), _expansion(2, N, k).coeffs, qbinom(N + k, N).coeffs
+            )
     grid = f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k"
     return VerificationReport("thm3.1", grid, checked, failures)
 
@@ -374,7 +378,9 @@ def corollary_terms(n: int) -> list[int]:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return [
-        _pbar(2, n, n - 2 * j, j, 2 * j + 1, n - comb(n - 2 * j, 2))
+        pbar_convolution(
+            TwoKindQuery(2, n, n - 2 * j, j, 2 * j + 1, n - comb(n - 2 * j, 2))
+        )
         for j in range(corollary_lower_index(n), n // 2 + 1)
     ]
 
@@ -386,16 +392,11 @@ def p_by_corollary(n: int) -> int:
 
 def verify_cor32(n_max: int = 60) -> VerificationReport:
     """The short-sum partition formula against p(n, n, n)."""
-    failures = []
-    checked = 0
-    for n in range(n_max + 1):
-        checked += 1
-        lhs = p_by_corollary(n)
-        rhs = partition_p(n)
-        if lhs != rhs:
-            failures.append(Counterexample((n,), str(lhs), str(rhs)))
-    grid = f"0<=n<={n_max}"
-    return VerificationReport("cor3.2", grid, checked, failures)
+    targets = range(n_max + 1)
+    failures = _row_failures(
+        (), [p_by_corollary(n) for n in targets], [partition_p(n) for n in targets]
+    )
+    return VerificationReport("cor3.2", f"0<=n<={n_max}", len(targets), failures)
 
 
 def verify_thm33(
@@ -406,23 +407,22 @@ def verify_thm33(
     The right-hand side carries the factor (-1)^j; ``signed=False`` drops it
     and is expected to FAIL.  It exists to document that the alternating
     sign is essential, not optional.
+
+    With the two-kind generating function substituted, Thm 3.3 at (N, k) is
+    the second Guo-Yang identity (eq3) at (m, n) = (N, k): rows of counts
+    here, checked with a plain convolution loop, against the polynomial
+    product in ``eq3``.
     """
     failures = []
     checked = 0
     for N in range(n_max + 1):
         for k in range(k_max + 1):
-            for n in range(N * k + 1):
-                checked += 1
-                lhs = sum(
-                    _pbar(4, N, N + 1 - k + 4 * j, j, k - 4 * j, n - comb(k - 4 * j, 2))
-                    for j in range(k // 4 + 1)
-                )
-                rhs = sum(
-                    ((-1) ** j if signed else 1) * _pbar(2, N, N, j, k - 2 * j, n)
-                    for j in range(k // 2 + 1)
-                )
-                if lhs != rhs:
-                    failures.append(Counterexample((N, k, n), str(lhs), str(rhs)))
+            checked += N * k + 1
+            rhs = ZERO
+            for j in range(k // 2 + 1):
+                row = IntPolynomial(pbar_convolution_totals(2, N, N, j, k - 2 * j))
+                rhs = rhs + (-row if signed and j % 2 else row)
+            failures += _row_failures((N, k), _expansion(4, N, k).coeffs, rhs.coeffs)
     grid = f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k" + (
         "" if signed else " (sign factor dropped)"
     )

@@ -11,7 +11,8 @@ Every count is computable by two or three independent routes:
 
 * ``*_genfun``      coefficient extraction from a product of Gaussian
                     polynomials (the generating-function route);
-* ``pbar_convolution``  a convolution of one-kind counts;
+* ``pbar_convolution``  a convolution of one-kind counts (for one target,
+                        or every target with ``pbar_convolution_totals``);
 * ``*_enumerate``   explicit brute-force enumeration of the partitions
                     themselves (the oracle; it never touches polynomial
                     arithmetic).
@@ -158,6 +159,13 @@ def pbar_genfun(query: TwoKindQuery) -> int:
     return pbar_gf(query.r, query.n1, query.n2, query.k1, query.k2).coeff(query.n)
 
 
+def _convolve(first: tuple[int, ...], second: tuple[int, ...], r: int, n: int) -> int:
+    """Sum of first[j] * second[n - r*j], over the j where both entries exist."""
+    low = max(0, -((len(second) - 1 - n) // r))
+    high = min(n // r, len(first) - 1)
+    return sum(first[j] * second[n - r * j] for j in range(low, high + 1))
+
+
 def pbar_convolution(query: TwoKindQuery) -> int:
     """Two-kind count as a convolution of one-kind counts.
 
@@ -167,12 +175,22 @@ def pbar_convolution(query: TwoKindQuery) -> int:
     N1*k1 and at least (n - N2*k2) / r.  The work is therefore bounded by
     the rows, not by n.
     """
-    r, n = query.r, query.n
     first = qbinom(query.n1 + query.k1, query.n1).coeffs
     second = qbinom(query.n2 + query.k2, query.n2).coeffs
-    low = max(0, -((len(second) - 1 - n) // r))
-    high = min(n // r, len(first) - 1)
-    return sum(first[j] * second[n - r * j] for j in range(low, high + 1))
+    return _convolve(first, second, query.r, query.n)
+
+
+def pbar_convolution_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
+    """Two-kind counts for every target, by the convolution route.
+
+    Entry ``n`` is ``pbar_convolution`` at target n, for n from 0 through
+    r*N1*k1 + N2*k2, the same span as ``pbar_enumerate_totals``.  Both
+    one-kind rows are read once for the whole list.
+    """
+    TwoKindQuery(r, n1, n2, k1, k2, 0)  # rejects r < 1 and negative bounds
+    first = qbinom(n1 + k1, n1).coeffs
+    second = qbinom(n2 + k2, n2).coeffs
+    return [_convolve(first, second, r, n) for n in range(r * n1 * k1 + n2 * k2 + 1)]
 
 
 def qbar_genfun(query: TwoKindQuery) -> int:
@@ -252,10 +270,7 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     multiset of at most k parts from 1..N is listed as k picks with
     replacement from 0..N, a 0 standing for "no part".
     """
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    if min(n1, n2, k1, k2) < 0:
-        raise ValueError("bounds must be nonnegative")
+    TwoKindQuery(r, n1, n2, k1, k2, 0)  # rejects r < 1 and negative bounds
     first_totals = [
         r * sum(parts) for parts in combinations_with_replacement(range(n1 + 1), k1)
     ]
@@ -276,10 +291,7 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     entries are 0 when no selection of exactly k1 and k2 distinct parts
     exists.
     """
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    if min(n1, n2, k1, k2) < 0:
-        raise ValueError("bounds must be nonnegative")
+    TwoKindQuery(r, n1, n2, k1, k2, 0)  # rejects r < 1 and negative bounds
     if k1 > n1 or k2 > n2:
         return [0]
     top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)

@@ -164,7 +164,8 @@ class IntPolynomial:
         return self + (-other)
 
     def __rsub__(self, other: int) -> IntPolynomial:
-        return _coerce(other) + (-self)
+        # other - self as (-self) + other; NotImplemented passes through
+        return (-self).__add__(other)
 
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
         if isinstance(other, int):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qpartitions import identities, partitions
 from qpartitions.identities import (
     Counterexample,
     VerificationReport,
@@ -156,6 +157,37 @@ class TestStructuralVerifiers:
     def test_distinct_genfun_route(self):
         assert verify_thm26(r_max=2, param_max=3).passed
 
+    def test_counterexamples_are_reported_per_target(self, monkeypatch):
+        real = identities.pbar_convolution_totals
+
+        def tampered(r, n1, n2, k1, k2):
+            row = real(r, n1, n2, k1, k2)
+            if (r, n1, n2, k1, k2) == (2, 1, 1, 1, 1):
+                row[1] += 1  # the row is 1 + q + q^2 + q^3
+                row.append(5)
+            return row
+
+        monkeypatch.setattr(identities, "pbar_convolution_totals", tampered)
+        report = verify_thm21(r_max=2, param_max=1)
+        assert report.checked == 32
+        assert [c.as_dict() for c in report.failures] == [
+            {"params": [2, 1, 1, 1, 1, 1], "lhs": "2", "rhs": "1"},
+            {"params": [2, 1, 1, 1, 1, 4], "lhs": "5", "rhs": "0"},
+        ]
+
+    def test_count_verifiers_multiply_no_polynomials(self, monkeypatch):
+        # the convolution route and the row sums stay independent of pbar_gf
+        def forbidden(*args):
+            raise AssertionError("polynomial product on the convolution route")
+
+        monkeypatch.setattr(IntPolynomial, "__mul__", forbidden)
+        monkeypatch.setattr(IntPolynomial, "__rmul__", forbidden)
+        monkeypatch.setattr(identities, "pbar_gf", forbidden)
+        monkeypatch.setattr(partitions, "pbar_gf", forbidden)
+        assert verify_thm21(r_max=2, param_max=3).passed
+        assert verify_thm31(n_max=5, k_max=6).passed
+        assert verify_thm33(n_max=4, k_max=8).passed
+
 
 class TestOneKindExpansion:
     def test_trivial_cases(self):
@@ -238,7 +270,12 @@ class TestCrossStepExpansion:
     def test_alternating_sign_is_essential(self):
         report = verify_thm33(signed=False)
         assert not report.passed
-        assert len(report.failures) > 0
+        assert len(report.failures) == 315
+        assert report.failures[0].as_dict() == {
+            "params": [0, 2, 0],
+            "lhs": "0",
+            "rhs": "2",
+        }
         # counterexamples are reported with both sides rendered
         first = report.failures[0]
         assert first.lhs != first.rhs

@@ -14,6 +14,7 @@ from qpartitions.partitions import (
     p,
     partition_p,
     pbar_convolution,
+    pbar_convolution_totals,
     pbar_enumerate,
     pbar_enumerate_totals,
     pbar_genfun,
@@ -51,6 +52,24 @@ class TestQueryValidation:
             TwoKindQuery(1, -1, 1, 1, 1, 1)
         with pytest.raises(ValueError):
             TwoKindQuery(1, 1, 1, 1, 1, -1)
+
+    @pytest.mark.parametrize(
+        "totals",
+        [pbar_convolution_totals, pbar_enumerate_totals, qbar_enumerate_totals],
+    )
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 1, 1, 1, 1), "r must be a positive integer"),
+            ((1, -1, 1, 1, 1), "n1 must be nonnegative"),
+            ((1, 1, -1, 1, 1), "n2 must be nonnegative"),
+            ((1, 1, 1, -1, 1), "k1 must be nonnegative"),
+            ((1, 1, 1, 1, -1), "k2 must be nonnegative"),
+        ],
+    )
+    def test_totals_reject_bad_bounds(self, totals, args, message):
+        with pytest.raises(ValueError, match=message):
+            totals(*args)
 
 
 class TestPartitionTypes:
@@ -302,6 +321,7 @@ class TestRouteAgreement:
         n1, n2, k1, k2 = (data.draw(st.integers(0, 3)) for _ in range(4))
         pbar_totals = pbar_enumerate_totals(r, n1, n2, k1, k2)
         qbar_totals = qbar_enumerate_totals(r, n1, n2, k1, k2)
+        assert pbar_convolution_totals(r, n1, n2, k1, k2) == pbar_totals
         n = data.draw(st.integers(0, len(pbar_totals) - 1))
         query = TwoKindQuery(r, n1, n2, k1, k2, n)
         assert pbar_totals[n] == len(pbar_enumerate(query))

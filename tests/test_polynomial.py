@@ -75,6 +75,12 @@ class TestAdd:
     def test_int_mixing(self):
         assert 1 - q == P(1, -1)
 
+    def test_foreign_minus_polynomial_is_unsupported(self):
+        with pytest.raises(TypeError, match="for -: 'float' and 'IntPolynomial'"):
+            1.5 - q
+        with pytest.raises(TypeError, match="for -: 'NoneType' and 'IntPolynomial'"):
+            None - q
+
 
 class TestMul:
     def test_square_of_binomial(self):
