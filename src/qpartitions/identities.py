@@ -17,7 +17,7 @@ from itertools import zip_longest
 from math import comb, isqrt
 from typing import Callable, Sequence
 
-from .polynomial import ZERO, IntPolynomial
+from .polynomial import ZERO, IntPolynomial, packed_sums
 from .qbinomial import qbinom
 from .partitions import (
     TwoKindQuery,
@@ -101,17 +101,29 @@ def verify_guo_yang_1(m_max: int = 10, n_max: int = 10) -> VerificationReport:
     For each grid point: the sum over k of
     [m+k, k] at q^2 times [m+1, n-2k] times q^C(n-2k, 2)
     must equal [m+n, n].
+
+    The left sides of all n at one m are summed by ``packed_sums``: each
+    Gaussian is packed once for that m (the q^2 ones padded, not inflated),
+    all at one digit width, each product is one integer product, and each
+    side is read back once and compared with [m+n, n].
     """
     failures = []
     checked = 0
     for m in range(m_max + 1):
-        for n in range(n_max + 1):
+        # [m + j, j] and [m + 1, j], for every j the sides at this m use
+        wide = [qbinom(m + j, j) for j in range(n_max + 1)]
+        narrow = [qbinom(m + 1, j).coeffs for j in range(n_max + 1)]
+        sides = [
+            [
+                (1, comb(n - 2 * k, 2), 2, wide[k].coeffs, narrow[n - 2 * k])
+                for k in range(n // 2 + 1)
+            ]
+            for n in range(n_max + 1)
+        ]
+        for n, coeffs in enumerate(packed_sums(sides)):
             checked += 1
-            lhs = ZERO
-            for k in range(n // 2 + 1):
-                term = qbinom(m + k, k, 2) * qbinom(m + 1, n - 2 * k)
-                lhs = lhs + term.shift(comb(n - 2 * k, 2))
-            rhs = qbinom(m + n, n)
+            lhs = IntPolynomial(coeffs)
+            rhs = wide[n]
             if lhs != rhs:
                 failures.append(Counterexample((m, n), str(lhs), str(rhs)))
     grid = f"0<=m<={m_max}, 0<=n<={n_max}"
@@ -123,20 +135,32 @@ def verify_guo_yang_2(m_max: int = 10, n_max: int = 10) -> VerificationReport:
 
     The q^4 side (sum over k up to n // 4) must equal the alternating q^2
     side (sum over k up to n // 2 with sign (-1)^k).
+
+    Both sides of all n at one m are summed by ``packed_sums``: each
+    Gaussian is packed once for that m (the q^2 and q^4 ones padded, not
+    inflated), all at one digit width, and each side is read back once.
     """
     failures = []
     checked = 0
     for m in range(m_max + 1):
+        # [m + j, j] and [m + 1, j], for every j the sides at this m use
+        wide = [qbinom(m + j, j).coeffs for j in range(n_max + 1)]
+        narrow = [qbinom(m + 1, j).coeffs for j in range(n_max + 1)]
+        sides = []
         for n in range(n_max + 1):
+            sides.append([
+                (1, comb(n - 4 * k, 2), 4, wide[k], narrow[n - 4 * k])
+                for k in range(n // 4 + 1)
+            ])
+            sides.append([
+                (-1 if k % 2 else 1, 0, 2, wide[k], wide[n - 2 * k])
+                for k in range(n // 2 + 1)
+            ])
+        sums = packed_sums(sides)
+        # the sides come in pairs, left then right
+        for n, (lhs, rhs) in enumerate(zip(sums, sums)):
             checked += 1
-            lhs = ZERO
-            for k in range(n // 4 + 1):
-                term = qbinom(m + k, k, 4) * qbinom(m + 1, n - 4 * k)
-                lhs = lhs + term.shift(comb(n - 4 * k, 2))
-            rhs = ZERO
-            for k in range(n // 2 + 1):
-                term = qbinom(m + k, k, 2) * qbinom(m + n - 2 * k, n - 2 * k)
-                rhs = rhs + (term if k % 2 == 0 else -term)
+            lhs, rhs = IntPolynomial(lhs), IntPolynomial(rhs)
             if lhs != rhs:
                 failures.append(Counterexample((m, n), str(lhs), str(rhs)))
     grid = f"0<=m<={m_max}, 0<=n<={n_max}"
@@ -309,11 +333,19 @@ def expand_p_thm31(N: int, k: int, n: int) -> int:
     """One-kind count p(N, k, n) expanded as a sum of two-kind counts at r=2.
 
     Sums the two-kind count at (N, N+1-k+2j, j, k-2j, n - C(k-2j, 2)) over
-    j up to k // 2; out-of-range summands contribute 0.
+    j up to k // 2; out-of-range summands contribute 0.  Each summand is one
+    clipped convolution sum at its own target, so one coefficient costs no
+    whole row (``_expansion`` is the row form).
     """
     if N < 0 or k < 0 or n < 0:
         raise ValueError("expand_p_thm31 needs nonnegative arguments")
-    return _expansion(2, N, k).coeff(n)
+    total = 0
+    for j in range(k // 2 + 1):
+        n2 = N + 1 - k + 2 * j
+        target = n - comb(k - 2 * j, 2)
+        if n2 >= 0 and target >= 0:
+            total += pbar_convolution(TwoKindQuery(2, N, n2, j, k - 2 * j, target))
+    return total
 
 
 def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:

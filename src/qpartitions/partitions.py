@@ -50,12 +50,18 @@ class TwoKindQuery:
     n: int
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r}")
-        for name in ("n1", "n2", "k1", "k2", "n"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+        _check_bounds(self.r, self.n1, self.n2, self.k1, self.k2)
+        if self.n < 0:
+            raise ValueError(f"n must be nonnegative, got {self.n}")
+
+
+def _check_bounds(r: int, n1: int, n2: int, k1: int, k2: int) -> None:
+    """Reject a step below 1 and negative bounds, naming the first offender."""
+    if r < 1:
+        raise ValueError(f"r must be a positive integer, got {r}")
+    for name, value in (("n1", n1), ("n2", n2), ("k1", k1), ("k2", k2)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +193,7 @@ def pbar_convolution_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[
     r*N1*k1 + N2*k2, the same span as ``pbar_enumerate_totals``.  Both
     one-kind rows are read once for the whole list.
     """
-    TwoKindQuery(r, n1, n2, k1, k2, 0)  # rejects r < 1 and negative bounds
+    _check_bounds(r, n1, n2, k1, k2)
     first = qbinom(n1 + k1, n1).coeffs
     second = qbinom(n2 + k2, n2).coeffs
     return [_convolve(first, second, r, n) for n in range(r * n1 * k1 + n2 * k2 + 1)]
@@ -270,7 +276,7 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     multiset of at most k parts from 1..N is listed as k picks with
     replacement from 0..N, a 0 standing for "no part".
     """
-    TwoKindQuery(r, n1, n2, k1, k2, 0)  # rejects r < 1 and negative bounds
+    _check_bounds(r, n1, n2, k1, k2)
     first_totals = [
         r * sum(parts) for parts in combinations_with_replacement(range(n1 + 1), k1)
     ]
@@ -291,7 +297,7 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     entries are 0 when no selection of exactly k1 and k2 distinct parts
     exists.
     """
-    TwoKindQuery(r, n1, n2, k1, k2, 0)  # rejects r < 1 and negative bounds
+    _check_bounds(r, n1, n2, k1, k2)
     if k1 > n1 or k2 > n2:
         return [0]
     top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)

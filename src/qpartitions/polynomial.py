@@ -9,16 +9,25 @@ short, and Kronecker substitution above that: each operand is packed into one
 integer, one big-integer product does the whole convolution, and the digits
 are read back.  The digit width is chosen so that no product coefficient can
 overflow its digit, so both paths give the same exact result.
+
+``Packing`` is the one packing kernel.  ``__mul__`` uses it for a single
+product, and ``packed_sums`` for whole sums of shifted products, such as the
+sides of the Guo-Yang identities (eq2/eq3): every operand is packed once, all
+at one digit width sized from the operands, the products are summed as
+integers, and each sum is read back once.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable, Iterator, Sequence
 
 # Shortest operand length for the Kronecker path.  Against a 350-coefficient
 # operand the two methods tie when the shorter one has 6 to 8 coefficients,
 # and Kronecker wins from 10 up; packing costs more than the loop below that.
 _KRONECKER_MIN_LEN = 10
+
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 class IntPolynomial:
@@ -176,7 +185,9 @@ class IntPolynomial:
         if not a or not b:
             return ZERO
         if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
-            return IntPolynomial(_kronecker(a, b))
+            packing = Packing(_product_bound(_magnitudes(a), _magnitudes(b)))
+            total = packing.pack(a) * packing.pack(b)
+            return IntPolynomial(packing.unpack(total, len(a) + len(b) - 1))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -262,42 +273,127 @@ def _coerce(value: IntPolynomial | int) -> IntPolynomial:
     return NotImplemented
 
 
-def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The convolution of two nonempty coefficient sequences, by one int product.
+def _magnitudes(coeffs: Sequence[int]) -> tuple[int, int]:
+    """``(sum|c|, max|c|)`` over a coefficient sequence; ``(0, 0)`` when empty."""
+    return sum(map(abs, coeffs)), max(map(abs, coeffs), default=0)
 
-    Each sequence is packed as digits of ``width`` bytes into one integer, so
-    that the integer product's digits are the product's coefficients.  A
-    product coefficient is a sum of at most ``min(len(a), len(b))`` terms, each
-    at most ``max|a| * max|b|`` in size, so it stays below ``2**(w-1)`` and
-    below half a digit.  Adding half a digit to every digit of the product
-    makes each digit nonnegative, so unpacking is exact whatever the signs.
+
+def _product_bound(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """A bound on every coefficient of a product, from its operands' magnitudes.
+
+    Coefficient n of ``a * b`` is the sum of ``a[i] * b[n - i]``, so it is at
+    most ``sum|a| * max|b|`` and at most ``max|a| * sum|b|`` in size; the
+    bound is the smaller of the two.  Inflating either operand leaves it
+    unchanged.  It is 0 exactly when one operand has no nonzero coefficient,
+    and otherwise it is at least every operand coefficient in size.
     """
-    w = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    width = (w + 7) // 8
-    half = 1 << (8 * width - 1)
+    return min(a[0] * b[1], a[1] * b[0])
 
-    def pack(cs: Sequence[int]) -> int:
-        if min(cs) >= 0:
-            return int.from_bytes(
-                b"".join([c.to_bytes(width, "little") for c in cs]), "little"
+
+class Packing:
+    """Kronecker substitution at one digit width: the packing kernel.
+
+    A coefficient sequence is packed as one integer, coefficient i in digit
+    i, each digit ``width`` bytes wide, so one big-integer product does a
+    whole convolution and a sum of shifted products is plain integer
+    addition.  The width is fixed up front from ``bound``: every coefficient
+    that is packed or read back must be at most ``bound`` in size, which
+    leaves each digit a spare top bit for the sign.  Reading back adds half a
+    digit to every digit, so every digit is nonnegative whatever the signs,
+    and ``to_bytes`` raises rather than truncating a total that does not fit.
+    """
+
+    __slots__ = ("width", "_half")
+
+    def __init__(self, bound: int) -> None:
+        width = bound.bit_length() // 8 + 1
+        # up to 8 bytes, round up to a struct integer size, so that reading
+        # back is one struct.unpack rather than a loop over the digits
+        self.width = 1 << (width - 1).bit_length() if width <= 8 else width
+        self._half = 1 << (8 * self.width - 1)
+
+    def pack(self, coeffs: Sequence[int], step: int = 1) -> int:
+        """The integer whose digit ``step * i`` is ``coeffs[i]``.
+
+        This packs ``coeffs`` with q replaced by q**step: each coefficient is
+        padded to ``step`` digits, so no inflated copy is built.
+        """
+        if not coeffs:
+            return 0
+        if min(coeffs) < 0:
+            # the positive and the negative coefficients, packed apart
+            return self.pack([c if c > 0 else 0 for c in coeffs], step) - self.pack(
+                [-c if c < 0 else 0 for c in coeffs], step
             )
-        # the positive and the negative coefficients, packed apart
-        return pack([c if c > 0 else 0 for c in cs]) - pack(
-            [-c if c < 0 else 0 for c in cs]
+        size = self.width * step
+        return int.from_bytes(
+            b"".join([c.to_bytes(size, "little") for c in coeffs]), "little"
         )
 
-    n = len(a) + len(b) - 1
-    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
-    raw = (pack(a) * pack(b) + bias).to_bytes(n * width, "little")
-    return [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, n * width, width)
-    ]
+    def unpack(self, total: int, length: int) -> list[int]:
+        """The ``length`` coefficients packed in ``total``, constant term first."""
+        width = self.width
+        size = width * length
+        bias = int.from_bytes(self._half.to_bytes(width, "little") * length, "little")
+        # every biased digit is nonnegative; flipping its top bit back leaves
+        # the coefficient's two's complement in its own digit
+        raw = ((total + bias) ^ bias).to_bytes(size, "little")
+        if width in _STRUCT_CODES:
+            return list(struct.unpack(f"<{length}{_STRUCT_CODES[width]}", raw))
+        return [
+            int.from_bytes(raw[i : i + width], "little", signed=True)
+            for i in range(0, size, width)
+        ]
+
+
+def packed_sums(
+    sides: Sequence[Sequence[tuple[int, int, int, Sequence[int], Sequence[int]]]],
+) -> Iterator[list[int]]:
+    """The coefficients of several sums of products, all through one packing.
+
+    A side is a list of terms ``(sign, shift, step, a, b)``, each standing
+    for ``sign * q**shift * a(q**step) * b`` with ``sign`` 1 or -1.  One
+    digit width serves every side: it holds the largest side bound, the sum
+    of ``_product_bound`` over the side's terms, and so every
+    coefficient of every side and of every operand.  A term with a zero
+    operand contributes nothing and is skipped.  Every other operand is
+    packed once per step, however many terms share it; operands are told
+    apart by identity, so pass a repeated operand as the same object.  Each
+    side is read back once, up to its highest term degree, and yielded in
+    turn, so only one side's coefficients are held at a time.
+    """
+    magnitudes: dict[int, tuple[int, int]] = {}
+
+    def bound(a: Sequence[int], b: Sequence[int]) -> int:
+        for cs in (a, b):
+            if id(cs) not in magnitudes:
+                magnitudes[id(cs)] = _magnitudes(cs)
+        return _product_bound(magnitudes[id(a)], magnitudes[id(b)])
+
+    live = []
+    largest = 0
+    for side in sides:
+        bounds = [bound(a, b) for _, _, _, a, b in side]
+        live.append([term for term, term_bound in zip(side, bounds) if term_bound])
+        largest = max(largest, sum(bounds))
+    packing = Packing(largest)
+    bits = 8 * packing.width
+    packed: dict[tuple[int, int], int] = {}
+
+    def pack(cs: Sequence[int], step: int) -> int:
+        key = (id(cs), step)
+        if key not in packed:
+            packed[key] = packing.pack(cs, step)
+        return packed[key]
+
+    for side in live:
+        total = 0
+        length = 0
+        for sign, shift, step, a, b in side:
+            product = (pack(a, step) * pack(b, 1)) << (bits * shift)
+            total = total + product if sign > 0 else total - product
+            length = max(length, shift + step * (len(a) - 1) + len(b))
+        yield packing.unpack(total, length)
 
 
 def monomial(exponent: int, coefficient: int = 1) -> IntPolynomial:

@@ -131,6 +131,71 @@ class TestGuoYang:
         report = verify_guo_yang_2(m_max=6, n_max=6)
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "cell, extra",
+        [
+            ((4, 2), IntPolynomial((0, -7, 0, 1))),  # a negative coefficient
+            ((5, 2), IntPolynomial((0, 0, 2**70))),  # past 64 bits
+            ((3, 0), IntPolynomial((0, 1))),
+        ],
+    )
+    def test_counterexamples_match_the_product_loop(self, monkeypatch, cell, extra):
+        # one Gaussian cell perturbed: the packed sums must report exactly
+        # the failures of the plain multiply-and-add loop
+        real = identities.qbinom
+
+        def perturbed(top, bottom, step=1):
+            base = real(top, bottom)
+            if (top, bottom) == cell:
+                base = base + extra
+            return base.inflate(step)
+
+        monkeypatch.setattr(identities, "qbinom", perturbed)
+
+        def first(m_max, n_max):
+            failures = []
+            for m in range(m_max + 1):
+                for n in range(n_max + 1):
+                    lhs = IntPolynomial()
+                    for k in range(n // 2 + 1):
+                        term = perturbed(m + k, k, 2) * perturbed(m + 1, n - 2 * k)
+                        lhs = lhs + term.shift(math.comb(n - 2 * k, 2))
+                    rhs = perturbed(m + n, n)
+                    if lhs != rhs:
+                        failures.append([[m, n], str(lhs), str(rhs)])
+            return failures
+
+        def second(m_max, n_max):
+            failures = []
+            for m in range(m_max + 1):
+                for n in range(n_max + 1):
+                    lhs = rhs = IntPolynomial()
+                    for k in range(n // 4 + 1):
+                        term = perturbed(m + k, k, 4) * perturbed(m + 1, n - 4 * k)
+                        lhs = lhs + term.shift(math.comb(n - 4 * k, 2))
+                    for k in range(n // 2 + 1):
+                        term = perturbed(m + k, k, 2) * perturbed(m + n - 2 * k, n - 2 * k)
+                        rhs = rhs + (term if k % 2 == 0 else -term)
+                    if lhs != rhs:
+                        failures.append([[m, n], str(lhs), str(rhs)])
+            return failures
+
+        for verify, reference, identity_id in (
+            (verify_guo_yang_1, first, "eq2"),
+            (verify_guo_yang_2, second, "eq3"),
+        ):
+            expected = [
+                {"params": params, "lhs": lhs, "rhs": rhs}
+                for params, lhs, rhs in reference(6, 9)
+            ]
+            assert expected  # the perturbation is seen
+            assert verify(m_max=6, n_max=9).as_dict() == {
+                "identity_id": identity_id,
+                "grid": "0<=m<=6, 0<=n<=9",
+                "checked": 70,
+                "failures": expected,
+            }
+
 
 class TestStructuralVerifiers:
     def test_convolution_route(self):
@@ -199,6 +264,16 @@ class TestOneKindExpansion:
 
     def test_partition_number_case(self):
         assert expand_p_thm31(6, 6, 6) == 11 == p(6, 6, 6)
+
+    def test_single_target_matches_the_row(self):
+        for N in range(9):
+            for k in range(9):
+                row = identities._expansion(2, N, k)
+                for n in range(N * k + 3):
+                    assert expand_p_thm31(N, k, n) == row.coeff(n) == p(N, k, n)
+
+    def test_small_target_at_large_bounds(self):
+        assert expand_p_thm31(40, 40, 5) == p(40, 40, 5) == 7
 
     def test_default_grid(self):
         report = verify_thm31()

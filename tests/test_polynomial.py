@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpartitions.polynomial import ONE, ZERO, IntPolynomial, _kronecker, monomial, q
+from qpartitions.polynomial import ONE, ZERO, IntPolynomial, monomial, packed_sums, q
 
 
 def P(*coeffs):
@@ -252,15 +252,56 @@ def test_mul_distributes_long(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def kronecker(a, b):
+    """One product through the packing kernel."""
+    [coeffs] = packed_sums([[(1, 0, 1, a, b)]])
+    return coeffs
+
+
+def schoolbook_sum(terms):
+    """Sum of sign * q**shift * a(q**step) * b by the double loop, as a polynomial."""
+    total = ZERO
+    for sign, shift, step, a, b in terms:
+        inflated = [0] * max(step * (len(a) - 1) + 1, 0)
+        inflated[::step] = a
+        total = total + IntPolynomial([0] * shift + schoolbook(inflated, b)) * sign
+    return total
+
+
 @given(long_lists, long_lists)
 def test_kronecker_matches_schoolbook(a, b):
     expected = IntPolynomial(schoolbook(a, b))
     if a and b:
-        assert IntPolynomial(_kronecker(a, b)) == expected
+        assert IntPolynomial(kronecker(a, b)) == expected
     A, B = IntPolynomial(a), IntPolynomial(b)
     assert A * B == expected
     for x in (-3, 2):
         assert (A * B).evaluate(x) == A.evaluate(x) * B.evaluate(x)
+
+
+terms = st.tuples(
+    st.sampled_from((1, -1)),
+    st.integers(0, 6),
+    st.integers(1, 4),
+    long_lists,
+    long_lists,
+)
+
+
+@given(st.lists(st.lists(terms, max_size=5), min_size=1, max_size=3))
+def test_packed_sums_match_schoolbook(sides):
+    # signed and all-nonnegative operands, empty and all-zero ones, and
+    # coefficients far past 64 bits, all sides at one width
+    for side, coeffs in zip(sides, packed_sums(sides), strict=True):
+        assert IntPolynomial(coeffs) == schoolbook_sum(side)
+
+
+def test_packed_sums_share_an_operand_across_steps():
+    a = list(range(1, 13))
+    b = [2, -1] * 6
+    sides = [[(1, 0, 2, a, b), (-1, 3, 1, a, a)], [(1, 1, 3, b, a)]]
+    for side, coeffs in zip(sides, packed_sums(sides), strict=True):
+        assert IntPolynomial(coeffs) == schoolbook_sum(side)
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -273,7 +314,28 @@ def test_kronecker_at_the_digit_bound(sign):
             for n in (15, 16, 31):
                 a = [2**bits_a - 1] * n
                 b = [sign * (2**bits_b - 1)] * n
-                assert _kronecker(a, b) == schoolbook(a, b), (bits_a, bits_b, n)
+                expected = schoolbook(a, b)
+                assert kronecker(a, b) == expected, (bits_a, bits_b, n)
+                product = IntPolynomial(a) * IntPolynomial(b)
+                assert list(product.coeffs) == expected, (bits_a, bits_b, n)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_packed_sums_at_the_sum_bound(sign):
+    # several all-maximal products of one length peak at the same
+    # coefficient, so the sum reaches the side bound exactly, across every
+    # total width modulo a byte and past the 8-byte struct sizes
+    n = 16
+    for bits in range(1, 80):
+        for count in (2, 3, 5):
+            side = [
+                (sign, 0, 1, [2**bits - 1] * n, [2 ** (j % 3 + 1) - 1] * n)
+                for j in range(count)
+            ]
+            bound = sum(n * (2**bits - 1) * (2 ** (j % 3 + 1) - 1) for j in range(count))
+            [coeffs] = packed_sums([side])
+            assert coeffs[n - 1] == sign * bound, (bits, count)
+            assert IntPolynomial(coeffs) == schoolbook_sum(side), (bits, count)
 
 
 @given(nonzero_polys, nonzero_polys)
