@@ -4,6 +4,10 @@ Exit codes: 0 success (or verification pass), 1 verification failure or
 route disagreement, 2 usage error.  Results go to standard out, diagnostics
 to standard error.  All numeric JSON output uses decimal strings, since
 counts outgrow 64-bit integers for large parameters.
+
+Each subcommand handler computes its answer and returns an ``Output``; only
+``main`` decides what is printed, so both renderings stay lazy and
+``--quiet`` builds neither.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Callable
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .identities import IDENTITY_IDS, VerificationReport, run_identity
 from .partitions import (
@@ -28,8 +32,18 @@ from .partitions import (
 from .qbinomial import qbinom
 
 
-class UsageError(Exception):
-    """A request that cannot be served as posed; maps to exit code 2."""
+class Output(NamedTuple):
+    """A handler's answer: its exit code and the two ways to render it.
+
+    ``record`` builds the JSON record and ``lines`` yields the text lines;
+    ``main`` uses at most one of them.  ``warning`` goes to standard error
+    after the output.
+    """
+
+    code: int
+    record: Callable[[], object]
+    lines: Iterable[str]
+    warning: str | None = None
 
 
 _COUNT_PARAMS = {
@@ -73,9 +87,8 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, text: str) -> None:
-    if not args.quiet:
-        print(text)
+def _strings(values: Mapping[str, int]) -> dict[str, str]:
+    return {name: str(value) for name, value in values.items()}
 
 
 def _require_params(args, function: str) -> dict[str, int]:
@@ -85,143 +98,78 @@ def _require_params(args, function: str) -> dict[str, int]:
         value = getattr(args, name)
         if value is None:
             flags = ", ".join(f"--{w}" for w in wanted)
-            raise UsageError(f"{function} requires {flags}")
+            raise ValueError(f"{function} requires {flags}")
         values[name] = value
     for name in ("N", "k", "r", "n1", "n2", "k1", "k2", "n"):
         if name not in wanted and getattr(args, name, None) is not None:
-            raise UsageError(f"--{name} is not valid for {function}")
+            raise ValueError(f"--{name} is not valid for {function}")
     return values
 
 
-def _no_csv(args) -> None:
-    if args.format == "csv":
-        raise UsageError("csv format is only available for the table command")
+def _cmd_gauss(args) -> Output:
+    poly = qbinom(args.top, args.bottom, args.step)
+    record = lambda: {
+        "top": str(args.top),
+        "bottom": str(args.bottom),
+        "step": str(args.step),
+        "polynomial": str(poly),
+        "coeffs": poly.coeffs_as_strings(),
+    }
+    return Output(0, record, map(str, (poly,)))
 
 
-def _cmd_gauss(args) -> int:
-    _no_csv(args)
-    try:
-        poly = qbinom(args.top, args.bottom, args.step)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.format == "json":
-        _emit(
-            args,
-            _dump_json(
-                {
-                    "top": str(args.top),
-                    "bottom": str(args.bottom),
-                    "step": str(args.step),
-                    "polynomial": str(poly),
-                    "coeffs": poly.coeffs_as_strings(),
-                }
-            ),
-        )
-    else:
-        _emit(args, str(poly))
-    return 0
+def _cmd_count(args) -> Output:
+    function, method = args.function, args.method
+    values = _require_params(args, function)
+    routes = _ROUTES[function]
+    if method != "all" and method not in routes:
+        raise ValueError(f"method {method!r} is not valid for {function}")
+    wanted = tuple(routes) if method == "all" else (method,)
+    results = {name: routes[name](values) for name in wanted}
+    head = lambda: {"function": function, "method": method, "params": _strings(values)}
+    if method != "all":
+        value = results[method]
+        return Output(0, lambda: {**head(), "count": str(value)}, map(str, (value,)))
+    record = lambda: {**head(), "counts": _strings(results)}
+    lines = (f"{name}: {value}" for name, value in results.items())
+    if len(set(results.values())) == 1:
+        return Output(0, record, lines)
+    detail = ", ".join(f"{name}={value}" for name, value in results.items())
+    return Output(1, record, lines, f"route disagreement: {detail}")
 
 
-def _cmd_count(args) -> int:
-    _no_csv(args)
+def _cmd_enumerate(args) -> Output:
     function = args.function
     values = _require_params(args, function)
-    methods = tuple(_ROUTES[function])
-    if args.method != "all" and args.method not in methods:
-        raise UsageError(f"method {args.method!r} is not valid for {function}")
-    wanted = methods if args.method == "all" else (args.method,)
-    try:
-        results = {method: _ROUTES[function][method](values) for method in wanted}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    params_out = {name: str(v) for name, v in values.items()}
-    if args.method == "all":
-        if args.format == "json":
-            _emit(
-                args,
-                _dump_json(
-                    {
-                        "function": function,
-                        "method": "all",
-                        "params": params_out,
-                        "counts": {m: str(v) for m, v in results.items()},
-                    }
-                ),
-            )
-        else:
-            for method in wanted:
-                _emit(args, f"{method}: {results[method]}")
-        if len(set(results.values())) != 1:
-            detail = ", ".join(f"{m}={v}" for m, v in results.items())
-            print(f"route disagreement: {detail}", file=sys.stderr)
-            return 1
-        return 0
-
-    value = results[args.method]
-    if args.format == "json":
-        _emit(
-            args,
-            _dump_json(
-                {
-                    "function": function,
-                    "method": args.method,
-                    "params": params_out,
-                    "count": str(value),
-                }
-            ),
-        )
-    else:
-        _emit(args, str(value))
-    return 0
+    listing = (pbar_enumerate if function == "pbar" else qbar_enumerate)(
+        TwoKindQuery(**values)
+    )
+    record = lambda: {
+        "function": function,
+        "params": _strings(values),
+        "count": str(len(listing)),
+        "partitions": [
+            {
+                "first": [str(part) for part in item.first_kind],
+                "second": [str(part) for part in item.second_kind],
+            }
+            for item in listing
+        ],
+    }
+    return Output(0, record, (item.render() for item in listing))
 
 
-def _cmd_enumerate(args) -> int:
-    _no_csv(args)
-    function = args.function
-    values = _require_params(args, function)
-    try:
-        query = TwoKindQuery(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    listing = pbar_enumerate(query) if function == "pbar" else qbar_enumerate(query)
-    if args.format == "json":
-        _emit(
-            args,
-            _dump_json(
-                {
-                    "function": function,
-                    "params": {name: str(v) for name, v in values.items()},
-                    "count": str(len(listing)),
-                    "partitions": [
-                        {
-                            "first": [str(part) for part in item.first_kind],
-                            "second": [str(part) for part in item.second_kind],
-                        }
-                        for item in listing
-                    ],
-                }
-            ),
-        )
-    else:
-        for item in listing:
-            _emit(args, item.render())
-    return 0
+def _report_lines(reports: list[VerificationReport]) -> Iterable[str]:
+    for report in reports:
+        yield report.summary()
+        for failure in report.failures[:_MAX_TEXT_FAILURES]:
+            yield f"  params={failure.params} lhs={failure.lhs} rhs={failure.rhs}"
+        hidden = len(report.failures) - _MAX_TEXT_FAILURES
+        if hidden > 0:
+            yield f"  ... and {hidden} more"
 
 
-def _print_report(args, report: VerificationReport) -> None:
-    if args.format == "json":
-        return
-    _emit(args, report.summary())
-    for failure in report.failures[:_MAX_TEXT_FAILURES]:
-        _emit(args, f"  params={failure.params} lhs={failure.lhs} rhs={failure.rhs}")
-    hidden = len(report.failures) - _MAX_TEXT_FAILURES
-    if hidden > 0:
-        _emit(args, f"  ... and {hidden} more")
-
-
-def _cmd_verify(args) -> int:
-    _no_csv(args)
+def _cmd_verify(args) -> Output:
     overrides = {
         "m_max": args.m_max,
         "n_max": args.n_max,
@@ -230,27 +178,13 @@ def _cmd_verify(args) -> int:
         "param_max": args.param_max,
     }
     ids = IDENTITY_IDS if args.identity == "all" else (args.identity,)
-    try:
-        reports = [run_identity(identity_id, **overrides) for identity_id in ids]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.format == "json":
-        if len(reports) == 1:
-            _emit(args, _dump_json(reports[0].as_dict()))
-        else:
-            _emit(
-                args,
-                _dump_json(
-                    {
-                        "pass": all(r.passed for r in reports),
-                        "reports": [r.as_dict() for r in reports],
-                    }
-                ),
-            )
+    reports = [run_identity(identity_id, **overrides) for identity_id in ids]
+    passed = all(r.passed for r in reports)
+    if args.identity == "all":
+        record = lambda: {"pass": passed, "reports": [r.as_dict() for r in reports]}
     else:
-        for report in reports:
-            _print_report(args, report)
-    return 0 if all(r.passed for r in reports) else 1
+        record = reports[0].as_dict
+    return Output(0 if passed else 1, record, _report_lines(reports))
 
 
 _RANGE = re.compile(r"(\d+)\.\.(\d+)")
@@ -259,55 +193,27 @@ _RANGE = re.compile(r"(\d+)\.\.(\d+)")
 def _parse_range(text: str) -> range:
     match = _RANGE.fullmatch(text)
     if not match:
-        raise UsageError(f"invalid range {text!r}, expected A..B")
+        raise ValueError(f"invalid range {text!r}, expected A..B")
     lo, hi = int(match.group(1)), int(match.group(2))
     if lo > hi:
-        raise UsageError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Output:
     function = args.function
     span = _parse_range(args.n)
     fixed = _require_params(args, function)
     del fixed["n"]  # the range text; each row supplies its own n
     genfun = _ROUTES[function]["genfun"]
-    try:
-        rows = [(n, genfun({**fixed, "n": n})) for n in span]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    if args.format == "json":
-        _emit(
-            args,
-            _dump_json(
-                {
-                    "function": function,
-                    "params": {name: str(v) for name, v in fixed.items()},
-                    "rows": [{"n": str(n), "count": str(v)} for n, v in rows],
-                }
-            ),
-        )
-    elif args.format == "csv":
-        lines = ["n,count"] + [f"{n},{v}" for n, v in rows]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, "n count")
-        for n, v in rows:
-            _emit(args, f"{n} {v}")
-    return 0
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (csv is table-only)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress normal output"
-    )
+    rows = [(n, genfun({**fixed, "n": n})) for n in span]
+    record = lambda: {
+        "function": function,
+        "params": _strings(fixed),
+        "rows": [{"n": str(n), "count": str(v)} for n, v in rows],
+    }
+    sep = "," if args.format == "csv" else " "
+    return Output(0, record, (f"{n}{sep}{v}" for n, v in [("n", "count"), *rows]))
 
 
 def _add_count_params(parser: argparse.ArgumentParser) -> None:
@@ -322,14 +228,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gauss = sub.add_parser("gauss", help="print a Gaussian polynomial")
+    def command(name, handler, help, formats=("text", "json")):
+        # each subcommand offers only the formats its handler renders
+        child = sub.add_parser(name, help=help)
+        child.add_argument(
+            "--format", choices=formats, default="text", help="output format"
+        )
+        child.add_argument(
+            "--quiet", action="store_true", help="suppress normal output"
+        )
+        child.set_defaults(handler=handler)
+        return child
+
+    gauss = command("gauss", _cmd_gauss, "print a Gaussian polynomial")
     gauss.add_argument("--top", type=int, required=True)
     gauss.add_argument("--bottom", type=int, required=True)
     gauss.add_argument("--step", type=int, default=1)
-    _add_common(gauss)
-    gauss.set_defaults(handler=_cmd_gauss)
 
-    count = sub.add_parser("count", help="evaluate a counting function")
+    count = command("count", _cmd_count, "evaluate a counting function")
     count.add_argument("function", choices=("p", "pbar", "qbar", "partition"))
     _add_count_params(count)
     count.add_argument("--n", type=int, default=None)
@@ -338,32 +254,29 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("genfun", "convolution", "enumerate", "all"),
         default="genfun",
     )
-    _add_common(count)
-    count.set_defaults(handler=_cmd_count)
 
-    enum = sub.add_parser("enumerate", help="list matching partitions")
+    enum = command("enumerate", _cmd_enumerate, "list matching partitions")
     enum.add_argument("function", choices=("pbar", "qbar"))
     _add_count_params(enum)
     enum.add_argument("--n", type=int, default=None)
-    _add_common(enum)
-    enum.set_defaults(handler=_cmd_enumerate)
 
-    verify = sub.add_parser("verify", help="verify an identity over a grid")
+    verify = command("verify", _cmd_verify, "verify an identity over a grid")
     verify.add_argument("identity", choices=IDENTITY_IDS + ("all",))
     verify.add_argument("--m-max", dest="m_max", type=int, default=None)
     verify.add_argument("--n-max", dest="n_max", type=int, default=None)
     verify.add_argument("--k-max", dest="k_max", type=int, default=None)
     verify.add_argument("--r-max", dest="r_max", type=int, default=None)
     verify.add_argument("--param-max", dest="param_max", type=int, default=None)
-    _add_common(verify)
-    verify.set_defaults(handler=_cmd_verify)
 
-    table = sub.add_parser("table", help="tabulate a counting function over a range")
+    table = command(
+        "table",
+        _cmd_table,
+        "tabulate a counting function over a range",
+        ("text", "json", "csv"),
+    )
     table.add_argument("function", choices=("p", "pbar", "qbar", "partition"))
     _add_count_params(table)
     table.add_argument("--n", type=str, default=None, required=True, metavar="A..B")
-    _add_common(table)
-    table.set_defaults(handler=_cmd_table)
 
     return parser
 
@@ -375,10 +288,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
-    except UsageError as exc:
+        output = args.handler(args)
+    except ValueError as exc:
+        # every request that cannot be served as posed, from this module's
+        # own checks or from the library's argument validation
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not args.quiet:
+        if args.format == "json":
+            print(_dump_json(output.record()))
+        else:
+            for line in output.lines:
+                print(line)
+    if output.warning:
+        print(output.warning, file=sys.stderr)
+    return output.code
 
 
 if __name__ == "__main__":

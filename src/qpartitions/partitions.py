@@ -29,7 +29,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterator
 
-from .polynomial import ZERO, IntPolynomial
+from .polynomial import ZERO, IntPolynomial, product
 from .qbinomial import qbinom
 
 
@@ -123,6 +123,8 @@ def p(N: int, k: int, n: int) -> int:
 
 def partition_p(n: int) -> int:
     """The unrestricted partition number, computed as p(n, n, n)."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     return p(n, n, n)
 
 
@@ -141,23 +143,27 @@ def pbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
     """Generating function of the two-kind counts: [N1+k1, N1] at q^r times [N2+k2, N2].
 
     Negative bounds yield the zero polynomial, the convention under which the
-    recurrence and bijection identities are total.
+    recurrence and bijection identities are total.  The step-1 row
+    [N1+k1, N1] goes to ``product`` with step r, which pads it as it packs,
+    so no copy at q^r is built.
     """
     if n1 < 0 or n2 < 0 or k1 < 0 or k2 < 0:
         return ZERO
-    return qbinom(n1 + k1, n1, r) * qbinom(n2 + k2, n2)
+    return product(qbinom(n1 + k1, n1).coeffs, qbinom(n2 + k2, n2).coeffs, r)
 
 
 @lru_cache(maxsize=None)
 def qbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
     """Generating function of the distinct-part counts.
 
-    This is q^(r*C(k1+1, 2) + C(k2+1, 2)) * [N1, k1] at q^r * [N2, k2].
+    This is q^(r*C(k1+1, 2) + C(k2+1, 2)) * [N1, k1] at q^r * [N2, k2],
+    with the step-1 row [N1, k1] taken to q^r by ``product`` as in
+    ``pbar_gf``.
     """
     if n1 < 0 or n2 < 0 or k1 < 0 or k2 < 0:
         return ZERO
-    product = qbinom(n1, k1, r) * qbinom(n2, k2)
-    return product.shift(r * comb(k1 + 1, 2) + comb(k2 + 1, 2))
+    gf = product(qbinom(n1, k1).coeffs, qbinom(n2, k2).coeffs, r)
+    return gf.shift(r * comb(k1 + 1, 2) + comb(k2 + 1, 2))
 
 
 def pbar_genfun(query: TwoKindQuery) -> int:

@@ -4,17 +4,22 @@ Every generating function in this package is an ``IntPolynomial``: an
 immutable, normalized, dense coefficient sequence.  All arithmetic is exact;
 Python's native integers carry the arbitrary precision.
 
-Multiplication is the schoolbook double loop when the shorter operand is
-short, and Kronecker substitution above that: each operand is packed into one
-integer, one big-integer product does the whole convolution, and the digits
-are read back.  The digit width is chosen so that no product coefficient can
-overflow its digit, so both paths give the same exact result.
+Multiplication is Kronecker substitution at every size: each operand is
+packed into one integer, one big-integer product does the whole convolution,
+and the digits are read back.  The digit width is chosen so that no product
+coefficient can overflow its digit, so the result is exact.
 
-``Packing`` is the one packing kernel.  ``__mul__`` uses it for a single
-product, and ``packed_sums`` for whole sums of shifted products, such as the
-sides of the Guo-Yang identities (eq2/eq3): every operand is packed once, all
-at one digit width sized from the operands, the products are summed as
+``Packing`` is the one packing kernel.  ``product(a, b, step)`` uses it for a
+single product ``a(q**step) * b``, which ``__mul__`` calls at step 1 and the
+two-kind generating functions call at step r, so no inflated copy of ``a`` is
+built.  ``packed_sums`` uses it for whole sums of shifted products, such as
+the sides of the Guo-Yang identities (eq2/eq3): every operand is packed once,
+all at one digit width sized from the operands, the products are summed as
 integers, and each sum is read back once.
+
+Every dense result whose degree comes from a caller's step or shift is
+checked against ``MAX_DENSE_DEGREE`` before anything is allocated, so an
+unbounded step fails with ``ValueError`` instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from __future__ import annotations
 import struct
 from typing import Iterable, Iterator, Sequence
 
-# Shortest operand length for the Kronecker path.  Against a 350-coefficient
-# operand the two methods tie when the shorter one has 6 to 8 coefficients,
-# and Kronecker wins from 10 up; packing costs more than the loop below that.
-_KRONECKER_MIN_LEN = 10
+# The largest degree of a dense coefficient sequence built from a step or a
+# shift.  Every test and benchmark request stays far below it: the largest,
+# ``count partition --n 86``, reaches degree 7,396.
+MAX_DENSE_DEGREE = 10**7
 
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
@@ -92,6 +97,7 @@ class IntPolynomial:
             return self
         if e < 0:
             raise ValueError(f"shift exponent must be nonnegative, got {e}")
+        _check_dense(e + len(self._coeffs) - 1)
         return IntPolynomial((0,) * e + self._coeffs)
 
     def inflate(self, r: int) -> IntPolynomial:
@@ -104,7 +110,9 @@ class IntPolynomial:
             raise ValueError(f"inflation step must be a positive integer, got {r}")
         if r == 1 or not self._coeffs:
             return self
-        out = [0] * ((len(self._coeffs) - 1) * r + 1)
+        degree = (len(self._coeffs) - 1) * r
+        _check_dense(degree)
+        out = [0] * (degree + 1)
         for i, c in enumerate(self._coeffs):
             out[i * r] = c
         return IntPolynomial(out)
@@ -181,19 +189,7 @@ class IntPolynomial:
             return IntPolynomial(c * other for c in self._coeffs)
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return ZERO
-        if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
-            packing = Packing(_product_bound(_magnitudes(a), _magnitudes(b)))
-            total = packing.pack(a) * packing.pack(b)
-            return IntPolynomial(packing.unpack(total, len(a) + len(b) - 1))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
+        return product(self._coeffs, other._coeffs)
 
     __rmul__ = __mul__
 
@@ -273,6 +269,14 @@ def _coerce(value: IntPolynomial | int) -> IntPolynomial:
     return NotImplemented
 
 
+def _check_dense(degree: int) -> None:
+    """Refuse a dense coefficient sequence of degree above ``MAX_DENSE_DEGREE``."""
+    if degree > MAX_DENSE_DEGREE:
+        raise ValueError(
+            f"dense degree {degree} exceeds the limit of {MAX_DENSE_DEGREE}"
+        )
+
+
 def _magnitudes(coeffs: Sequence[int]) -> tuple[int, int]:
     """``(sum|c|, max|c|)`` over a coefficient sequence; ``(0, 0)`` when empty."""
     return sum(map(abs, coeffs)), max(map(abs, coeffs), default=0)
@@ -315,19 +319,22 @@ class Packing:
     def pack(self, coeffs: Sequence[int], step: int = 1) -> int:
         """The integer whose digit ``step * i`` is ``coeffs[i]``.
 
-        This packs ``coeffs`` with q replaced by q**step: each coefficient is
-        padded to ``step`` digits, so no inflated copy is built.
+        This packs ``coeffs`` with q replaced by q**step: ``step - 1`` zero
+        digits go between coefficients, so no inflated copy is built.
         """
         if not coeffs:
             return 0
+        _check_dense(step * (len(coeffs) - 1))
         if min(coeffs) < 0:
             # the positive and the negative coefficients, packed apart
             return self.pack([c if c > 0 else 0 for c in coeffs], step) - self.pack(
                 [-c if c < 0 else 0 for c in coeffs], step
             )
-        size = self.width * step
+        width = self.width
+        # one coefficient alone needs no gap, whatever the step
+        gap = bytes(width * (step - 1)) if len(coeffs) > 1 else b""
         return int.from_bytes(
-            b"".join([c.to_bytes(size, "little") for c in coeffs]), "little"
+            gap.join([c.to_bytes(width, "little") for c in coeffs]), "little"
         )
 
     def unpack(self, total: int, length: int) -> list[int]:
@@ -344,6 +351,26 @@ class Packing:
             int.from_bytes(raw[i : i + width], "little", signed=True)
             for i in range(0, size, width)
         ]
+
+
+def product(a: Sequence[int], b: Sequence[int], step: int = 1) -> IntPolynomial:
+    """``a(q**step) * b`` for coefficient sequences ``a`` and ``b``, exactly.
+
+    Both operands are packed at one digit width, sized by ``_product_bound``
+    so that no coefficient of the product can overflow its digit, and one
+    big-integer product does the whole convolution.  ``a`` is packed with
+    ``step - 1`` zero digits between its coefficients, never inflated.
+
+    >>> print(product([1, 1], [1, 1], 2))
+    1 + q + q^2 + q^3
+    """
+    bound = _product_bound(_magnitudes(a), _magnitudes(b))
+    if not bound:
+        # an operand with no nonzero coefficient
+        return ZERO
+    packing = Packing(bound)
+    total = packing.pack(a, step) * packing.pack(b)
+    return IntPolynomial(packing.unpack(total, step * (len(a) - 1) + len(b)))
 
 
 def packed_sums(

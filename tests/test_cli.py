@@ -1,6 +1,10 @@
 """End-to-end command-line checks: output bytes and exit codes."""
 
+import io
 import json
+import sys
+
+import pytest
 
 import qpartitions.cli as cli
 from qpartitions.cli import main
@@ -44,17 +48,17 @@ class TestGauss:
         assert payload["polynomial"] == "1 + q + 2*q^2 + q^3 + q^4"
         assert canonical(payload) == out.strip()
 
-    def test_csv_rejected(self, capsys):
-        code, _, err = run(
-            capsys, "gauss", "--top", "4", "--bottom", "2", "--format", "csv"
-        )
-        assert code == 2
-        assert "csv" in err
-
     def test_bad_step(self, capsys):
         code, _, err = run(capsys, "gauss", "--top", "4", "--bottom", "2", "--step", "0")
         assert code == 2
         assert "step" in err
+
+    def test_unbounded_step_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "gauss", "--top", "3", "--bottom", "1", "--step", str(10**18)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "degree" in err
 
     def test_missing_flag(self, capsys):
         code, _, _ = run(capsys, "gauss", "--top", "4")
@@ -132,14 +136,18 @@ class TestCount:
         assert payload["params"]["r"] == "2"
         assert canonical(payload) == out.strip()
 
-    def test_route_disagreement_exits_nonzero(self, capsys, monkeypatch):
+    def test_route_disagreement_exits_nonzero(self, monkeypatch):
+        # one stream for both: the diagnostic comes after every stdout line
         monkeypatch.setattr(cli, "pbar_convolution", lambda query: 999)
-        code, out, err = run(
-            capsys, "count", "pbar", *WORKED_FLAGS, "--n", "4", "--method", "all"
-        )
+        both = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", both)
+        monkeypatch.setattr(sys, "stderr", both)
+        code = main(["count", "pbar", *WORKED_FLAGS, "--n", "4", "--method", "all"])
         assert code == 1
-        assert "disagreement" in err
-        assert "999" in err
+        assert both.getvalue() == (
+            "genfun: 6\nconvolution: 999\nenumerate: 6\n"
+            "route disagreement: genfun=6, convolution=999, enumerate=6\n"
+        )
 
     def test_quiet(self, capsys):
         code, out, _ = run(
@@ -147,6 +155,33 @@ class TestCount:
         )
         assert code == 0
         assert out == ""
+
+    def test_negative_partition_target_names_it(self, capsys):
+        code, out, err = run(capsys, "count", "partition", "--n", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: n must be nonnegative, got -1\n"
+
+    def test_unbounded_step(self, capsys):
+        # the generating function would be a dense row of degree ~10**18;
+        # the other routes never build it and still answer
+        bounds = ["--n1", "2", "--n2", "2", "--k1", "2", "--k2", "2", "--n", "3"]
+        argv = ["count", "pbar", "--r", str(10**18), *bounds]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "degree" in err
+        for method in ("convolution", "enumerate"):
+            assert run(capsys, *argv, "--method", method)[:2] == (0, "1\n")
+        code, out, _ = run(capsys, "enumerate", "pbar", "--r", str(10**18), *bounds)
+        assert (code, out) == (0, "2'+1'\n")
+        # a distinct-part shift of r * C(k1 + 1, 2) is refused the same way
+        argv = ["count", "qbar", "--r", str(10**18), "--n1", "1", "--n2", "1",
+                "--k1", "1", "--k2", "1", "--n", "3"]
+        assert run(capsys, *argv)[:2] == (2, "")
+        assert run(capsys, *argv, "--method", "enumerate")[:2] == (0, "0\n")
+        # with no first-kind part the step costs nothing and genfun answers
+        argv = ["count", "qbar", "--r", str(10**18), "--n1", "2", "--n2", "2",
+                "--k1", "0", "--k2", "1", "--n", "1"]
+        assert run(capsys, *argv)[:2] == (0, "1\n")
 
 
 class TestEnumerate:
@@ -328,6 +363,50 @@ class TestParserBasics:
     def test_no_command(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gauss", "--top", "4", "--bottom", "2"),
+            ("count", "pbar", *WORKED_FLAGS, "--n", "4"),
+            ("enumerate", "pbar", *WORKED_FLAGS, "--n", "4"),
+            ("verify", "eq2", "--m-max", "2", "--n-max", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert "csv" in err
+        assert out == ""
+
+    def test_help_offers_only_served_formats(self, capsys):
+        for command, formats in (("count", "{text,json}"), ("table", "{text,json,csv}")):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            assert f"--format {formats}" in out
+
+    def test_quiet_renders_nothing(self, capsys, monkeypatch):
+        # under --quiet no JSON record is built, yet the exit code stands
+        def forbidden(obj):
+            raise AssertionError("rendered under --quiet")
+
+        monkeypatch.setattr(cli, "_dump_json", forbidden)
+        for argv in (
+            ("gauss", "--top", "4", "--bottom", "2"),
+            ("count", "pbar", *WORKED_FLAGS, "--n", "4", "--method", "all"),
+            ("enumerate", "pbar", *WORKED_FLAGS, "--n", "4"),
+            ("verify", "eq2", "--m-max", "2", "--n-max", "2"),
+            ("table", "partition", "--n", "0..5"),
+        ):
+            assert run(capsys, *argv, "--format", "json", "--quiet") == (0, "", "")
+        monkeypatch.setattr(cli, "pbar_convolution", lambda query: 999)
+        code, out, err = run(
+            capsys, "count", "pbar", *WORKED_FLAGS, "--n", "4", "--method", "all",
+            "--format", "json", "--quiet",
+        )
+        assert (code, out) == (1, "")
+        assert "route disagreement" in err
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")

@@ -253,6 +253,23 @@ class TestStructuralVerifiers:
         assert verify_thm31(n_max=5, k_max=6).passed
         assert verify_thm33(n_max=4, k_max=8).passed
 
+    def test_generating_functions_build_no_inflated_copy(self, monkeypatch):
+        # pbar_gf and qbar_gf pad the step-1 row as they pack it; no Gaussian
+        # at q^r is built on the way, cold memos included
+        steps = []
+        inflate = IntPolynomial.inflate
+
+        def recording(self, r):
+            steps.append(r)
+            return inflate(self, r)
+
+        monkeypatch.setattr(IntPolynomial, "inflate", recording)
+        partitions.pbar_gf.cache_clear()
+        partitions.qbar_gf.cache_clear()
+        for verify in (verify_thm22, verify_thm23, verify_thm24, verify_thm25, verify_thm26):
+            assert verify(r_max=3, param_max=2).passed
+        assert steps and set(steps) == {1}
+
 
 class TestOneKindExpansion:
     def test_trivial_cases(self):

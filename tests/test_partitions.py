@@ -125,6 +125,8 @@ class TestOneKindCounts:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             p(-1, 2, 2)
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+            partition_p(-1)
 
     def test_partition_numbers(self):
         assert partition_p(0) == 1

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpartitions.polynomial import ONE, ZERO, IntPolynomial, monomial, packed_sums, q
+from qpartitions import polynomial
+from qpartitions.polynomial import (
+    ONE,
+    ZERO,
+    IntPolynomial,
+    Packing,
+    monomial,
+    packed_sums,
+    product,
+    q,
+)
 
 
 def P(*coeffs):
@@ -279,6 +289,34 @@ def test_kronecker_matches_schoolbook(a, b):
         assert (A * B).evaluate(x) == A.evaluate(x) * B.evaluate(x)
 
 
+@given(long_lists, long_lists, st.integers(1, 4))
+def test_product_at_a_step_matches_schoolbook(a, b, step):
+    assert product(a, b, step) == schoolbook_sum([(1, 0, step, a, b)])
+
+
+class TestDenseDegreeLimit:
+    def test_boundary(self, monkeypatch):
+        # every dense builder takes degree 6 and refuses degree 7 or 8
+        monkeypatch.setattr(polynomial, "MAX_DENSE_DEGREE", 6)
+        packing = Packing(1)
+        assert P(1, 1, 1).inflate(3).degree == 6
+        assert P(1, 1).shift(5).degree == 6
+        assert packing.pack([1, 1, 1], 3) == 1 + (1 << 24) + (1 << 48)
+        assert product([1, 1, 1], [1], 3).degree == 6
+        for build in (
+            lambda: P(1, 1, 1).inflate(4),
+            lambda: P(1, 1).shift(6),
+            lambda: packing.pack([1, -1, 1], 4),
+            lambda: product([1, 1, 1], [1], 4),
+        ):
+            with pytest.raises(ValueError, match="dense degree [78] exceeds the limit of 6"):
+                build()
+
+    def test_a_constant_takes_any_step(self):
+        assert P(7).inflate(10**18) == P(7)
+        assert product([2], [1, -1], 10**18) == P(2, -2)
+
+
 terms = st.tuples(
     st.sampled_from((1, -1)),
     st.integers(0, 6),
@@ -308,10 +346,10 @@ def test_packed_sums_share_an_operand_across_steps():
 def test_kronecker_at_the_digit_bound(sign):
     # every coefficient at its largest for its bit length drives the middle
     # product coefficient up to the bound the digit width is sized for, at
-    # every total width modulo a byte
+    # every total width modulo a byte; short operands pack too
     for bits_a in range(1, 25):
         for bits_b in (1, 8, 9):
-            for n in (15, 16, 31):
+            for n in (1, 2, 5, 15, 16, 31):
                 a = [2**bits_a - 1] * n
                 b = [sign * (2**bits_b - 1)] * n
                 expected = schoolbook(a, b)
