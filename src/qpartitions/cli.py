@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (or verification pass), 1 verification failure or
 route disagreement, 2 usage error.  Results go to standard out, diagnostics
-to standard error.  All numeric JSON output uses decimal strings, since
-counts outgrow 64-bit integers for large parameters.
+to standard error.  Counts and parameters in JSON output are decimal
+strings, since counts outgrow 64-bit integers for large parameters; only
+``verify`` reports carry ``checked`` and counterexample ``params`` as JSON
+integers.
 
 Each subcommand handler computes its answer and returns an ``Output``; only
 ``main`` decides what is printed, so both renderings stay lazy and
@@ -20,6 +22,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .identities import IDENTITY_IDS, VerificationReport, run_identity
 from .partitions import (
+    TwoKindPartition,
     TwoKindQuery,
     p,
     partition_p,
@@ -83,8 +86,18 @@ _ROUTES: dict[str, dict[str, Callable[[dict[str, int]], int]]] = {
 _MAX_TEXT_FAILURES = 10
 
 
+def _json_default(item) -> dict[str, list[str]]:
+    """JSON record of one partition, built only when the encoder reaches it."""
+    if not isinstance(item, TwoKindPartition):
+        raise TypeError(f"{type(item).__name__} is not JSON serializable")
+    return {
+        "first": [str(part) for part in item.first_kind],
+        "second": [str(part) for part in item.second_kind],
+    }
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
 
 
 def _strings(values: Mapping[str, int]) -> dict[str, str]:
@@ -148,13 +161,7 @@ def _cmd_enumerate(args) -> Output:
         "function": function,
         "params": _strings(values),
         "count": str(len(listing)),
-        "partitions": [
-            {
-                "first": [str(part) for part in item.first_kind],
-                "second": [str(part) for part in item.second_kind],
-            }
-            for item in listing
-        ],
+        "partitions": listing,
     }
     return Output(0, record, (item.render() for item in listing))
 

@@ -255,6 +255,12 @@ def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     The four expressions obtained by swapping N1 with k1 and N2 with k2 must
     coincide, and the coefficient sequence must read the same both ways
     (which is the reflection identity for every target n).
+
+    The swap comparisons check almost nothing: ``qbinom`` keeps [t, b] and
+    [t, t-b] in one memo entry, so ``pbar_gf(r, k1, n2, n1, k2)`` multiplies
+    the very same row objects as ``pbar_gf(r, n1, n2, k1, k2)`` and can
+    differ only if ``product`` is not deterministic.  Per-kind conjugation
+    of the enumerated partitions would make them a real check.
     """
     failures = []
     checked = 0

@@ -15,7 +15,9 @@ Every count is computable by two or three independent routes:
                         or every target with ``pbar_convolution_totals``);
 * ``*_enumerate``   explicit brute-force enumeration of the partitions
                     themselves (the oracle; it never touches polynomial
-                    arithmetic).
+                    arithmetic), generated in canonical order: descending
+                    lexicographic on (first-kind parts, second-kind parts),
+                    with no sort afterwards.
 
 Route agreement is the core correctness argument and is exercised heavily
 by the test suite and the identity verifiers.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .polynomial import ZERO, IntPolynomial, product
 from .qbinomial import qbinom
@@ -105,10 +107,6 @@ class DistinctTwoKindPartition(TwoKindPartition):
         for kind in (self.first_kind, self.second_kind):
             if len(set(kind)) != len(kind):
                 raise ValueError(f"parts must be distinct within a kind, got {kind}")
-
-
-def _sort_key(partition: TwoKindPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (partition.first_kind, partition.second_kind)
 
 
 def p(N: int, k: int, n: int) -> int:
@@ -210,21 +208,44 @@ def qbar_genfun(query: TwoKindQuery) -> int:
     return qbar_gf(query.r, query.n1, query.n2, query.k1, query.k2).coeff(query.n)
 
 
-def _multisets(max_value: int, max_count: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Multisets of integers in [1, max_value], size <= max_count, given total.
+def _multisets(
+    max_value: int, max_count: int, low: int, high: int
+) -> Iterator[tuple[int, ...]]:
+    """Multisets of parts in [1, max_value], at most max_count, total in [low, high].
 
-    Yields descending tuples; the empty tuple is the unique multiset with
-    total 0.  Only multisets of the given total are visited, which lets
-    ``pbar_enumerate`` list one target without walking every multiset.
+    Yields descending tuples in descending lexicographic order, so the empty
+    tuple (total 0) comes last.  A branch is cut as soon as its largest part
+    can no longer reach ``low``, so a single target is listed without walking
+    every multiset.
     """
-    if total == 0:
+    if max_count > 0:
+        for first in range(min(max_value, high), 0, -1):
+            if first * max_count < low:
+                break
+            for rest in _multisets(first, max_count - 1, low - first, high - first):
+                yield (first,) + rest
+    if low <= 0 <= high:
         yield ()
-        return
-    if max_count == 0 or max_value == 0:
-        return
-    for first in range(min(max_value, total), 0, -1):
-        for rest in _multisets(first, max_count - 1, total - first):
-            yield (first,) + rest
+
+
+def _listing(
+    kind: type[TwoKindPartition],
+    r: int,
+    n: int,
+    firsts: Iterable[tuple[int, ...]],
+    seconds: Callable[[int], Iterable[tuple[int, ...]]],
+) -> list[TwoKindPartition]:
+    """Pair each multiplier tuple with every second-kind tuple completing n.
+
+    ``firsts`` yields first-kind multipliers and ``seconds(rest)`` the
+    second-kind parts of total ``rest``, both in descending lexicographic
+    order, so the listing comes out in canonical order without a sort.
+    """
+    return [
+        kind(tuple(r * m for m in multipliers), second)
+        for multipliers in firsts
+        for second in seconds(n - r * sum(multipliers))
+    ]
 
 
 def pbar_enumerate(query: TwoKindQuery) -> list[TwoKindPartition]:
@@ -232,44 +253,42 @@ def pbar_enumerate(query: TwoKindQuery) -> list[TwoKindPartition]:
 
     First-kind parts are generated as r times a multiplier at most N1, which
     guarantees divisibility by construction.  The canonical order is
-    descending lexicographic on (first-kind parts, second-kind parts).
+    descending lexicographic on (first-kind parts, second-kind parts), and
+    the generators produce it directly.  The multipliers are walked once,
+    over the totals that leave at most N2*k2 for the second kind.
     """
-    r = query.r
-    found: list[TwoKindPartition] = []
-    top_multiplier_total = min(query.n // r, query.n1 * query.k1)
-    for mult_total in range(top_multiplier_total + 1):
-        remainder = query.n - r * mult_total
-        if remainder > query.n2 * query.k2:
-            continue
-        for multipliers in _multisets(query.n1, query.k1, mult_total):
-            first = tuple(r * m for m in multipliers)
-            for second in _multisets(query.n2, query.k2, remainder):
-                found.append(TwoKindPartition(first, second))
-    found.sort(key=_sort_key, reverse=True)
-    return found
+    r, n, n2, k2 = query.r, query.n, query.n2, query.k2
+    firsts = _multisets(query.n1, query.k1, -((n2 * k2 - n) // r), n // r)
+    return _listing(
+        TwoKindPartition, r, n, firsts, lambda rest: _multisets(n2, k2, rest, rest)
+    )
 
 
 def qbar_enumerate(query: TwoKindQuery) -> list[DistinctTwoKindPartition]:
     """All distinct-part two-kind partitions matching the query, canonical order.
 
     Exactly k1 distinct first-kind parts (r times distinct multipliers at
-    most N1) and exactly k2 distinct second-kind parts at most N2.
+    most N1) and exactly k2 distinct second-kind parts at most N2.  Picks
+    from a descending range come in canonical order; the second-kind picks
+    are grouped by total once, keeping that order within each group.
     """
-    r = query.r
-    found: list[DistinctTwoKindPartition] = []
-    for multipliers in combinations(range(1, query.n1 + 1), query.k1):
-        first_total = r * sum(multipliers)
-        if first_total > query.n:
-            continue
-        for second in combinations(range(1, query.n2 + 1), query.k2):
-            if first_total + sum(second) == query.n:
-                found.append(
-                    DistinctTwoKindPartition(
-                        tuple(r * m for m in multipliers), second
-                    )
-                )
-    found.sort(key=_sort_key, reverse=True)
-    return found
+    by_total: dict[int, list[tuple[int, ...]]] = {}
+    for second in combinations(range(query.n2, 0, -1), query.k2):
+        by_total.setdefault(sum(second), []).append(second)
+    firsts = combinations(range(query.n1, 0, -1), query.k1)
+    return _listing(
+        DistinctTwoKindPartition, query.r, query.n, firsts,
+        lambda rest: by_total.get(rest, ()),
+    )
+
+
+def _tally(first_totals: list[int], second_totals: list[int], size: int) -> list[int]:
+    """Count the pairs (a, b) by a + b, for a list of ``size`` entries."""
+    counts = [0] * size
+    for a in first_totals:
+        for b in second_totals:
+            counts[a + b] += 1
+    return counts
 
 
 def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -289,11 +308,7 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     second_totals = [
         sum(parts) for parts in combinations_with_replacement(range(n2 + 1), k2)
     ]
-    counts = [0] * (r * n1 * k1 + n2 * k2 + 1)
-    for a in first_totals:
-        for b in second_totals:
-            counts[a + b] += 1
-    return counts
+    return _tally(first_totals, second_totals, r * n1 * k1 + n2 * k2 + 1)
 
 
 def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -307,10 +322,6 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     if k1 > n1 or k2 > n2:
         return [0]
     top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
-    counts = [0] * (top + 1)
+    first_totals = [r * sum(parts) for parts in combinations(range(1, n1 + 1), k1)]
     second_totals = [sum(parts) for parts in combinations(range(1, n2 + 1), k2)]
-    for multipliers in combinations(range(1, n1 + 1), k1):
-        first_total = r * sum(multipliers)
-        for b in second_totals:
-            counts[first_total + b] += 1
-    return counts
+    return _tally(first_totals, second_totals, top + 1)

@@ -225,6 +225,40 @@ class TestEnumerate:
         assert code == 0
         assert out == "4+1'\n"
 
+    def test_json_renders_each_partition_once(self, capsys, monkeypatch):
+        # the encoder asks for each partition's record as it reaches it, so
+        # no second copy of the listing is built before encoding starts
+        seen, encoding = [], []
+        render, dump = cli._json_default, cli._dump_json
+
+        def counting(item):
+            seen.append((item.render(), bool(encoding)))
+            return render(item)
+
+        def dumping(obj):
+            encoding.append(True)
+            return dump(obj)
+
+        monkeypatch.setattr(cli, "_json_default", counting)
+        monkeypatch.setattr(cli, "_dump_json", dumping)
+        argv = ("enumerate", "pbar", *WORKED_FLAGS, "--n", "4")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert seen == [
+            (text, True) for text in ("4", "2+2", "2+2'", "2+1'+1'", "3'+1'", "2'+2'")
+        ]
+        assert len(json.loads(out)["partitions"]) == 6
+        seen.clear()
+        assert run(capsys, *argv, "--format", "json", "--quiet") == (0, "", "")
+        assert run(capsys, *argv)[0] == 0
+        assert seen == []
+
+    def test_other_objects_are_not_serializable(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            cli._dump_json({"parts": {1, 2}})
+        with pytest.raises(TypeError):
+            cli._dump_json([object()])
+
 
 class TestVerify:
     def test_pass_with_grid_flags(self, capsys):

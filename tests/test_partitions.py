@@ -244,6 +244,40 @@ class TestEnumerationGolden:
         keys = [(item.first_kind, item.second_kind) for item in listing]
         assert keys == sorted(keys, reverse=True)
 
+    def test_distinct_listing_in_canonical_order(self):
+        listing = qbar_enumerate(TwoKindQuery(1, 6, 5, 3, 2, 14))
+        assert [item.render() for item in listing] == [
+            "6+4+1+2'+1'", "6+3+2+2'+1'", "6+3+1+3'+1'", "6+2+1+4'+1'",
+            "6+2+1+3'+2'", "5+4+2+2'+1'", "5+4+1+3'+1'", "5+3+2+3'+1'",
+            "5+3+1+4'+1'", "5+3+1+3'+2'", "5+2+1+5'+1'", "5+2+1+4'+2'",
+            "4+3+2+4'+1'", "4+3+2+3'+2'", "4+3+1+5'+1'", "4+3+1+4'+2'",
+            "4+2+1+5'+2'", "4+2+1+4'+3'", "3+2+1+5'+3'",
+        ]
+
+    def test_distinct_listing_with_step(self):
+        listing = qbar_enumerate(TwoKindQuery(2, 3, 4, 2, 2, 13))
+        assert [item.render() for item in listing] == [
+            "6+4+2'+1'", "6+2+4'+1'", "6+2+3'+2'", "4+2+4'+3'"
+        ]
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_listings_strictly_descend_and_match_totals(self, data):
+        # the listings are generated in canonical order, never sorted; every
+        # target is listed, since a single random one rarely gives a
+        # distinct-part listing more than one first-kind selection
+        r = data.draw(st.integers(1, 3))
+        n1, n2, k1, k2 = (data.draw(st.integers(0, 5)) for _ in range(4))
+        for enumerate_, totals in (
+            (pbar_enumerate, pbar_enumerate_totals(r, n1, n2, k1, k2)),
+            (qbar_enumerate, qbar_enumerate_totals(r, n1, n2, k1, k2)),
+        ):
+            for n in range(len(totals) + 2):
+                listing = enumerate_(TwoKindQuery(r, n1, n2, k1, k2, n))
+                keys = [(item.first_kind, item.second_kind) for item in listing]
+                assert all(a > b for a, b in zip(keys, keys[1:]))
+                assert len(listing) == (totals[n] if n < len(totals) else 0)
+
 
 class TestDistinctTwoKind:
     def test_single_distinct_pair(self):
