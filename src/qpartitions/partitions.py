@@ -269,16 +269,18 @@ def qbar_enumerate(query: TwoKindQuery) -> list[DistinctTwoKindPartition]:
 
     Exactly k1 distinct first-kind parts (r times distinct multipliers at
     most N1) and exactly k2 distinct second-kind parts at most N2.  Picks
-    from a descending range come in canonical order; the second-kind picks
-    are grouped by total once, keeping that order within each group.
+    from a descending range come in canonical order.  The second-kind picks
+    are walked lazily, once per first-kind pick that leaves a nonnegative
+    rest, so memory stays bounded by the listing itself.
     """
-    by_total: dict[int, list[tuple[int, ...]]] = {}
-    for second in combinations(range(query.n2, 0, -1), query.k2):
-        by_total.setdefault(sum(second), []).append(second)
+    n2, k2 = query.n2, query.k2
     firsts = combinations(range(query.n1, 0, -1), query.k1)
     return _listing(
         DistinctTwoKindPartition, query.r, query.n, firsts,
-        lambda rest: by_total.get(rest, ()),
+        lambda rest: (
+            (s for s in combinations(range(n2, 0, -1), k2) if sum(s) == rest)
+            if rest >= 0 else ()
+        ),
     )
 
 

@@ -1,11 +1,13 @@
 """Two-kind partition counting: routes, enumerators, and their agreement."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpartitions import partitions
 from qpartitions.partitions import (
     DistinctTwoKindPartition,
     Q,
@@ -277,6 +279,32 @@ class TestEnumerationGolden:
                 keys = [(item.first_kind, item.second_kind) for item in listing]
                 assert all(a > b for a, b in zip(keys, keys[1:]))
                 assert len(listing) == (totals[n] if n < len(totals) else 0)
+
+    @pytest.mark.parametrize(
+        "query, first_picks",
+        [
+            # k1 > N1: there is no first-kind pick at all
+            (TwoKindQuery(1, 0, 30, 1, 15, 5), 0),
+            # the one first-kind pick already totals 15 > n
+            (TwoKindQuery(1, 5, 30, 5, 15, 3), 1),
+        ],
+    )
+    def test_distinct_listing_skips_second_kind_without_rest(
+        self, monkeypatch, query, first_picks
+    ):
+        # C(30, 15) second-kind picks would exhaust memory if gathered up
+        # front; they are walked only for a first-kind pick that leaves room
+        walked = []
+
+        def counting(iterable, k):
+            for pick in combinations(iterable, k):
+                walked.append(pick)
+                assert len(walked) <= 1000, "second kind walked eagerly"
+                yield pick
+
+        monkeypatch.setattr(partitions, "combinations", counting)
+        assert qbar_enumerate(query) == []
+        assert len(walked) == first_picks
 
 
 class TestDistinctTwoKind:
