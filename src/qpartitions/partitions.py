@@ -17,7 +17,9 @@ Every count is computable by two or three independent routes:
                     themselves (the oracle; it never touches polynomial
                     arithmetic), generated in canonical order: descending
                     lexicographic on (first-kind parts, second-kind parts),
-                    with no sort afterwards.
+                    with no sort afterwards.  Both listings walk each kind
+                    by total through one pruned walker, so the work is
+                    bounded by the listing.
 
 Route agreement is the core correctness argument and is exercised heavily
 by the test suite and the identity verifiers.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .polynomial import ZERO, IntPolynomial, product
 from .qbinomial import qbinom
@@ -208,80 +210,77 @@ def qbar_genfun(query: TwoKindQuery) -> int:
     return qbar_gf(query.r, query.n1, query.n2, query.k1, query.k2).coeff(query.n)
 
 
-def _multisets(
-    max_value: int, max_count: int, low: int, high: int
+def _picks(
+    max_value: int, count: int, low: int, high: int, gap: int
 ) -> Iterator[tuple[int, ...]]:
-    """Multisets of parts in [1, max_value], at most max_count, total in [low, high].
+    """Descending tuples of parts in [1, max_value] with total in [low, high].
 
-    Yields descending tuples in descending lexicographic order, so the empty
-    tuple (total 0) comes last.  A branch is cut as soon as its largest part
-    can no longer reach ``low``, so a single target is listed without walking
-    every multiset.
+    Consecutive parts differ by at least ``gap``, which is 0 or 1.  The
+    model is the one ``pbar_enumerate_totals`` lists: ``count`` picks from
+    [0, max_value], where a 0 pick stands for "no part" and is allowed only
+    when ``gap`` is 0.  So gap 0 gives the multisets of at most ``count``
+    parts and gap 1 the sets of exactly ``count`` distinct parts.
+
+    Tuples come in descending lexicographic order, the empty tuple last.
+    Below a first part f the other count - 1 parts total at least
+    ``least`` = gap * C(count, 2), and the whole branch at most
+    count * f - ``least``; every total in between is reached.  So a branch
+    is cut as soon as it can no longer reach [low, high], every branch
+    walked yields a tuple, and the walk is bounded by what it yields.
     """
-    if max_count > 0:
-        for first in range(min(max_value, high), 0, -1):
-            if first * max_count < low:
+    if count > 0 and low <= high:
+        least = gap * count * (count - 1) // 2
+        for first in range(min(max_value, high - least), gap * (count - 1), -1):
+            if count * first - least < low:
                 break
-            for rest in _multisets(first, max_count - 1, low - first, high - first):
+            for rest in _picks(first - gap, count - 1, low - first, high - first, gap):
                 yield (first,) + rest
-    if low <= 0 <= high:
+    if low <= 0 <= high and (count == 0 or gap == 0):
         yield ()
 
 
 def _listing(
-    kind: type[TwoKindPartition],
-    r: int,
-    n: int,
-    firsts: Iterable[tuple[int, ...]],
-    seconds: Callable[[int], Iterable[tuple[int, ...]]],
+    kind: type[TwoKindPartition], query: TwoKindQuery, gap: int
 ) -> list[TwoKindPartition]:
-    """Pair each multiplier tuple with every second-kind tuple completing n.
+    """Every partition of the query's n whose parts ``_picks`` walks at ``gap``.
 
-    ``firsts`` yields first-kind multipliers and ``seconds(rest)`` the
-    second-kind parts of total ``rest``, both in descending lexicographic
-    order, so the listing comes out in canonical order without a sort.
+    First-kind parts are r times a multiplier at most N1, which guarantees
+    divisibility by construction.  The multipliers are walked once, over the
+    totals that leave the second kind between its least total ``fewest`` and
+    its greatest ``most``, and the second kind over the one total that
+    completes n, so every multiplier tuple walked has a completion.  Both
+    walks come in descending lexicographic order, so the listing comes out
+    in canonical order without a sort.
     """
+    r, n, n2, k2 = query.r, query.n, query.n2, query.k2
+    fewest = gap * k2 * (k2 + 1) // 2
+    most = n2 * k2 - gap * k2 * (k2 - 1) // 2
+    firsts = _picks(query.n1, query.k1, -((most - n) // r), (n - fewest) // r, gap)
     return [
         kind(tuple(r * m for m in multipliers), second)
         for multipliers in firsts
-        for second in seconds(n - r * sum(multipliers))
+        for rest in (n - r * sum(multipliers),)
+        for second in _picks(n2, k2, rest, rest, gap)
     ]
 
 
 def pbar_enumerate(query: TwoKindQuery) -> list[TwoKindPartition]:
     """All two-kind partitions matching the query, in canonical order.
 
-    First-kind parts are generated as r times a multiplier at most N1, which
-    guarantees divisibility by construction.  The canonical order is
-    descending lexicographic on (first-kind parts, second-kind parts), and
-    the generators produce it directly.  The multipliers are walked once,
-    over the totals that leave at most N2*k2 for the second kind.
+    The canonical order is descending lexicographic on (first-kind parts,
+    second-kind parts), and the walk produces it directly.
     """
-    r, n, n2, k2 = query.r, query.n, query.n2, query.k2
-    firsts = _multisets(query.n1, query.k1, -((n2 * k2 - n) // r), n // r)
-    return _listing(
-        TwoKindPartition, r, n, firsts, lambda rest: _multisets(n2, k2, rest, rest)
-    )
+    return _listing(TwoKindPartition, query, 0)
 
 
 def qbar_enumerate(query: TwoKindQuery) -> list[DistinctTwoKindPartition]:
     """All distinct-part two-kind partitions matching the query, canonical order.
 
     Exactly k1 distinct first-kind parts (r times distinct multipliers at
-    most N1) and exactly k2 distinct second-kind parts at most N2.  Picks
-    from a descending range come in canonical order.  The second-kind picks
-    are walked lazily, once per first-kind pick that leaves a nonnegative
-    rest, so memory stays bounded by the listing itself.
+    most N1) and exactly k2 distinct second-kind parts at most N2.  Both
+    kinds are walked by total, so the work is bounded by the listing.
     """
-    n2, k2 = query.n2, query.k2
-    firsts = combinations(range(query.n1, 0, -1), query.k1)
-    return _listing(
-        DistinctTwoKindPartition, query.r, query.n, firsts,
-        lambda rest: (
-            (s for s in combinations(range(n2, 0, -1), k2) if sum(s) == rest)
-            if rest >= 0 else ()
-        ),
-    )
+    return _listing(DistinctTwoKindPartition, query, 1)
 
 
 def _tally(first_totals: list[int], second_totals: list[int], size: int) -> list[int]:

@@ -322,6 +322,8 @@ class Packing:
         This packs ``coeffs`` with q replaced by q**step: ``step - 1`` zero
         digits go between coefficients, so no inflated copy is built.
         """
+        if step < 1:
+            raise ValueError(f"step must be a positive integer, got {step}")
         if not coeffs:
             return 0
         _check_dense(step * (len(coeffs) - 1))

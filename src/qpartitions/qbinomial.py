@@ -10,17 +10,18 @@ Each polynomial is built on its own from the product formula
     [N, j] = [N, j-1] * (1 - q^(N-j+1)) / (1 - q^j),    j = 1..k,
 
 in plain integer arithmetic: the division is an exact running sum, and its
-zero remainder is checked.  Finished polynomials are memoized.  The Pascal
-recurrences (``check_gr1``, ``check_gr2``) and the product characterization
-against the q-shifted factorial are independent checks, not the construction
-path.
+zero remainder is checked.  Finished polynomials are memoized.  A row whose
+degree bottom * (top - bottom) passes ``MAX_DENSE_DEGREE`` is refused with
+``ValueError`` before it is built.  The Pascal recurrences (``check_gr1``,
+``check_gr2``) and the product characterization against the q-shifted
+factorial are independent checks, not the construction path.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .polynomial import ONE, ZERO, IntPolynomial
+from .polynomial import ONE, ZERO, IntPolynomial, _check_dense
 
 
 def pochhammer_q(n: int) -> IntPolynomial:
@@ -78,6 +79,7 @@ def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:
     if 2 * bottom > top:
         # [top, bottom] == [top, top - bottom]: one memo entry serves both
         bottom = top - bottom
+    _check_dense(bottom * (top - bottom))
     return _gaussian_base(top, bottom).inflate(step)
 
 

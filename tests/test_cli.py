@@ -64,6 +64,16 @@ class TestGauss:
         code, _, _ = run(capsys, "gauss", "--top", "4")
         assert code == 2
 
+    def test_unbounded_gaussian_row_is_a_usage_error(self, capsys):
+        # rows of degree 10**8 and 10**12: refused before anything is built
+        for argv in (
+            ("gauss", "--top", "20000", "--bottom", "10000"),
+            ("count", "p", "--N", str(10**6), "--k", str(10**6), "--n", "5"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "degree" in err
+
 
 class TestCount:
     def test_two_kind_worked_example(self, capsys):

@@ -1,6 +1,5 @@
 """Two-kind partition counting: routes, enumerators, and their agreement."""
 
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -26,8 +25,28 @@ from qpartitions.partitions import (
     qbar_genfun,
     qbar_gf,
 )
+from qpartitions.polynomial import product
 
 WORKED_SIX = TwoKindQuery(r=2, n1=2, n2=3, k1=2, k2=2, n=4)
+
+
+def count_walker_calls(monkeypatch, limit):
+    """Record the arguments of every call to the enumeration walker.
+
+    The walker's recursion looks its own name up on the module, so the
+    wrapper sees every call, not only the outermost ones.  A walk past
+    ``limit`` calls fails at once rather than running on.
+    """
+    walker = partitions._picks
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        assert len(calls) <= limit, "walk not bounded by the listing"
+        return walker(*args)
+
+    monkeypatch.setattr(partitions, "_picks", counting)
+    return calls
 
 
 def all_partitions(n):
@@ -72,6 +91,20 @@ class TestQueryValidation:
     def test_totals_reject_bad_bounds(self, totals, args, message):
         with pytest.raises(ValueError, match=message):
             totals(*args)
+
+    def test_generating_functions_reject_a_step_below_one(self):
+        # a one-coefficient first operand needs no gap, but its step is
+        # still checked where the step reaches the packing
+        for build in (
+            lambda: pbar_gf(0, 0, 1, 0, 1),
+            lambda: qbar_gf(0, 1, 2, 1, 1),
+            lambda: product([1], [1, 1], -5),
+            lambda: product([1, 1], [1, 1], 0),
+        ):
+            with pytest.raises(
+                ValueError, match="^step must be a positive integer, got (0|-5)$"
+            ):
+                build()
 
 
 class TestPartitionTypes:
@@ -281,30 +314,44 @@ class TestEnumerationGolden:
                 assert len(listing) == (totals[n] if n < len(totals) else 0)
 
     @pytest.mark.parametrize(
-        "query, first_picks",
+        "query",
         [
             # k1 > N1: there is no first-kind pick at all
-            (TwoKindQuery(1, 0, 30, 1, 15, 5), 0),
+            TwoKindQuery(1, 0, 30, 1, 15, 5),
             # the one first-kind pick already totals 15 > n
-            (TwoKindQuery(1, 5, 30, 5, 15, 3), 1),
+            TwoKindQuery(1, 5, 30, 5, 15, 3),
+            # 15 distinct second-kind parts total at least 120 > n
+            TwoKindQuery(1, 0, 30, 0, 15, 5),
+            # 15 distinct first-kind parts total at least 120 > n
+            TwoKindQuery(1, 30, 1, 15, 1, 3),
+            # either kind alone reaches n, but the two together total 240
+            TwoKindQuery(1, 30, 30, 15, 15, 200),
         ],
     )
-    def test_distinct_listing_skips_second_kind_without_rest(
-        self, monkeypatch, query, first_picks
-    ):
-        # C(30, 15) second-kind picks would exhaust memory if gathered up
-        # front; they are walked only for a first-kind pick that leaves room
-        walked = []
-
-        def counting(iterable, k):
-            for pick in combinations(iterable, k):
-                walked.append(pick)
-                assert len(walked) <= 1000, "second kind walked eagerly"
-                yield pick
-
-        monkeypatch.setattr(partitions, "combinations", counting)
+    def test_distinct_listing_skips_second_kind_without_rest(self, monkeypatch, query):
+        # filtering C(30, 15) = 155M picks of either kind by total would take
+        # minutes; the walk is cut by the least and greatest total a branch
+        # can reach, so an empty listing takes a call or two
+        calls = count_walker_calls(monkeypatch, 100)
         assert qbar_enumerate(query) == []
-        assert len(walked) == first_picks
+        assert calls
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_walk_is_bounded_by_the_listing(self, data):
+        # no branch is walked without a partition below it: every walker
+        # call lies on the path to some listed partition, at most one call
+        # per part, plus one second-kind walk per first-kind tuple.  Drop
+        # either cut, or walk an empty range of totals, and this fails.
+        r = data.draw(st.integers(1, 3))
+        n1, n2, k1, k2 = (data.draw(st.integers(0, 5)) for _ in range(4))
+        n = data.draw(st.integers(0, r * n1 * k1 + n2 * k2 + 1))
+        query = TwoKindQuery(r, n1, n2, k1, k2, n)
+        for enumerate_ in (pbar_enumerate, qbar_enumerate):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                calls = count_walker_calls(monkeypatch, 10**5)
+                listing = enumerate_(query)
+            assert len(calls) <= 1 + len(listing) * (k1 + k2 + 1)
 
 
 class TestDistinctTwoKind:
@@ -376,7 +423,12 @@ class TestRouteAgreement:
         query = TwoKindQuery(r, n1, n2, k1, k2, n)
         count = len(pbar_enumerate(query))
         assert pbar_genfun(query) == pbar_convolution(query) == count
-        assert qbar_genfun(query) == len(qbar_enumerate(query))
+        # every distinct-part target: a single random n almost never has
+        # more than one distinct-part partition
+        top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
+        for target in range(max(top, 0) + 2):
+            query = TwoKindQuery(r, n1, n2, k1, k2, target)
+            assert qbar_genfun(query) == len(qbar_enumerate(query))
 
     @settings(deadline=None)
     @given(st.data())

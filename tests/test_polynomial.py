@@ -17,6 +17,7 @@ from qpartitions.polynomial import (
     product,
     q,
 )
+from qpartitions.qbinomial import qbinom
 
 
 def P(*coeffs):
@@ -303,11 +304,13 @@ class TestDenseDegreeLimit:
         assert P(1, 1).shift(5).degree == 6
         assert packing.pack([1, 1, 1], 3) == 1 + (1 << 24) + (1 << 48)
         assert product([1, 1, 1], [1], 3).degree == 6
+        assert qbinom(5, 2).degree == 6
         for build in (
             lambda: P(1, 1, 1).inflate(4),
             lambda: P(1, 1).shift(6),
             lambda: packing.pack([1, -1, 1], 4),
             lambda: product([1, 1, 1], [1], 4),
+            lambda: qbinom(6, 2),
         ):
             with pytest.raises(ValueError, match="dense degree [78] exceeds the limit of 6"):
                 build()
