@@ -21,7 +21,7 @@ The command-line front end lives in ``qpartitions.cli`` (subcommands gauss,
 count, enumerate, verify, table).
 """
 
-from .polynomial import ONE, ZERO, IntPolynomial, monomial, q
+from .polynomial import ONE, ZERO, IntPolynomial, q
 from .qbinomial import check_gr1, check_gr2, pochhammer_q, qbinom
 from .partitions import (
     DistinctTwoKindPartition,
@@ -69,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntPolynomial",
-    "monomial",
     "ZERO",
     "ONE",
     "q",

@@ -21,6 +21,11 @@ Every count is computable by two or three independent routes:
                     by total through one pruned walker, so the work is
                     bounded by the listing.
 
+The bulk ``*_totals`` forms return one dense entry per target, so the
+largest target is held to ``MAX_DENSE_DEGREE`` like every dense polynomial:
+a span past it raises ``ValueError`` before the row is built.
+``TwoKindQuery``, ``pbar_convolution`` and the listings still take any r.
+
 Route agreement is the core correctness argument and is exercised heavily
 by the test suite and the identity verifiers.
 """
@@ -33,7 +38,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterator
 
-from .polynomial import ZERO, IntPolynomial, product
+from .polynomial import ZERO, IntPolynomial, _check_dense, product
 from .qbinomial import qbinom
 
 
@@ -200,9 +205,11 @@ def pbar_convolution_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[
     one-kind rows are read once for the whole list.
     """
     _check_bounds(r, n1, n2, k1, k2)
+    top = r * n1 * k1 + n2 * k2
+    _check_dense(top)
     first = qbinom(n1 + k1, n1).coeffs
     second = qbinom(n2 + k2, n2).coeffs
-    return [_convolve(first, second, r, n) for n in range(r * n1 * k1 + n2 * k2 + 1)]
+    return [_convolve(first, second, r, n) for n in range(top + 1)]
 
 
 def qbar_genfun(query: TwoKindQuery) -> int:
@@ -303,13 +310,15 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     replacement from 0..N, a 0 standing for "no part".
     """
     _check_bounds(r, n1, n2, k1, k2)
+    top = r * n1 * k1 + n2 * k2
+    _check_dense(top)
     first_totals = [
         r * sum(parts) for parts in combinations_with_replacement(range(n1 + 1), k1)
     ]
     second_totals = [
         sum(parts) for parts in combinations_with_replacement(range(n2 + 1), k2)
     ]
-    return _tally(first_totals, second_totals, r * n1 * k1 + n2 * k2 + 1)
+    return _tally(first_totals, second_totals, top + 1)
 
 
 def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -323,6 +332,7 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     if k1 > n1 or k2 > n2:
         return [0]
     top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
+    _check_dense(top)
     first_totals = [r * sum(parts) for parts in combinations(range(1, n1 + 1), k1)]
     second_totals = [sum(parts) for parts in combinations(range(1, n2 + 1), k2)]
     return _tally(first_totals, second_totals, top + 1)

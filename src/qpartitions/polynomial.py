@@ -19,7 +19,10 @@ integers, and each sum is read back once.
 
 Every dense result whose degree comes from a caller's step or shift is
 checked against ``MAX_DENSE_DEGREE`` before anything is allocated, so an
-unbounded step fails with ``ValueError`` instead of exhausting memory.
+unbounded step fails with ``ValueError`` instead of exhausting memory.  That
+includes every term of every ``packed_sums`` side: each term's degree, its
+shift plus the degree of its product, is checked before any operand is
+packed.
 """
 
 from __future__ import annotations
@@ -117,16 +120,6 @@ class IntPolynomial:
             out[i * r] = c
         return IntPolynomial(out)
 
-    def evaluate(self, x: int) -> int:
-        """Evaluate at an integer point by Horner's rule.
-
-        ``p.evaluate(1)`` is the coefficient total, handy for sanity checks.
-        """
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
     def is_self_reciprocal(self) -> bool:
         """True when the coefficient sequence is palindromic.
 
@@ -193,24 +186,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> IntPolynomial:
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        if n == 0:
-            return ONE
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        acc = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPolynomial):
             return self._coeffs == other._coeffs
@@ -226,9 +201,6 @@ class IntPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._coeffs)
 
     def __repr__(self) -> str:
         return f"IntPolynomial('{self}')"
@@ -389,7 +361,8 @@ def packed_sums(
     packed once per step, however many terms share it; operands are told
     apart by identity, so pass a repeated operand as the same object.  Each
     side is read back once, up to its highest term degree, and yielded in
-    turn, so only one side's coefficients are held at a time.
+    turn, so only one side's coefficients are held at a time.  Every term's
+    degree is checked against ``MAX_DENSE_DEGREE`` before anything is packed.
     """
     magnitudes: dict[int, tuple[int, int]] = {}
 
@@ -403,7 +376,12 @@ def packed_sums(
     largest = 0
     for side in sides:
         bounds = [bound(a, b) for _, _, _, a, b in side]
-        live.append([term for term, term_bound in zip(side, bounds) if term_bound])
+        terms = [term for term, term_bound in zip(side, bounds) if term_bound]
+        ends = [shift + step * (len(a) - 1) + len(b) for _, shift, step, a, b in terms]
+        length = max(ends, default=0)
+        # the side's highest term degree, checked before anything is packed
+        _check_dense(length - 1)
+        live.append((terms, length))
         largest = max(largest, sum(bounds))
     packing = Packing(largest)
     bits = 8 * packing.width
@@ -415,21 +393,12 @@ def packed_sums(
             packed[key] = packing.pack(cs, step)
         return packed[key]
 
-    for side in live:
+    for terms, length in live:
         total = 0
-        length = 0
-        for sign, shift, step, a, b in side:
+        for sign, shift, step, a, b in terms:
             product = (pack(a, step) * pack(b, 1)) << (bits * shift)
             total = total + product if sign > 0 else total - product
-            length = max(length, shift + step * (len(a) - 1) + len(b))
         yield packing.unpack(total, length)
-
-
-def monomial(exponent: int, coefficient: int = 1) -> IntPolynomial:
-    """The polynomial ``coefficient * q**exponent``."""
-    if exponent < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exponent}")
-    return IntPolynomial((0,) * exponent + (coefficient,))
 
 
 ZERO = IntPolynomial()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartitions import partitions
+from qpartitions import partitions, polynomial
 from qpartitions.partitions import (
     DistinctTwoKindPartition,
     Q,
@@ -91,6 +91,21 @@ class TestQueryValidation:
     def test_totals_reject_bad_bounds(self, totals, args, message):
         with pytest.raises(ValueError, match=message):
             totals(*args)
+
+    @pytest.mark.parametrize(
+        "totals",
+        [pbar_convolution_totals, pbar_enumerate_totals, qbar_enumerate_totals],
+    )
+    def test_totals_hold_their_row_to_the_dense_limit(self, totals, monkeypatch):
+        # one first-kind part r: the row runs from 0 through r
+        monkeypatch.setattr(polynomial, "MAX_DENSE_DEGREE", 6)
+        row = totals(6, 1, 0, 1, 0)
+        assert len(row) == 7 and row[6] == 1
+        with pytest.raises(ValueError, match="^dense degree 7 exceeds the limit of 6$"):
+            totals(7, 1, 0, 1, 0)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=f"^dense degree {10**18} exceeds"):
+            totals(10**18, 1, 0, 1, 0)
 
     def test_generating_functions_reject_a_step_below_one(self):
         # a one-coefficient first operand needs no gap, but its step is

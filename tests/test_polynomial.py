@@ -1,7 +1,5 @@
 """Exact-arithmetic polynomial substrate: examples and algebraic laws."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from qpartitions.polynomial import (
     ZERO,
     IntPolynomial,
     Packing,
-    monomial,
     packed_sums,
     product,
     q,
@@ -107,25 +104,6 @@ class TestMul:
     def test_scalar(self):
         assert 3 * P(1, 1) == P(3, 3)
 
-    def test_pow(self):
-        assert (ONE + q) ** 2 == P(1, 2, 1)
-        assert P(0, 1) ** 0 == ONE
-
-    def test_pow_multiplies_only_what_it_uses(self, monkeypatch):
-        # (1 + q)**40 also takes the Kronecker path
-        calls = []
-        mul = IntPolynomial.__mul__
-
-        def counting_mul(self, other):
-            calls.append(1)
-            return mul(self, other)
-
-        monkeypatch.setattr(IntPolynomial, "__mul__", counting_mul)
-        for n, products in ((1, 0), (3, 2), (4, 2), (40, 6)):
-            calls.clear()
-            assert P(1, 1) ** n == IntPolynomial(math.comb(n, i) for i in range(n + 1))
-            assert len(calls) == products, n
-
 
 class TestShift:
     def test_monomial(self):
@@ -167,8 +145,8 @@ class TestCoeff:
         assert P(1, 2, 1).coeff(-1) == 0
 
     def test_monomial_top(self):
-        assert monomial(5).coeff(5) == 1
-        assert monomial(5).coeff(6) == 0
+        assert ONE.shift(5).coeff(5) == 1
+        assert ONE.shift(5).coeff(6) == 0
 
 
 class TestSelfReciprocal:
@@ -218,14 +196,6 @@ class TestRendering:
 
     def test_coeff_strings(self):
         assert P(1, 0, 2).coeffs_as_strings() == ["1", "0", "2"]
-
-
-class TestEvaluate:
-    def test_coefficient_total(self):
-        assert P(1, 1, 2, 1, 1).evaluate(1) == 6
-
-    def test_point(self):
-        assert P(1, 0, 1).evaluate(3) == 10
 
 
 @given(polys, polys)
@@ -286,8 +256,6 @@ def test_kronecker_matches_schoolbook(a, b):
         assert IntPolynomial(kronecker(a, b)) == expected
     A, B = IntPolynomial(a), IntPolynomial(b)
     assert A * B == expected
-    for x in (-3, 2):
-        assert (A * B).evaluate(x) == A.evaluate(x) * B.evaluate(x)
 
 
 @given(long_lists, long_lists, st.integers(1, 4))
@@ -318,6 +286,25 @@ class TestDenseDegreeLimit:
     def test_a_constant_takes_any_step(self):
         assert P(7).inflate(10**18) == P(7)
         assert product([2], [1, -1], 10**18) == P(2, -2)
+
+    def test_packed_sums_check_every_term(self, monkeypatch):
+        # a term's degree is its shift plus step * deg a + deg b; a side
+        # that reaches degree 6 is read back, one term past it refuses the
+        # whole call before any side is built
+        monkeypatch.setattr(polynomial, "MAX_DENSE_DEGREE", 6)
+        a, b = [1, 1], [1, 1, 1]
+        for shift, step in ((3, 1), (2, 2), (0, 4)):
+            [coeffs] = packed_sums([[(1, 0, 1, b, b), (1, shift, step, a, b)]])
+            assert len(coeffs) == 7
+        for shift, step in ((4, 1), (3, 2), (0, 5)):
+            sides = [[(1, 0, 1, a, b)], [(1, 0, 1, b, b), (-1, shift, step, a, b)]]
+            with pytest.raises(ValueError, match="^dense degree 7 exceeds the limit of 6$"):
+                next(packed_sums(sides))
+        # a term with a zero operand adds nothing and is not sized
+        assert list(packed_sums([[(1, 10**18, 1, [0], b)]])) == [[]]
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=f"^dense degree {10**18} exceeds"):
+            next(packed_sums([[(1, 10**18, 1, [1], [1])]]))
 
 
 terms = st.tuples(
