@@ -1,9 +1,15 @@
 """Identity verifiers: one runnable check per supported identity.
 
-Each verifier sweeps a finite parameter grid, compares both sides of its
-identity exactly (as polynomials or as integer counts), and returns a
-``VerificationReport``.  A report with an empty failure list is a pass;
-failures carry the offending parameter tuple and both sides' values.
+Each verifier is a ``check`` run by ``_sweep`` at every point of a product
+of ranges, its finite parameter grid.  A check compares both sides of its
+identity exactly (as polynomials or as integer counts) and returns how many
+comparisons it made and its counterexamples; ``_sweep`` alone tallies them
+into a ``VerificationReport``.  A report with an empty failure list is a
+pass; failures carry the offending parameter tuple and both sides' values.
+
+A grid of more than ``MAX_GRID_POINTS`` points is refused with
+``ValueError`` before its first point.  The limit bounds the number of
+points, not the cost of each point.
 
 The registry at the bottom maps stable identity ids (``"thm2.1"``, ``"eq2"``,
 ``"cor3.2"``, ...) to their verifiers; ``run_identity`` is the single entry
@@ -13,8 +19,9 @@ point used by the command-line front end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
-from math import comb, isqrt
+from functools import lru_cache
+from itertools import product, zip_longest
+from math import comb, isqrt, prod
 from typing import Callable, Sequence
 
 from .polynomial import ZERO, IntPolynomial, packed_sums
@@ -29,6 +36,9 @@ from .partitions import (
     qbar_enumerate_totals,
     qbar_gf,
 )
+
+# The most points one verification grid may hold.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -91,8 +101,79 @@ def _row_failures(
     ]
 
 
+def _mismatch(params: tuple, lhs: object, rhs: object) -> list[Counterexample]:
+    """The counterexample at ``params`` when the two sides differ, else none."""
+    return [] if lhs == rhs else [Counterexample(params, str(lhs), str(rhs))]
+
+
+def _sweep(
+    identity_id: str, grid: str, axes: tuple[range, ...], check: Callable
+) -> VerificationReport:
+    """Run ``check(*point)`` at every point of the product of ``axes``.
+
+    Each call returns how many comparisons it made and its counterexamples;
+    their order within one point is kept by the report's stable sort.  The
+    axes are step-1 ranges, so the point count is known before the first
+    point: above ``MAX_GRID_POINTS`` the grid is refused with ``ValueError``.
+    """
+    points = prod(max(0, axis.stop - axis.start) for axis in axes)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{identity_id}: grid of {points} points exceeds the limit of "
+            f"{MAX_GRID_POINTS}"
+        )
+    checked = 0
+    failures: list[Counterexample] = []
+    # product() holds each axis as a tuple first, so an empty grid is not walked
+    for point in product(*axes) if points else ():
+        comparisons, found = check(*point)
+        checked += comparisons
+        failures += found
+    return VerificationReport(identity_id, grid, checked, failures)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial identities for sums of Gaussian products.
+
+
+def _gaussian_sweep(
+    identity_id: str, m_max: int, n_max: int, step: int, right: Callable | None = None
+) -> VerificationReport:
+    """At every (m, n), compare a sum of Gaussian products with a right side.
+
+    The left side is the sum over k up to n // step of
+    [m+k, k] at q^step times [m+1, n-step*k] times q^C(n-step*k, 2).
+    ``right(n, wide)`` gives the ``packed_sums`` terms of the right side,
+    where wide[j] is [m+j, j]; without it the left side is compared with
+    [m+n, n] itself.  Every side at one m goes through one ``packed_sums``
+    call, which packs each Gaussian once for that m (the ones at q^step
+    padded, not inflated), so each product is one integer product.  The
+    call is made at the first n of m and, since the points come in order,
+    each n reads its own sides back in turn.
+    """
+
+    @lru_cache(maxsize=1)
+    def sums_at(m: int):
+        wide = [qbinom(m + j, j) for j in range(n_max + 1)]
+        narrow = [qbinom(m + 1, j).coeffs for j in range(n_max + 1)]
+        sides = []
+        for n in range(n_max + 1):
+            sides.append([
+                (1, comb(n - step * k, 2), step, wide[k].coeffs, narrow[n - step * k])
+                for k in range(n // step + 1)
+            ])
+            if right is not None:
+                sides.append(right(n, wide))
+        return wide, packed_sums(sides)
+
+    def check(m: int, n: int) -> tuple[int, list[Counterexample]]:
+        wide, sums = sums_at(m)
+        lhs = IntPolynomial(next(sums))
+        rhs = wide[n] if right is None else IntPolynomial(next(sums))
+        return 1, _mismatch((m, n), lhs, rhs)
+
+    grid = f"0<=m<={m_max}, 0<=n<={n_max}"
+    return _sweep(identity_id, grid, (range(m_max + 1), range(n_max + 1)), check)
 
 
 def verify_guo_yang_1(m_max: int = 10, n_max: int = 10) -> VerificationReport:
@@ -101,100 +182,43 @@ def verify_guo_yang_1(m_max: int = 10, n_max: int = 10) -> VerificationReport:
     For each grid point: the sum over k of
     [m+k, k] at q^2 times [m+1, n-2k] times q^C(n-2k, 2)
     must equal [m+n, n].
-
-    The left sides of all n at one m are summed by ``packed_sums``: each
-    Gaussian is packed once for that m (the q^2 ones padded, not inflated),
-    all at one digit width, each product is one integer product, and each
-    side is read back once and compared with [m+n, n].
     """
-    failures = []
-    checked = 0
-    for m in range(m_max + 1):
-        # [m + j, j] and [m + 1, j], for every j the sides at this m use
-        wide = [qbinom(m + j, j) for j in range(n_max + 1)]
-        narrow = [qbinom(m + 1, j).coeffs for j in range(n_max + 1)]
-        sides = [
-            [
-                (1, comb(n - 2 * k, 2), 2, wide[k].coeffs, narrow[n - 2 * k])
-                for k in range(n // 2 + 1)
-            ]
-            for n in range(n_max + 1)
-        ]
-        for n, coeffs in enumerate(packed_sums(sides)):
-            checked += 1
-            lhs = IntPolynomial(coeffs)
-            rhs = wide[n]
-            if lhs != rhs:
-                failures.append(Counterexample((m, n), str(lhs), str(rhs)))
-    grid = f"0<=m<={m_max}, 0<=n<={n_max}"
-    return VerificationReport("eq2", grid, checked, failures)
+    return _gaussian_sweep("eq2", m_max, n_max, 2)
 
 
 def verify_guo_yang_2(m_max: int = 10, n_max: int = 10) -> VerificationReport:
     """Second Guo-Yang identity, checked exactly as polynomials.
 
     The q^4 side (sum over k up to n // 4) must equal the alternating q^2
-    side (sum over k up to n // 2 with sign (-1)^k).
-
-    Both sides of all n at one m are summed by ``packed_sums``: each
-    Gaussian is packed once for that m (the q^2 and q^4 ones padded, not
-    inflated), all at one digit width, and each side is read back once.
+    side (sum over k up to n // 2 of (-1)^k [m+k, k] at q^2 times
+    [m+n-2k, n-2k]).
     """
-    failures = []
-    checked = 0
-    for m in range(m_max + 1):
-        # [m + j, j] and [m + 1, j], for every j the sides at this m use
-        wide = [qbinom(m + j, j).coeffs for j in range(n_max + 1)]
-        narrow = [qbinom(m + 1, j).coeffs for j in range(n_max + 1)]
-        sides = []
-        for n in range(n_max + 1):
-            sides.append([
-                (1, comb(n - 4 * k, 2), 4, wide[k], narrow[n - 4 * k])
-                for k in range(n // 4 + 1)
-            ])
-            sides.append([
-                (-1 if k % 2 else 1, 0, 2, wide[k], wide[n - 2 * k])
-                for k in range(n // 2 + 1)
-            ])
-        sums = packed_sums(sides)
-        # the sides come in pairs, left then right
-        for n, (lhs, rhs) in enumerate(zip(sums, sums)):
-            checked += 1
-            lhs, rhs = IntPolynomial(lhs), IntPolynomial(rhs)
-            if lhs != rhs:
-                failures.append(Counterexample((m, n), str(lhs), str(rhs)))
-    grid = f"0<=m<={m_max}, 0<=n<={n_max}"
-    return VerificationReport("eq3", grid, checked, failures)
+    return _gaussian_sweep("eq3", m_max, n_max, 4, lambda n, wide: [
+        (-1 if k % 2 else 1, 0, 2, wide[k].coeffs, wide[n - 2 * k].coeffs)
+        for k in range(n // 2 + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------
 # Structural properties of the two-kind counting function.
 
 
-def _two_kind_grid(r_max: int, param_max: int, lower: int = 0):
-    for r in range(1, r_max + 1):
-        for n1 in range(lower, param_max + 1):
-            for n2 in range(lower, param_max + 1):
-                for k1 in range(param_max + 1):
-                    for k2 in range(param_max + 1):
-                        yield r, n1, n2, k1, k2
+def _two_kind_grid(r_max: int, param_max: int, lower: int = 0) -> tuple[range, ...]:
+    """The axes r, N1, N2, k1, k2 of a two-kind grid; N1 and N2 start at ``lower``."""
+    bounds, parts = range(lower, param_max + 1), range(param_max + 1)
+    return range(1, r_max + 1), bounds, bounds, parts, parts
 
 
 def _rows_against_oracle(
-    identity_id: str,
-    route: Callable[..., Sequence[int]],
-    oracle: Callable[..., Sequence[int]],
-    r_max: int,
-    param_max: int,
+    identity_id: str, route: Callable, oracle: Callable, r_max: int, param_max: int
 ) -> VerificationReport:
     """Compare a route's row of counts with the oracle's for every bound tuple."""
-    failures = []
-    checked = 0
-    for bounds in _two_kind_grid(r_max, param_max):
-        checked += 1
-        failures += _row_failures(bounds, route(*bounds), oracle(*bounds))
+
+    def check(*bounds: int):
+        return 1, _row_failures(bounds, route(*bounds), oracle(*bounds))
+
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}, all n"
-    return VerificationReport(identity_id, grid, checked, failures)
+    return _sweep(identity_id, grid, _two_kind_grid(r_max, param_max), check)
 
 
 def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
@@ -216,37 +240,31 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
 
     Checking generating functions covers every target n at once; boundary
     terms with a part-count bound at -1 vanish through the zero branch of
-    the Gaussian polynomial.
+    the Gaussian polynomial.  A counterexample's first parameter is the
+    relation's index, 1 to 3.
     """
-    failures = []
-    checked = 0
-    for r, n1, n2, k1, k2 in _two_kind_grid(r_max, param_max, lower=1):
+
+    def check(r: int, n1: int, n2: int, k1: int, k2: int):
         gf = pbar_gf(r, n1, n2, k1, k2)
+        a = pbar_gf(r, n1 - 1, n2 - 1, k1, k2)
+        b = pbar_gf(r, n1 - 1, n2, k1, k2 - 1)
+        c = pbar_gf(r, n1, n2 - 1, k1 - 1, k2)
+        d = pbar_gf(r, n1, n2, k1 - 1, k2 - 1)
         relations = (
-            pbar_gf(r, n1 - 1, n2 - 1, k1, k2).shift(k1 * r + k2)
-            + pbar_gf(r, n1 - 1, n2, k1, k2 - 1).shift(k1 * r)
-            + pbar_gf(r, n1, n2 - 1, k1 - 1, k2).shift(k2)
-            + pbar_gf(r, n1, n2, k1 - 1, k2 - 1),
-            pbar_gf(r, n1 - 1, n2 - 1, k1, k2)
-            + pbar_gf(r, n1 - 1, n2, k1, k2 - 1).shift(n2)
-            + pbar_gf(r, n1, n2 - 1, k1 - 1, k2).shift(n1 * r)
-            + pbar_gf(r, n1, n2, k1 - 1, k2 - 1).shift(n1 * r + n2),
-            pbar_gf(r, n1 - 1, n2 - 1, k1, k2).shift(k1 * r)
-            + pbar_gf(r, n1 - 1, n2, k1, k2 - 1).shift(k1 * r + n2)
-            + pbar_gf(r, n1, n2 - 1, k1 - 1, k2)
-            + pbar_gf(r, n1, n2, k1 - 1, k2 - 1).shift(n2),
+            a.shift(k1 * r + k2) + b.shift(k1 * r) + c.shift(k2) + d,
+            a + b.shift(n2) + c.shift(n1 * r) + d.shift(n1 * r + n2),
+            a.shift(k1 * r) + b.shift(k1 * r + n2) + c + d.shift(n2),
         )
-        for index, rhs in enumerate(relations, start=1):
-            checked += 1
-            if gf != rhs:
-                failures.append(
-                    Counterexample((index, r, n1, n2, k1, k2), str(gf), str(rhs))
-                )
+        return 3, [
+            Counterexample((index, r, n1, n2, k1, k2), str(gf), str(rhs))
+            for index, rhs in enumerate(relations, start=1) if gf != rhs
+        ]
+
     grid = (
         f"1<=r<={r_max}, 1<=N1,N2<={param_max}, 0<=k1,k2<={param_max}, "
         "three relations, all n"
     )
-    return VerificationReport("thm2.3", grid, checked, failures)
+    return _sweep("thm2.3", grid, _two_kind_grid(r_max, param_max, lower=1), check)
 
 
 def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -262,30 +280,21 @@ def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     differ only if ``product`` is not deterministic.  Per-kind conjugation
     of the enumerated partitions would make them a real check.
     """
-    failures = []
-    checked = 0
-    for r, n1, n2, k1, k2 in _two_kind_grid(r_max, param_max):
-        checked += 1
-        gf = pbar_gf(r, n1, n2, k1, k2)
-        for swapped in (
-            pbar_gf(r, k1, n2, n1, k2),
-            pbar_gf(r, n1, k2, k1, n2),
-            pbar_gf(r, k1, k2, n1, n2),
-        ):
-            if gf != swapped:
-                failures.append(
-                    Counterexample((r, n1, n2, k1, k2), str(gf), str(swapped))
-                )
+
+    def check(*params: int):
+        r, n1, n2, k1, k2 = params
+        gf = pbar_gf(*params)
+        found = (
+            _mismatch(params, gf, pbar_gf(r, k1, n2, n1, k2))
+            + _mismatch(params, gf, pbar_gf(r, n1, k2, k1, n2))
+            + _mismatch(params, gf, pbar_gf(r, k1, k2, n1, n2))
+        )
         if not gf.is_self_reciprocal():
-            failures.append(
-                Counterexample(
-                    (r, n1, n2, k1, k2),
-                    str(gf),
-                    str(IntPolynomial(tuple(reversed(gf.coeffs)))),
-                )
-            )
+            found += _mismatch(params, gf, IntPolynomial(tuple(reversed(gf.coeffs))))
+        return 1, found
+
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}"
-    return VerificationReport("thm2.4", grid, checked, failures)
+    return _sweep("thm2.4", grid, _two_kind_grid(r_max, param_max), check)
 
 
 def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -295,17 +304,16 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     function at (N1-k1, N2-k2) shifted by r*C(k1+1, 2) + C(k2+1, 2); when a
     reduced bound is negative, both sides vanish.
     """
-    failures = []
-    checked = 0
-    for r, n1, n2, k1, k2 in _two_kind_grid(r_max, param_max):
-        checked += 1
-        lhs = qbar_gf(r, n1, n2, k1, k2)
+
+    def check(*params: int):
+        r, n1, n2, k1, k2 = params
+        lhs = qbar_gf(*params)
         offset = r * comb(k1 + 1, 2) + comb(k2 + 1, 2)
         rhs = pbar_gf(r, n1 - k1, n2 - k2, k1, k2).shift(offset)
-        if lhs != rhs:
-            failures.append(Counterexample((r, n1, n2, k1, k2), str(lhs), str(rhs)))
+        return 1, _mismatch(params, lhs, rhs)
+
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}"
-    return VerificationReport("thm2.5", grid, checked, failures)
+    return _sweep("thm2.5", grid, _two_kind_grid(r_max, param_max), check)
 
 
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -363,16 +371,13 @@ def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:
     same identity through the polynomial product; their agreement is a route
     agreement.
     """
-    failures = []
-    checked = 0
-    for N in range(n_max + 1):
-        for k in range(k_max + 1):
-            checked += N * k + 1
-            failures += _row_failures(
-                (N, k), _expansion(2, N, k).coeffs, qbinom(N + k, N).coeffs
-            )
+
+    def check(N: int, k: int):
+        got = _expansion(2, N, k).coeffs
+        return N * k + 1, _row_failures((N, k), got, qbinom(N + k, N).coeffs)
+
     grid = f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k"
-    return VerificationReport("thm3.1", grid, checked, failures)
+    return _sweep("thm3.1", grid, (range(n_max + 1), range(k_max + 1)), check)
 
 
 def corollary_lower_index(n: int) -> int:
@@ -413,8 +418,6 @@ def corollary_terms(n: int) -> list[int]:
     Term j is the two-kind count at r=2 with bounds
     (n, n-2j, j, 2j+1) and target n - C(n-2j, 2).
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     return [
         pbar_convolution(
             TwoKindQuery(2, n, n - 2 * j, j, 2 * j + 1, n - comb(n - 2 * j, 2))
@@ -430,11 +433,11 @@ def p_by_corollary(n: int) -> int:
 
 def verify_cor32(n_max: int = 60) -> VerificationReport:
     """The short-sum partition formula against p(n, n, n)."""
-    targets = range(n_max + 1)
-    failures = _row_failures(
-        (), [p_by_corollary(n) for n in targets], [partition_p(n) for n in targets]
-    )
-    return VerificationReport("cor3.2", f"0<=n<={n_max}", len(targets), failures)
+
+    def check(n: int):
+        return 1, _mismatch((n,), p_by_corollary(n), partition_p(n))
+
+    return _sweep("cor3.2", f"0<=n<={n_max}", (range(n_max + 1),), check)
 
 
 def verify_thm33(
@@ -451,20 +454,18 @@ def verify_thm33(
     here, checked with a plain convolution loop, against the polynomial
     product in ``eq3``.
     """
-    failures = []
-    checked = 0
-    for N in range(n_max + 1):
-        for k in range(k_max + 1):
-            checked += N * k + 1
-            rhs = ZERO
-            for j in range(k // 2 + 1):
-                row = IntPolynomial(pbar_convolution_totals(2, N, N, j, k - 2 * j))
-                rhs = rhs + (-row if signed and j % 2 else row)
-            failures += _row_failures((N, k), _expansion(4, N, k).coeffs, rhs.coeffs)
+
+    def check(N: int, k: int):
+        rhs = ZERO
+        for j in range(k // 2 + 1):
+            row = IntPolynomial(pbar_convolution_totals(2, N, N, j, k - 2 * j))
+            rhs = rhs + (-row if signed and j % 2 else row)
+        return N * k + 1, _row_failures((N, k), _expansion(4, N, k).coeffs, rhs.coeffs)
+
     grid = f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k" + (
         "" if signed else " (sign factor dropped)"
     )
-    return VerificationReport("thm3.3", grid, checked, failures)
+    return _sweep("thm3.3", grid, (range(n_max + 1), range(k_max + 1)), check)
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,14 @@ class TestVerify:
             assert out == ""
             assert err.startswith("error: ") and "empty verification grid" in err
 
+    def test_oversized_grid_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "thm2.1", "--r-max", "100000000")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: thm2.1: grid of 62500000000 points exceeds the limit of 1000000\n"
+        )
+
     def test_all_json_shape(self, capsys):
         code, out, _ = run(
             capsys, "verify", "all",

@@ -33,6 +33,21 @@ from qpartitions.polynomial import IntPolynomial
 from qpartitions.qbinomial import qbinom
 
 
+def perturb(monkeypatch, name, cells):
+    """Add ``cells[args]`` to ``identities.<name>(*args)`` at the listed arguments."""
+    real = getattr(identities, name)
+
+    def perturbed(*args):
+        value = real(*args)
+        return value + cells[args] if args in cells else value
+
+    monkeypatch.setattr(identities, name, perturbed)
+
+
+def failures(report):
+    return [c.as_dict() for c in report.failures]
+
+
 def pentagonal_partition_numbers(limit):
     """p(0..limit) by the alternating pentagonal recurrence.  Oracle only."""
     values = [1] + [0] * limit
@@ -110,6 +125,76 @@ class TestReportContract:
     def test_run_identity_filters_overrides(self):
         report = run_identity("eq2", m_max=2, n_max=2, param_max=99, r_max=None)
         assert report.checked == 9 and report.passed
+
+    SQUARE = {"r_max": 2, "param_max": 2, "m_max": 3, "n_max": 3, "k_max": 3}
+    OBLONG = {"r_max": 3, "param_max": 1, "m_max": 2, "n_max": 5, "k_max": 1}
+
+    @pytest.mark.parametrize("grid", [SQUARE, OBLONG], ids=["square", "oblong"])
+    @pytest.mark.parametrize("identity_id", IDENTITY_IDS)
+    def test_checked_counts_match_closed_forms(self, identity_id, grid):
+        r, top = grid["r_max"], grid["param_max"]
+        m, n, k = grid["m_max"], grid["n_max"], grid["k_max"]
+        expected = {
+            "eq2": (m + 1) * (n + 1),
+            "eq3": (m + 1) * (n + 1),
+            "cor3.2": n + 1,
+            "thm3.1": sum(N * j + 1 for N in range(n + 1) for j in range(k + 1)),
+            "thm3.3": sum(N * j + 1 for N in range(n + 1) for j in range(k + 1)),
+            "thm2.3": 3 * r * top**2 * (top + 1) ** 2,
+        }.get(identity_id, r * (top + 1) ** 4)
+        report = run_identity(identity_id, **grid)
+        assert report.passed
+        assert report.checked == expected
+
+
+class TestGridLimit:
+    def test_grid_at_the_limit_runs(self, monkeypatch):
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 12)
+        points = []
+
+        def check(*point):
+            points.append(point)
+            return 1, []
+
+        report = identities._sweep("x", "grid", (range(3), range(1, 5)), check)
+        assert report.checked == 12 and report.passed
+        assert points == [(i, j) for i in range(3) for j in range(1, 5)]
+
+    def test_one_point_over_is_refused_before_any_check(self, monkeypatch):
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 11)
+
+        def check(*point):
+            raise AssertionError(f"checked {point}")
+
+        with pytest.raises(ValueError, match=r"^x: grid of 12 points exceeds the limit of 11$"):
+            identities._sweep("x", "grid", (range(3), range(1, 5)), check)
+
+    def test_verifiers_size_their_grid_first(self, monkeypatch):
+        # thm2.1 at r <= 2, N1, N2, k1, k2 <= 1 has 2 * 2**4 = 32 points
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 32)
+        assert verify_thm21(r_max=2, param_max=1).checked == 32
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 31)
+        monkeypatch.setattr(identities, "pbar_convolution_totals", None)
+        with pytest.raises(ValueError, match="thm2.1: grid of 32 points"):
+            verify_thm21(r_max=2, param_max=1)
+
+    @pytest.mark.parametrize(
+        "identity_id, grid",
+        [
+            ("thm2.1", {"r_max": 10**8}),
+            ("thm2.3", {"r_max": 10**30}),  # past a C ssize_t
+            ("eq2", {"n_max": 10**8}),
+            ("cor3.2", {"n_max": 10**6}),
+        ],
+    )
+    def test_unpatched_limit_refuses_large_grids(self, identity_id, grid):
+        with pytest.raises(ValueError, match=f"limit of {10**6}$"):
+            run_identity(identity_id, **grid)
+
+    def test_empty_axis_is_not_walked(self):
+        # an empty N1 axis next to a huge r axis checks nothing, at once
+        with pytest.raises(ValueError, match="empty verification grid"):
+            verify_thm23(r_max=10**15, param_max=0)
 
 
 class TestGuoYang:
@@ -240,6 +325,47 @@ class TestStructuralVerifiers:
             {"params": [2, 1, 1, 1, 1, 4], "lhs": "5", "rhs": "0"},
         ]
 
+    def test_recurrence_counterexamples_carry_the_relation_index(self, monkeypatch):
+        # the perturbed cell is the (N1-1, N2-1) neighbour of (1, 1, 1, 1, 1),
+        # shifted by k1*r + k2, by nothing and by k1*r in the three relations
+        perturb(monkeypatch, "pbar_gf", {(1, 0, 0, 1, 1): IntPolynomial((0, 0, 0, 1))})
+        report = verify_thm23(r_max=1, param_max=1)
+        assert report.checked == 12
+        lhs = "1 + 2*q + q^2"
+        assert failures(report) == [
+            {"params": [1, 1, 1, 1, 1, 1], "lhs": lhs, "rhs": lhs + " + q^5"},
+            {"params": [2, 1, 1, 1, 1, 1], "lhs": lhs, "rhs": lhs + " + q^3"},
+            {"params": [3, 1, 1, 1, 1, 1], "lhs": lhs, "rhs": lhs + " + q^4"},
+        ]
+
+    def test_symmetry_counterexamples_share_their_params(self, monkeypatch):
+        # three swaps, then the reversed polynomial, at the perturbed tuple;
+        # one swap at each tuple that swaps into it
+        perturb(monkeypatch, "pbar_gf", {(1, 1, 1, 0, 0): IntPolynomial((0, 2))})
+        report = verify_thm24(r_max=1, param_max=1)
+        assert report.checked == 16
+        into = {"lhs": "1", "rhs": "1 + 2*q"}
+        swap = {"params": [1, 1, 1, 0, 0], "lhs": "1 + 2*q", "rhs": "1"}
+        assert failures(report) == [
+            {"params": [1, 0, 0, 1, 1], **into},
+            {"params": [1, 0, 1, 1, 0], **into},
+            {"params": [1, 1, 0, 0, 1], **into},
+            swap,
+            swap,
+            swap,
+            {"params": [1, 1, 1, 0, 0], "lhs": "1 + 2*q", "rhs": "2 + q"},
+        ]
+
+    def test_staircase_counterexamples_on_either_side(self, monkeypatch):
+        perturb(monkeypatch, "pbar_gf", {(1, 0, 1, 1, 0): IntPolynomial((0, 0, 0, 0, 5))})
+        perturb(monkeypatch, "qbar_gf", {(1, 1, 1, 1, 1): IntPolynomial((-1,))})
+        report = verify_thm25(r_max=1, param_max=1)
+        assert report.checked == 16
+        assert failures(report) == [
+            {"params": [1, 1, 1, 1, 0], "lhs": "q", "rhs": "q + 5*q^5"},
+            {"params": [1, 1, 1, 1, 1], "lhs": "-1 + q^2", "rhs": "q^2"},
+        ]
+
     def test_count_verifiers_multiply_no_polynomials(self, monkeypatch):
         # the convolution route and the row sums stay independent of pbar_gf
         def forbidden(*args):
@@ -332,6 +458,11 @@ class TestShortSumFormula:
     def test_edge(self):
         assert p_by_corollary(0) == 1
         assert corollary_terms(0) == [1]
+        for formula in (
+            corollary_lower_index, corollary_ceiling_index, corollary_terms, p_by_corollary
+        ):
+            with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+                formula(-1)
 
     def test_term_count_matches_terms(self):
         for n in range(41):
@@ -349,6 +480,15 @@ class TestShortSumFormula:
     def test_default_grid_verifier(self):
         assert verify_cor32(n_max=25).passed
 
+
+    def test_counterexamples_name_the_target(self, monkeypatch):
+        perturb(monkeypatch, "partition_p", {(0,): 1, (5,): 1})
+        report = verify_cor32(n_max=6)
+        assert report.checked == 7
+        assert failures(report) == [
+            {"params": [0], "lhs": "1", "rhs": "2"},
+            {"params": [5], "lhs": "7", "rhs": "8"},
+        ]
 
 class TestCrossStepExpansion:
     def test_single_part_instance(self):
