@@ -83,6 +83,9 @@ _ROUTES: dict[str, dict[str, Callable[[dict[str, int]], int]]] = {
     },
 }
 
+# Every grid bound a verifier takes; ``verify`` has one --*-max flag for each.
+_GRID_BOUNDS = ("m_max", "n_max", "k_max", "r_max", "param_max")
+
 _MAX_TEXT_FAILURES = 10
 
 
@@ -177,13 +180,7 @@ def _report_lines(reports: list[VerificationReport]) -> Iterable[str]:
 
 
 def _cmd_verify(args) -> Output:
-    overrides = {
-        "m_max": args.m_max,
-        "n_max": args.n_max,
-        "k_max": args.k_max,
-        "r_max": args.r_max,
-        "param_max": args.param_max,
-    }
+    overrides = {name: getattr(args, name) for name in _GRID_BOUNDS}
     ids = IDENTITY_IDS if args.identity == "all" else (args.identity,)
     reports = [run_identity(identity_id, **overrides) for identity_id in ids]
     passed = all(r.passed for r in reports)
@@ -269,11 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = command("verify", _cmd_verify, "verify an identity over a grid")
     verify.add_argument("identity", choices=IDENTITY_IDS + ("all",))
-    verify.add_argument("--m-max", dest="m_max", type=int, default=None)
-    verify.add_argument("--n-max", dest="n_max", type=int, default=None)
-    verify.add_argument("--k-max", dest="k_max", type=int, default=None)
-    verify.add_argument("--r-max", dest="r_max", type=int, default=None)
-    verify.add_argument("--param-max", dest="param_max", type=int, default=None)
+    for name in _GRID_BOUNDS:
+        verify.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
 
     table = command(
         "table",

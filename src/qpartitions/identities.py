@@ -8,8 +8,11 @@ into a ``VerificationReport``.  A report with an empty failure list is a
 pass; failures carry the offending parameter tuple and both sides' values.
 
 A grid of more than ``MAX_GRID_POINTS`` points is refused with
-``ValueError`` before its first point.  The limit bounds the number of
-points, not the cost of each point.
+``ValueError`` before its first point.  A point of Thm 3.1 or Thm 3.3 at
+(N, k) compares N*k + 1 counts, so those two grids are held to the same
+limit in comparisons, the report's ``checked``.  The limit bounds the run,
+not its speed: the largest square Thm 3.x grid it allows, 44 by 44
+(982,125 comparisons), takes over a minute.
 
 The registry at the bottom maps stable identity ids (``"thm2.1"``, ``"eq2"``,
 ``"cor3.2"``, ...) to their verifiers; ``run_identity`` is the single entry
@@ -106,6 +109,14 @@ def _mismatch(params: tuple, lhs: object, rhs: object) -> list[Counterexample]:
     return [] if lhs == rhs else [Counterexample(params, str(lhs), str(rhs))]
 
 
+def _check_grid(identity_id: str, size: int, unit: str) -> None:
+    """Refuse a grid of more than ``MAX_GRID_POINTS`` points or comparisons."""
+    if size > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{identity_id}: grid of {size} {unit} exceeds the limit of {MAX_GRID_POINTS}"
+        )
+
+
 def _sweep(
     identity_id: str, grid: str, axes: tuple[range, ...], check: Callable
 ) -> VerificationReport:
@@ -117,11 +128,7 @@ def _sweep(
     point: above ``MAX_GRID_POINTS`` the grid is refused with ``ValueError``.
     """
     points = prod(max(0, axis.stop - axis.start) for axis in axes)
-    if points > MAX_GRID_POINTS:
-        raise ValueError(
-            f"{identity_id}: grid of {points} points exceeds the limit of "
-            f"{MAX_GRID_POINTS}"
-        )
+    _check_grid(identity_id, points, "points")
     checked = 0
     failures: list[Counterexample] = []
     # product() holds each axis as a tuple first, so an empty grid is not walked
@@ -143,6 +150,8 @@ def _gaussian_sweep(
 
     The left side is the sum over k up to n // step of
     [m+k, k] at q^step times [m+1, n-step*k] times q^C(n-step*k, 2).
+    [m+1, j] vanishes past j = m+1, so only the terms with n - step*k at
+    most m+1 are built.
     ``right(n, wide)`` gives the ``packed_sums`` terms of the right side,
     where wide[j] is [m+j, j]; without it the left side is compared with
     [m+n, n] itself.  Every side at one m goes through one ``packed_sums``
@@ -155,12 +164,12 @@ def _gaussian_sweep(
     @lru_cache(maxsize=1)
     def sums_at(m: int):
         wide = [qbinom(m + j, j) for j in range(n_max + 1)]
-        narrow = [qbinom(m + 1, j).coeffs for j in range(n_max + 1)]
+        narrow = [qbinom(m + 1, j).coeffs for j in range(min(m + 1, n_max) + 1)]
         sides = []
         for n in range(n_max + 1):
             sides.append([
                 (1, comb(n - step * k, 2), step, wide[k].coeffs, narrow[n - step * k])
-                for k in range(n // step + 1)
+                for k in range(max(0, -((m + 1 - n) // step)), n // step + 1)
             ])
             if right is not None:
                 sides.append(right(n, wide))
@@ -362,6 +371,21 @@ def expand_p_thm31(N: int, k: int, n: int) -> int:
     return total
 
 
+def _expansion_grid(
+    identity_id: str, n_max: int, k_max: int
+) -> tuple[str, tuple[range, range]]:
+    """The grid text and the (N, k) axes of Thm 3.1 and Thm 3.3.
+
+    A point (N, k) compares rows of N*k + 1 counts, so the grid makes
+    C(n_max+1, 2) * C(k_max+1, 2) + (n_max+1) * (k_max+1) comparisons.  Past
+    ``MAX_GRID_POINTS`` of them it is refused with ``ValueError`` here,
+    before its first point.
+    """
+    ns, ks = max(0, n_max + 1), max(0, k_max + 1)
+    _check_grid(identity_id, comb(ns, 2) * comb(ks, 2) + ns * ks, "comparisons")
+    return f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k", (range(ns), range(ks))
+
+
 def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:
     """The r=2 expansion against the one-kind count, over a full grid.
 
@@ -376,21 +400,23 @@ def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:
         got = _expansion(2, N, k).coeffs
         return N * k + 1, _row_failures((N, k), got, qbinom(N + k, N).coeffs)
 
-    grid = f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k"
-    return _sweep("thm3.1", grid, (range(n_max + 1), range(k_max + 1)), check)
+    return _sweep("thm3.1", *_expansion_grid("thm3.1", n_max, k_max), check)
 
 
 def corollary_lower_index(n: int) -> int:
     """Smallest j >= 0 with C(n-2j, 2) <= n, found by exact integer scan.
 
     This is the first index whose summand can be nonzero in the partition
-    formula below; the scan is bit-exact for arbitrarily large n.
+    formula below; the scan is bit-exact for arbitrarily large n.  The
+    condition holds at j = n // 2 and on every j above the answer, so the
+    scan walks down from n // 2 and its work is bounded by the term count,
+    about sqrt(n/2), not by n.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    j = 0
-    while comb(n - 2 * j, 2) > n:
-        j += 1
+    j = n // 2
+    while j > 0 and comb(n - 2 * (j - 1), 2) <= n:
+        j -= 1
     return j
 
 
@@ -462,10 +488,10 @@ def verify_thm33(
             rhs = rhs + (-row if signed and j % 2 else row)
         return N * k + 1, _row_failures((N, k), _expansion(4, N, k).coeffs, rhs.coeffs)
 
-    grid = f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k" + (
-        "" if signed else " (sign factor dropped)"
-    )
-    return _sweep("thm3.3", grid, (range(n_max + 1), range(k_max + 1)), check)
+    grid, axes = _expansion_grid("thm3.3", n_max, k_max)
+    if not signed:
+        grid += " (sign factor dropped)"
+    return _sweep("thm3.3", grid, axes, check)
 
 
 # ---------------------------------------------------------------------------

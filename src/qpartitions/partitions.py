@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .polynomial import ZERO, IntPolynomial, _check_dense, product
 from .qbinomial import qbinom
@@ -290,10 +290,16 @@ def qbar_enumerate(query: TwoKindQuery) -> list[DistinctTwoKindPartition]:
     return _listing(DistinctTwoKindPartition, query, 1)
 
 
-def _tally(first_totals: list[int], second_totals: list[int], size: int) -> list[int]:
-    """Count the pairs (a, b) by a + b, for a list of ``size`` entries."""
-    counts = [0] * size
-    for a in first_totals:
+def _tally(r: int, firsts: Iterable, seconds: Iterable, top: int) -> list[int]:
+    """Count the pairs of picks (tuples of parts) by r*sum(first) + sum(second).
+
+    The list covers the totals 0 through ``top``, which is checked against
+    ``MAX_DENSE_DEGREE`` before any pick is drawn.
+    """
+    _check_dense(top)
+    second_totals = [sum(parts) for parts in seconds]
+    counts = [0] * (top + 1)
+    for a in (r * sum(parts) for parts in firsts):
         for b in second_totals:
             counts[a + b] += 1
     return counts
@@ -310,15 +316,9 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     replacement from 0..N, a 0 standing for "no part".
     """
     _check_bounds(r, n1, n2, k1, k2)
-    top = r * n1 * k1 + n2 * k2
-    _check_dense(top)
-    first_totals = [
-        r * sum(parts) for parts in combinations_with_replacement(range(n1 + 1), k1)
-    ]
-    second_totals = [
-        sum(parts) for parts in combinations_with_replacement(range(n2 + 1), k2)
-    ]
-    return _tally(first_totals, second_totals, top + 1)
+    firsts = combinations_with_replacement(range(n1 + 1), k1)
+    seconds = combinations_with_replacement(range(n2 + 1), k2)
+    return _tally(r, firsts, seconds, r * n1 * k1 + n2 * k2)
 
 
 def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -326,13 +326,13 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
 
     The list covers 0 through the largest achievable total (at least 0); all
     entries are 0 when no selection of exactly k1 and k2 distinct parts
-    exists.
+    exists.  A set of exactly k distinct parts is listed as k picks without
+    replacement from 1..N.
     """
     _check_bounds(r, n1, n2, k1, k2)
     if k1 > n1 or k2 > n2:
         return [0]
     top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
-    _check_dense(top)
-    first_totals = [r * sum(parts) for parts in combinations(range(1, n1 + 1), k1)]
-    second_totals = [sum(parts) for parts in combinations(range(1, n2 + 1), k2)]
-    return _tally(first_totals, second_totals, top + 1)
+    firsts = combinations(range(1, n1 + 1), k1)
+    seconds = combinations(range(1, n2 + 1), k2)
+    return _tally(r, firsts, seconds, top)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import qpartitions.cli as cli
+from qpartitions import identities
 from qpartitions.cli import main
 
 WORKED_FLAGS = ["--r", "2", "--n1", "2", "--n2", "3", "--k1", "2", "--k2", "2"]
@@ -346,6 +347,21 @@ class TestVerify:
         assert err == (
             "error: thm2.1: grid of 62500000000 points exceeds the limit of 1000000\n"
         )
+
+    def test_costly_expansion_grid_is_a_usage_error(self, capsys):
+        # 40,401 points, but each (N, k) compares rows of N*k + 1 counts
+        code, out, err = run(
+            capsys, "verify", "thm3.1", "--n-max", "200", "--k-max", "200"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: thm3.1: grid of 404050401 comparisons exceeds the limit of 1000000\n"
+        )
+
+    def test_every_grid_bound_has_a_flag(self):
+        accepted = {name for _, names in identities._REGISTRY.values() for name in names}
+        assert sorted(cli._GRID_BOUNDS) == sorted(accepted)
 
     def test_all_json_shape(self, capsys):
         code, out, _ = run(

@@ -185,11 +185,27 @@ class TestGridLimit:
             ("thm2.3", {"r_max": 10**30}),  # past a C ssize_t
             ("eq2", {"n_max": 10**8}),
             ("cor3.2", {"n_max": 10**6}),
+            ("thm3.1", {"n_max": 200, "k_max": 200}),  # 40,401 points
         ],
     )
     def test_unpatched_limit_refuses_large_grids(self, identity_id, grid):
         with pytest.raises(ValueError, match=f"limit of {10**6}$"):
             run_identity(identity_id, **grid)
+
+    @pytest.mark.parametrize(
+        "identity_id, verifier", [("thm3.1", verify_thm31), ("thm3.3", verify_thm33)]
+    )
+    def test_expansion_grids_count_comparisons(
+        self, monkeypatch, identity_id, verifier
+    ):
+        # 12 points at N <= 2, k <= 3, whose rows hold 3 * 6 + 3 * 4 = 30 counts
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 30)
+        assert verifier(n_max=2, k_max=3).checked == 30
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 29)
+        monkeypatch.setattr(identities, "pbar_convolution_totals", None)
+        refusal = f"^{identity_id}: grid of 30 comparisons exceeds the limit of 29$"
+        with pytest.raises(ValueError, match=refusal):
+            verifier(n_max=2, k_max=3)
 
     def test_empty_axis_is_not_walked(self):
         # an empty N1 axis next to a huge r axis checks nothing, at once
@@ -207,6 +223,19 @@ class TestGuoYang:
         report = verify_guo_yang_1(m_max=8, n_max=8)
         assert report.passed
         assert report.checked == 81
+
+    def test_only_live_terms_are_built(self, monkeypatch):
+        # [1, j] vanishes past j = 1, so at m = 0 each n has one live term
+        real = identities.packed_sums
+        terms = []
+
+        def counting(sides):
+            terms.append(sum(len(side) for side in sides))
+            return real(sides)
+
+        monkeypatch.setattr(identities, "packed_sums", counting)
+        assert verify_guo_yang_1(m_max=0, n_max=60).passed
+        assert terms == [61]
 
     def test_second_identity_single_term_instance(self):
         report = verify_guo_yang_2(m_max=0, n_max=1)
@@ -450,6 +479,19 @@ class TestShortSumFormula:
                 == corollary_ceiling_index(n)
                 == decimal_ceiling_index(n)
             ), n
+
+    def test_lower_index_scan_is_bounded_by_the_term_count(self, monkeypatch):
+        real = identities.comb
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(identities, "comb", counting)
+        assert corollary_lower_index(10**6) == corollary_ceiling_index(10**6)
+        assert len(calls) <= 1000
+        assert corollary_term_count(10**12) == 707108
 
     def test_worked_instance_terms(self):
         assert corollary_terms(6) == [1, 7, 3]
