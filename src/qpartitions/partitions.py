@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 from .polynomial import ZERO, IntPolynomial, _check_dense, product
 from .qbinomial import qbinom
@@ -290,17 +290,23 @@ def qbar_enumerate(query: TwoKindQuery) -> list[DistinctTwoKindPartition]:
     return _listing(DistinctTwoKindPartition, query, 1)
 
 
-def _tally(r: int, firsts: Iterable, seconds: Iterable, top: int) -> list[int]:
+def _tally(r: int, pick: Callable, first: tuple, second: tuple, top: int) -> list[int]:
     """Count the pairs of picks (tuples of parts) by r*sum(first) + sum(second).
 
-    The list covers the totals 0 through ``top``, which is checked against
-    ``MAX_DENSE_DEGREE`` before any pick is drawn.
+    ``first`` and ``second`` are (pool, k) pairs, each drawn as
+    ``pick(pool, k)``.  The list covers the totals 0 through ``top``, which is
+    checked against ``MAX_DENSE_DEGREE`` before any pick is set up: itertools
+    copies the whole pool when it makes the iterator, so an oversized row is
+    refused before a pool of the same size is built.  A pick of no parts
+    copies no pool.
     """
     _check_dense(top)
-    second_totals = [sum(parts) for parts in seconds]
+    first_sums, second_sums = (
+        [sum(p) for p in pick(pool if k else (), k)] for pool, k in (first, second)
+    )
     counts = [0] * (top + 1)
-    for a in (r * sum(parts) for parts in firsts):
-        for b in second_totals:
+    for a in (r * s for s in first_sums):
+        for b in second_sums:
             counts[a + b] += 1
     return counts
 
@@ -316,9 +322,8 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     replacement from 0..N, a 0 standing for "no part".
     """
     _check_bounds(r, n1, n2, k1, k2)
-    firsts = combinations_with_replacement(range(n1 + 1), k1)
-    seconds = combinations_with_replacement(range(n2 + 1), k2)
-    return _tally(r, firsts, seconds, r * n1 * k1 + n2 * k2)
+    pools = (range(n1 + 1), k1), (range(n2 + 1), k2)
+    return _tally(r, combinations_with_replacement, *pools, r * n1 * k1 + n2 * k2)
 
 
 def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -333,6 +338,5 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     if k1 > n1 or k2 > n2:
         return [0]
     top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
-    firsts = combinations(range(1, n1 + 1), k1)
-    seconds = combinations(range(1, n2 + 1), k2)
-    return _tally(r, firsts, seconds, top)
+    pools = (range(1, n1 + 1), k1), (range(1, n2 + 1), k2)
+    return _tally(r, combinations, *pools, top)

@@ -106,6 +106,20 @@ class TestQueryValidation:
         monkeypatch.undo()
         with pytest.raises(ValueError, match=f"^dense degree {10**18} exceeds"):
             totals(10**18, 1, 0, 1, 0)
+        # one part from a huge pool: refused before any pool is copied
+        for bounds in ((10**18, 0, 1, 0), (0, 10**18, 0, 1)):
+            with pytest.raises(ValueError, match=f"^dense degree {10**18} exceeds"):
+                totals(1, *bounds)
+
+    @pytest.mark.parametrize(
+        "totals, one_part_row",
+        [(pbar_enumerate_totals, [1, 1, 1, 1]), (qbar_enumerate_totals, [0, 1, 1, 1])],
+    )
+    def test_totals_copy_no_pool_for_a_kind_with_no_parts(self, totals, one_part_row):
+        # a kind with k = 0 has one empty pick, whatever its pool
+        assert totals(1, 10**18, 0, 0, 0) == [1]
+        assert totals(2, 0, 10**18, 0, 0) == [1]
+        assert totals(1, 10**18, 3, 0, 1) == one_part_row
 
     def test_generating_functions_reject_a_step_below_one(self):
         # a one-coefficient first operand needs no gap, but its step is
