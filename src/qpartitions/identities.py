@@ -6,13 +6,17 @@ identity exactly (as polynomials or as integer counts) and returns how many
 comparisons it made and its counterexamples; ``_sweep`` alone tallies them
 into a ``VerificationReport``.  A report with an empty failure list is a
 pass; failures carry the offending parameter tuple and both sides' values.
+``Counterexample`` is a frozen record on the same private base as the
+partition records; ``VerificationReport`` is a plain mutable class that
+compares by value and is unhashable.  Neither is a dataclass.
 
 A grid of more than ``MAX_GRID_POINTS`` points is refused with
 ``ValueError`` before its first point.  A point of Thm 3.1 or Thm 3.3 at
 (N, k) compares N*k + 1 counts, so those two grids are held to the same
-limit in comparisons, the report's ``checked``.  The limit bounds the run,
-not its speed: the largest square Thm 3.x grid it allows, 44 by 44
-(982,125 comparisons), takes over a minute.
+limit in comparisons, the report's ``checked``.  An eq2 or eq3 grid is
+held to it in the Gaussian coefficients its largest m builds at once.  The
+limit bounds the run, not its speed: the largest square Thm 3.x grid it
+allows, 44 by 44 (982,125 comparisons), takes over a minute.
 
 The registry at the bottom maps stable identity ids (``"thm2.1"``, ``"eq2"``,
 ``"cor3.2"``, ...) to their verifiers; ``run_identity`` is the single entry
@@ -21,7 +25,6 @@ point used by the command-line front end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import comb, isqrt, prod
@@ -31,6 +34,8 @@ from .polynomial import ZERO, IntPolynomial, packed_sums
 from .qbinomial import qbinom
 from .partitions import (
     TwoKindQuery,
+    _Record,
+    _set,
     partition_p,
     pbar_convolution,
     pbar_convolution_totals,
@@ -44,33 +49,57 @@ from .partitions import (
 MAX_GRID_POINTS = 10**6
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """One failing grid point: the parameters and both sides, rendered."""
 
-    params: tuple[int, ...]
-    lhs: str
-    rhs: str
+    _fields = ("params", "lhs", "rhs")
+    __slots__ = _fields
+
+    def __init__(self, params: tuple[int, ...], lhs: str, rhs: str) -> None:
+        _set(self, "params", params)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     def as_dict(self) -> dict:
         return {"params": list(self.params), "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of sweeping one identity over a parameter grid."""
+    """Outcome of sweeping one identity over a parameter grid.
 
-    identity_id: str
-    grid: str
-    checked: int
-    failures: list[Counterexample] = field(default_factory=list)
+    Its failures are sorted by parameters.  A report is mutable, equals
+    only a report with equal fields, and is unhashable.
+    """
 
-    def __post_init__(self) -> None:
-        if self.checked <= 0:
+    def __init__(
+        self,
+        identity_id: str,
+        grid: str,
+        checked: int,
+        failures: list[Counterexample] | None = None,
+    ) -> None:
+        if checked <= 0:
             raise ValueError(
-                f"{self.identity_id}: empty verification grid (checked nothing)"
+                f"{identity_id}: empty verification grid (checked nothing)"
             )
+        self.identity_id = identity_id
+        self.grid = grid
+        self.checked = checked
+        self.failures = [] if failures is None else failures
         self.failures.sort(key=lambda c: c.params)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.identity_id, self.grid, self.checked, self.failures) == (
+            other.identity_id, other.grid, other.checked, other.failures
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(identity_id={self.identity_id!r}, "
+            f"grid={self.grid!r}, checked={self.checked!r}, failures={self.failures!r})"
+        )
 
     @property
     def passed(self) -> bool:
@@ -159,7 +188,15 @@ def _gaussian_sweep(
     padded, not inflated), so each product is one integer product.  The
     call is made at the first n of m and, since the points come in order,
     each n reads its own sides back in turn.
+
+    So the largest m holds every [m_max+j, j] for j up to n_max at once,
+    m_max*j + 1 coefficients each.  A grid whose largest m holds more than
+    ``MAX_GRID_POINTS`` of them is refused with ``ValueError`` here, before
+    its first point.
     """
+    ns = max(0, n_max + 1)
+    if m_max >= 0:
+        _check_grid(identity_id, m_max * comb(ns, 2) + ns, "Gaussian coefficients")
 
     @lru_cache(maxsize=1)
     def sums_at(m: int):

@@ -23,8 +23,19 @@ Every count is computable by two or three independent routes:
 
 The bulk ``*_totals`` forms return one dense entry per target, so the
 largest target is held to ``MAX_DENSE_DEGREE`` like every dense polynomial:
-a span past it raises ``ValueError`` before the row is built.
-``TwoKindQuery``, ``pbar_convolution`` and the listings still take any r.
+a span past it raises ``ValueError`` before the row is built.  The
+enumeration rows are also sized by their walk, in pairs of picks and in
+parts drawn; past ``MAX_ENUMERATION_WORK`` of either they raise
+``ValueError`` before the first pick.  ``TwoKindQuery``,
+``pbar_convolution`` and the listings still take any r.
+
+The records ``TwoKindQuery``, ``TwoKindPartition`` and
+``DistinctTwoKindPartition`` are frozen, slotted classes on one private
+base, not dataclasses, so that importing the package stays cheap for a
+one-shot command.  They compare, hash and print field by field like frozen
+dataclasses, and a record never equals one of another class.  The listings
+build their partitions through a private constructor that skips the public
+one's checks and sorts, since the walk already yields canonical tuples.
 
 Route agreement is the core correctness argument and is exercised heavily
 by the test suite and the identity verifiers.
@@ -32,18 +43,66 @@ by the test suite and the identity verifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from .polynomial import ZERO, IntPolynomial, _check_dense, product
 from .qbinomial import qbinom
 
+# The most pairs of picks, and the most parts drawn, that one enumeration
+# row may walk.  The largest in the tests and the benchmark, at bounds 5,
+# walks 63,504 pairs.
+MAX_ENUMERATION_WORK = 10**6
 
-@dataclass(frozen=True)
-class TwoKindQuery:
+# Sets a field of a frozen record, past the record's own ``__setattr__``.
+_set = object.__setattr__
+
+
+class _Record:
+    """A frozen record of the fields that ``_fields`` names, in order.
+
+    Two records are equal when they are of the same class and their fields
+    are equal, equal records hash alike, and the repr names every field, as
+    for a frozen dataclass.  ``__init__`` sets each field once with
+    ``_set``; assigning or deleting an attribute afterwards raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the tuple of field values, read by one C getter made once per class
+        # (a tuple only for two fields or more, which every record has)
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through the constructor, not by assignment
+        return self.__class__, self._values
+
+
+class TwoKindQuery(_Record):
     """Parameter tuple for the two-kind counting functions.
 
     ``r`` is the divisibility step for first-kind parts, ``n1`` and ``n2``
@@ -51,17 +110,19 @@ class TwoKindQuery:
     and ``n`` the partition target.
     """
 
-    r: int
-    n1: int
-    n2: int
-    k1: int
-    k2: int
-    n: int
+    _fields = ("r", "n1", "n2", "k1", "k2", "n")
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
-        _check_bounds(self.r, self.n1, self.n2, self.k1, self.k2)
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
+    def __init__(self, r: int, n1: int, n2: int, k1: int, k2: int, n: int) -> None:
+        _check_bounds(r, n1, n2, k1, k2)
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        _set(self, "r", r)
+        _set(self, "n1", n1)
+        _set(self, "n2", n2)
+        _set(self, "k1", k1)
+        _set(self, "k2", k2)
+        _set(self, "n", n)
 
 
 def _check_bounds(r: int, n1: int, n2: int, k1: int, k2: int) -> None:
@@ -73,27 +134,38 @@ def _check_bounds(r: int, n1: int, n2: int, k1: int, k2: int) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-@dataclass(frozen=True)
-class TwoKindPartition:
+class TwoKindPartition(_Record):
     """A two-kind partition: one multiset of parts per kind.
 
     Parts are stored as descending tuples; constructors may pass them in any
     order.  Rendering marks second-kind parts with a trailing apostrophe.
     """
 
-    first_kind: tuple[int, ...]
-    second_kind: tuple[int, ...]
+    _fields = ("first_kind", "second_kind")
+    __slots__ = _fields
 
-    def __post_init__(self) -> None:
-        for kind in (self.first_kind, self.second_kind):
+    def __init__(
+        self, first_kind: tuple[int, ...], second_kind: tuple[int, ...]
+    ) -> None:
+        for kind in (first_kind, second_kind):
             if any(part < 1 for part in kind):
                 raise ValueError(f"parts must be positive, got {kind}")
-        object.__setattr__(
-            self, "first_kind", tuple(sorted(self.first_kind, reverse=True))
-        )
-        object.__setattr__(
-            self, "second_kind", tuple(sorted(self.second_kind, reverse=True))
-        )
+        _set(self, "first_kind", tuple(sorted(first_kind, reverse=True)))
+        _set(self, "second_kind", tuple(sorted(second_kind, reverse=True)))
+
+    @classmethod
+    def _canonical(
+        cls, first_kind: tuple[int, ...], second_kind: tuple[int, ...]
+    ) -> TwoKindPartition:
+        """A partition from tuples already in the form ``__init__`` checks for.
+
+        Nothing is checked or sorted: the parts must be positive and
+        descending, and distinct within a kind for the distinct class.
+        """
+        record = object.__new__(cls)
+        _set(record, "first_kind", first_kind)
+        _set(record, "second_kind", second_kind)
+        return record
 
     def total(self) -> int:
         return sum(self.first_kind) + sum(self.second_kind)
@@ -105,12 +177,15 @@ class TwoKindPartition:
         return "+".join(terms) if terms else "(empty)"
 
 
-@dataclass(frozen=True)
 class DistinctTwoKindPartition(TwoKindPartition):
     """A two-kind partition whose parts are distinct within each kind."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(
+        self, first_kind: tuple[int, ...], second_kind: tuple[int, ...]
+    ) -> None:
+        super().__init__(first_kind, second_kind)
         for kind in (self.first_kind, self.second_kind):
             if len(set(kind)) != len(kind):
                 raise ValueError(f"parts must be distinct within a kind, got {kind}")
@@ -257,14 +332,17 @@ def _listing(
     its greatest ``most``, and the second kind over the one total that
     completes n, so every multiplier tuple walked has a completion.  Both
     walks come in descending lexicographic order, so the listing comes out
-    in canonical order without a sort.
+    in canonical order without a sort.  Their tuples are already positive,
+    descending and, at gap 1, distinct, so each partition is built by
+    ``_canonical``, without the public constructor's checks and sorts.
     """
     r, n, n2, k2 = query.r, query.n, query.n2, query.k2
     fewest = gap * k2 * (k2 + 1) // 2
     most = n2 * k2 - gap * k2 * (k2 - 1) // 2
     firsts = _picks(query.n1, query.k1, -((most - n) // r), (n - fewest) // r, gap)
+    canonical = kind._canonical
     return [
-        kind(tuple(r * m for m in multipliers), second)
+        canonical(tuple(r * m for m in multipliers), second)
         for multipliers in firsts
         for rest in (n - r * sum(multipliers),)
         for second in _picks(n2, k2, rest, rest, gap)
@@ -293,16 +371,27 @@ def qbar_enumerate(query: TwoKindQuery) -> list[DistinctTwoKindPartition]:
 def _tally(r: int, pick: Callable, first: tuple, second: tuple, top: int) -> list[int]:
     """Count the pairs of picks (tuples of parts) by r*sum(first) + sum(second).
 
-    ``first`` and ``second`` are (pool, k) pairs, each drawn as
-    ``pick(pool, k)``.  The list covers the totals 0 through ``top``, which is
-    checked against ``MAX_DENSE_DEGREE`` before any pick is set up: itertools
-    copies the whole pool when it makes the iterator, so an oversized row is
-    refused before a pool of the same size is built.  A pick of no parts
-    copies no pool.
+    ``first`` and ``second`` are (pool, k, t) triples, each drawn as
+    ``pick(pool, k)``, which yields C(t, k) picks.  The list covers the
+    totals 0 through ``top``, which is checked against ``MAX_DENSE_DEGREE``
+    first.  The walk is then sized with ``comb``: C1 * C2 pairs of picks, and
+    k1 * C1 + k2 * C2 parts drawn.  Past ``MAX_ENUMERATION_WORK`` of either it
+    is refused with ``ValueError``.  Both checks come before any pick is set
+    up: itertools copies the whole pool when it makes the iterator, so an
+    oversized row is refused before a pool of the same size is built.  A
+    pick of no parts copies no pool.
     """
     _check_dense(top)
+    (_, k1, t1), (_, k2, t2) = first, second
+    c1, c2 = comb(t1, k1), comb(t2, k2)
+    pairs, parts = c1 * c2, k1 * c1 + k2 * c2
+    if pairs > MAX_ENUMERATION_WORK or parts > MAX_ENUMERATION_WORK:
+        raise ValueError(
+            f"enumeration of {pairs} pairs of picks drawing {parts} parts "
+            f"exceeds the limit of {MAX_ENUMERATION_WORK}"
+        )
     first_sums, second_sums = (
-        [sum(p) for p in pick(pool if k else (), k)] for pool, k in (first, second)
+        list(map(sum, pick(pool if k else (), k))) for pool, k, _ in (first, second)
     )
     counts = [0] * (top + 1)
     for a in (r * s for s in first_sums):
@@ -319,11 +408,11 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     bulk form of the enumeration oracle: it generates every admissible
     multiset pair and tallies by total, with no polynomial arithmetic.  A
     multiset of at most k parts from 1..N is listed as k picks with
-    replacement from 0..N, a 0 standing for "no part".
+    replacement from 0..N, a 0 standing for "no part": C(N+k, k) picks.
     """
     _check_bounds(r, n1, n2, k1, k2)
-    pools = (range(n1 + 1), k1), (range(n2 + 1), k2)
-    return _tally(r, combinations_with_replacement, *pools, r * n1 * k1 + n2 * k2)
+    kinds = (range(n1 + 1), k1, n1 + k1), (range(n2 + 1), k2, n2 + k2)
+    return _tally(r, combinations_with_replacement, *kinds, r * n1 * k1 + n2 * k2)
 
 
 def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -332,11 +421,11 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     The list covers 0 through the largest achievable total (at least 0); all
     entries are 0 when no selection of exactly k1 and k2 distinct parts
     exists.  A set of exactly k distinct parts is listed as k picks without
-    replacement from 1..N.
+    replacement from 1..N: C(N, k) picks.
     """
     _check_bounds(r, n1, n2, k1, k2)
     if k1 > n1 or k2 > n2:
         return [0]
     top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
-    pools = (range(1, n1 + 1), k1), (range(1, n2 + 1), k2)
-    return _tally(r, combinations, *pools, top)
+    kinds = (range(1, n1 + 1), k1, n1), (range(1, n2 + 1), k2, n2)
+    return _tally(r, combinations, *kinds, top)

@@ -359,6 +359,18 @@ class TestVerify:
             "error: thm3.1: grid of 404050401 comparisons exceeds the limit of 1000000\n"
         )
 
+    def test_costly_gaussian_grid_is_a_usage_error(self, capsys):
+        # 5,511 points, but m = 10 holds 1,253,001 Gaussian coefficients at once
+        code, out, err = run(
+            capsys, "verify", "eq2", "--m-max", "10", "--n-max", "500"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: eq2: grid of 1253001 Gaussian coefficients exceeds the limit "
+            "of 1000000\n"
+        )
+
     def test_every_grid_bound_has_a_flag(self):
         accepted = {name for _, names in identities._REGISTRY.values() for name in names}
         assert sorted(cli._GRID_BOUNDS) == sorted(accepted)

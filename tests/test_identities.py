@@ -105,6 +105,30 @@ class TestReportContract:
             "failures": [{"params": [1], "lhs": "0", "rhs": "1"}],
         }
 
+    def test_reports_compare_by_value_and_do_not_hash(self):
+        failure = Counterexample((1,), "0", "1")
+        report = VerificationReport("x", "grid", 2, [failure])
+        assert report == VerificationReport("x", "grid", 2, [failure])
+        assert report != VerificationReport("x", "grid", 2)
+        assert report != VerificationReport("y", "grid", 2, [failure])
+        assert report != ("x", "grid", 2, [failure])
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(report)
+        report.checked = 3
+        assert report.checked == 3
+
+    def test_repr(self):
+        failures = [Counterexample((2,), "a", "b"), Counterexample((1,), "c", "d")]
+        report = VerificationReport("x", "grid", 3, failures)
+        assert repr(report) == (
+            "VerificationReport(identity_id='x', grid='grid', checked=3, failures=["
+            "Counterexample(params=(1,), lhs='c', rhs='d'), "
+            "Counterexample(params=(2,), lhs='a', rhs='b')])"
+        )
+        assert repr(VerificationReport("x", "g", 1)) == (
+            "VerificationReport(identity_id='x', grid='g', checked=1, failures=[])"
+        )
+
     def test_registry_covers_all_ids(self):
         assert set(IDENTITY_IDS) == {
             "thm2.1",
@@ -186,6 +210,8 @@ class TestGridLimit:
             ("eq2", {"n_max": 10**8}),
             ("cor3.2", {"n_max": 10**6}),
             ("thm3.1", {"n_max": 200, "k_max": 200}),  # 40,401 points
+            ("eq2", {"m_max": 10, "n_max": 500}),  # 5,511 points
+            ("eq3", {"m_max": 5, "n_max": 1000}),  # 6,006 points
         ],
     )
     def test_unpatched_limit_refuses_large_grids(self, identity_id, grid):
@@ -206,6 +232,20 @@ class TestGridLimit:
         refusal = f"^{identity_id}: grid of 30 comparisons exceeds the limit of 29$"
         with pytest.raises(ValueError, match=refusal):
             verifier(n_max=2, k_max=3)
+
+    @pytest.mark.parametrize("identity_id", ["eq2", "eq3"])
+    def test_gaussian_grids_count_coefficients(self, monkeypatch, identity_id):
+        # 12 points at m <= 2, n <= 3; m = 2 holds [2+j, j] for j <= 3,
+        # of 1 + 3 + 5 + 7 = 16 coefficients
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 16)
+        assert run_identity(identity_id, m_max=2, n_max=3).checked == 12
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 15)
+        monkeypatch.setattr(identities, "qbinom", None)
+        refusal = (
+            f"^{identity_id}: grid of 16 Gaussian coefficients exceeds the limit of 15$"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            run_identity(identity_id, m_max=2, n_max=3)
 
     def test_empty_axis_is_not_walked(self):
         # an empty N1 axis next to a huge r axis checks nothing, at once

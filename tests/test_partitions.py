@@ -1,5 +1,7 @@
 """Two-kind partition counting: routes, enumerators, and their agreement."""
 
+import copy
+import pickle
 from math import comb
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpartitions import partitions, polynomial
+from qpartitions.identities import Counterexample
 from qpartitions.partitions import (
     DistinctTwoKindPartition,
     Q,
@@ -134,6 +137,112 @@ class TestQueryValidation:
                 ValueError, match="^step must be a positive integer, got (0|-5)$"
             ):
                 build()
+
+    @pytest.mark.parametrize(
+        "totals, bounds, pairs, parts",
+        [
+            # C(4, 2) * C(2, 1) pairs, 2 * 6 + 1 * 2 parts drawn
+            (pbar_enumerate_totals, (1, 2, 1, 2, 1), 12, 14),
+            # C(4, 1) * C(4, 1) pairs, 4 + 4 parts drawn
+            (pbar_enumerate_totals, (2, 3, 3, 1, 1), 16, 8),
+            # C(5, 2) * C(4, 2) pairs, 2 * 10 + 2 * 6 parts drawn
+            (qbar_enumerate_totals, (1, 5, 4, 2, 2), 60, 32),
+            # the one set of six parts from 1..6
+            (qbar_enumerate_totals, (3, 6, 0, 6, 0), 1, 6),
+        ],
+    )
+    def test_totals_size_their_walk_first(
+        self, totals, bounds, pairs, parts, monkeypatch
+    ):
+        work = max(pairs, parts)
+        monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", work)
+        assert sum(totals(*bounds)) == pairs
+        monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", work - 1)
+        for pick in ("combinations", "combinations_with_replacement"):
+            monkeypatch.setattr(partitions, pick, None)
+        refusal = (
+            f"^enumeration of {pairs} pairs of picks drawing {parts} parts "
+            f"exceeds the limit of {work - 1}$"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            totals(*bounds)
+
+    @pytest.mark.parametrize(
+        "bounds, pairs, parts",
+        [
+            # a 4,001-entry row, but 2,003,001 picks of 2,000 parts
+            ((1, 2, 0, 2000, 0), 2003001, 4006002000),
+            # one pick of 10**7 zeros
+            ((1, 0, 0, 10**7, 0), 1, 10**7),
+        ],
+    )
+    def test_unpatched_work_limit_refuses_long_walks(
+        self, bounds, pairs, parts, monkeypatch
+    ):
+        monkeypatch.setattr(partitions, "combinations_with_replacement", None)
+        refusal = f"^enumeration of {pairs} pairs of picks drawing {parts} parts"
+        with pytest.raises(ValueError, match=refusal):
+            pbar_enumerate_totals(*bounds)
+
+
+# each frozen record: its class, constructor arguments, a field, and its repr
+RECORDS = [
+    (
+        TwoKindQuery, (2, 3, 4, 1, 2, 9), "n",
+        "TwoKindQuery(r=2, n1=3, n2=4, k1=1, k2=2, n=9)",
+    ),
+    (
+        TwoKindPartition, ((1, 3, 2), (2, 5)), "first_kind",
+        "TwoKindPartition(first_kind=(3, 2, 1), second_kind=(5, 2))",
+    ),
+    (
+        DistinctTwoKindPartition, ((2, 4), (1,)), "second_kind",
+        "DistinctTwoKindPartition(first_kind=(4, 2), second_kind=(1,))",
+    ),
+    (
+        Counterexample, ((1, 2), "1 + q", "1"), "lhs",
+        "Counterexample(params=(1, 2), lhs='1 + q', rhs='1')",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, args, field, text", RECORDS)
+class TestRecordContract:
+    """The frozen records: value equality within one class, and no mutation."""
+
+    def test_repr(self, kind, args, field, text):
+        assert repr(kind(*args)) == text
+
+    def test_equal_records_hash_equal(self, kind, args, field, text):
+        record, twin = kind(*args), kind(*args)
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_fields_cannot_be_assigned_or_deleted(self, kind, args, field, text):
+        record = kind(*args)
+        value = getattr(record, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, field) == value
+
+
+class TestRecordEquality:
+    def test_keyword_construction(self):
+        assert WORKED_SIX == TwoKindQuery(2, 2, 3, 2, 2, 4)
+        assert WORKED_SIX != TwoKindQuery(2, 2, 3, 2, 2, 5)
+        assert TwoKindPartition(second_kind=(1,), first_kind=(2,)).render() == "2+1'"
+
+    def test_only_records_of_one_class_are_equal(self):
+        assert TwoKindPartition((), ()) != DistinctTwoKindPartition((), ())
+        assert not TwoKindPartition((), ()) == DistinctTwoKindPartition((), ())
+        assert TwoKindPartition((2,), (1,)) != ((2,), (1,))
+        assert Counterexample((1,), "a", "b") != ((1,), "a", "b")
 
 
 class TestPartitionTypes:
@@ -280,6 +389,13 @@ class TestEnumerationGolden:
     def test_worked_example_six_partitions_in_canonical_order(self):
         renders = [item.render() for item in pbar_enumerate(WORKED_SIX)]
         assert renders == ["4", "2+2", "2+2'", "2+1'+1'", "3'+1'", "2'+2'"]
+
+    def test_listed_partitions_pass_the_public_checks(self):
+        # the listings build their records without the constructor's checks
+        distinct = TwoKindQuery(2, 6, 6, 3, 3, 25)
+        for listing in (pbar_enumerate(WORKED_SIX), qbar_enumerate(distinct)):
+            rebuilt = [type(i)(i.first_kind, i.second_kind) for i in listing]
+            assert listing and rebuilt == listing
 
     def test_structural_invariants(self):
         for r in (1, 2, 3):
