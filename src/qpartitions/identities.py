@@ -16,7 +16,10 @@ A grid of more than ``MAX_GRID_POINTS`` points is refused with
 limit in comparisons, the report's ``checked``.  An eq2 or eq3 grid is
 held to it in the Gaussian coefficients its largest m builds at once.  The
 limit bounds the run, not its speed: the largest square Thm 3.x grid it
-allows, 44 by 44 (982,125 comparisons), takes over a minute.
+allows, 44 by 44 (982,125 comparisons), takes over a minute.  A grid
+checked against an enumeration row (Thm 2.1, 2.2 and 2.6) is also refused
+before its first point when its costliest row would walk past
+``MAX_ENUMERATION_WORK``, with the error that row would raise.
 
 The registry at the bottom maps stable identity ids (``"thm2.1"``, ``"eq2"``,
 ``"cor3.2"``, ...) to their verifiers; ``run_identity`` is the single entry
@@ -35,6 +38,7 @@ from .qbinomial import qbinom
 from .partitions import (
     TwoKindQuery,
     _Record,
+    _check_walk,
     _set,
     partition_p,
     pbar_convolution,
@@ -124,8 +128,12 @@ def _row_failures(
     """One counterexample per target n where two rows of counts differ.
 
     Entry n of a row is the count at target n; a row that ends early reads
-    as 0 past its end.
+    as 0 past its end.  Equal rows, the usual case, are found equal in one
+    comparison of lists, so that a tuple and a list with the same entries
+    match; only rows that differ, or differ in length, are walked.
     """
+    if list(got) == list(expected):
+        return []
     return [
         Counterexample(params + (n,), str(lhs), str(rhs))
         for n, (lhs, rhs) in enumerate(zip_longest(got, expected, fillvalue=0))
@@ -147,7 +155,11 @@ def _check_grid(identity_id: str, size: int, unit: str) -> None:
 
 
 def _sweep(
-    identity_id: str, grid: str, axes: tuple[range, ...], check: Callable
+    identity_id: str,
+    grid: str,
+    axes: tuple[range, ...],
+    check: Callable,
+    size_work: Callable[[], None] | None = None,
 ) -> VerificationReport:
     """Run ``check(*point)`` at every point of the product of ``axes``.
 
@@ -155,9 +167,14 @@ def _sweep(
     their order within one point is kept by the report's stable sort.  The
     axes are step-1 ranges, so the point count is known before the first
     point: above ``MAX_GRID_POINTS`` the grid is refused with ``ValueError``.
+    A grid within that limit and with points is then passed to
+    ``size_work``, when given, which raises ``ValueError`` if the work at
+    the grid's costliest point is over its limit.
     """
     points = prod(max(0, axis.stop - axis.start) for axis in axes)
     _check_grid(identity_id, points, "points")
+    if points and size_work is not None:
+        size_work()
     checked = 0
     failures: list[Counterexample] = []
     # product() holds each axis as a tuple first, so an empty grid is not walked
@@ -255,29 +272,67 @@ def _two_kind_grid(r_max: int, param_max: int, lower: int = 0) -> tuple[range, .
     return range(1, r_max + 1), bounds, bounds, parts, parts
 
 
+def _multiset_walk(bound: int) -> tuple[int, int]:
+    """The costliest (k, t) of ``pbar_enumerate_totals`` with N, k <= ``bound``.
+
+    A kind draws k picks with replacement from 0..N, C(N+k, k) of them, and
+    both that count and k times it are largest at N = k = ``bound``.
+    """
+    return bound, 2 * bound
+
+
+def _set_walk(bound: int) -> tuple[int, int]:
+    """The costliest (k, t) of ``qbar_enumerate_totals`` with N, k <= ``bound``.
+
+    A kind with k <= N draws k distinct picks from 1..N, C(N, k) of them; a
+    kind with k > N is not walked.  Both C(N, k) and k * C(N, k) grow with
+    N.  At N = ``bound`` the first is largest at k = bound // 2 and the
+    second, bound * C(bound-1, k-1), at k = ceil(bound/2), where C(N, k) has
+    the same largest value.
+    """
+    return -(-bound // 2), bound
+
+
 def _rows_against_oracle(
-    identity_id: str, route: Callable, oracle: Callable, r_max: int, param_max: int
+    identity_id: str,
+    route: Callable,
+    oracle: Callable,
+    walk: Callable[[int], tuple[int, int]],
+    r_max: int,
+    param_max: int,
 ) -> VerificationReport:
-    """Compare a route's row of counts with the oracle's for every bound tuple."""
+    """Compare a route's row of counts with the oracle's for every bound tuple.
+
+    ``walk(param_max)`` is the oracle's costliest (k, t) per kind over the
+    grid, so ``_check_walk`` on it refuses, before the first point, exactly
+    the grids in which the oracle would refuse some point.
+    """
 
     def check(*bounds: int):
         return 1, _row_failures(bounds, route(*bounds), oracle(*bounds))
 
+    def size_work() -> None:
+        worst = walk(param_max)
+        _check_walk(worst, worst)
+
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}, all n"
-    return _sweep(identity_id, grid, _two_kind_grid(r_max, param_max), check)
+    axes = _two_kind_grid(r_max, param_max)
+    return _sweep(identity_id, grid, axes, check, size_work)
 
 
 def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Convolution route against the enumeration oracle, every target."""
     return _rows_against_oracle(
-        "thm2.1", pbar_convolution_totals, pbar_enumerate_totals, r_max, param_max
+        "thm2.1", pbar_convolution_totals, pbar_enumerate_totals, _multiset_walk,
+        r_max, param_max,
     )
 
 
 def verify_thm22(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Generating-function coefficients against the enumeration oracle."""
     return _rows_against_oracle(
-        "thm2.2", lambda *b: pbar_gf(*b).coeffs, pbar_enumerate_totals, r_max, param_max
+        "thm2.2", lambda *b: pbar_gf(*b).coeffs, pbar_enumerate_totals, _multiset_walk,
+        r_max, param_max,
     )
 
 
@@ -365,7 +420,8 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     """Distinct-part generating function against the enumeration oracle."""
     return _rows_against_oracle(
-        "thm2.6", lambda *b: qbar_gf(*b).coeffs, qbar_enumerate_totals, r_max, param_max
+        "thm2.6", lambda *b: qbar_gf(*b).coeffs, qbar_enumerate_totals, _set_walk,
+        r_max, param_max,
     )
 
 

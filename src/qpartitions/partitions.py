@@ -11,8 +11,10 @@ Every count is computable by two or three independent routes:
 
 * ``*_genfun``      coefficient extraction from a product of Gaussian
                     polynomials (the generating-function route);
-* ``pbar_convolution``  a convolution of one-kind counts (for one target,
-                        or every target with ``pbar_convolution_totals``);
+* ``pbar_convolution``  a convolution of one-kind counts: one clipped sum
+                        for one target, or with ``pbar_convolution_totals``
+                        the whole row, built as one scaled copy of the
+                        second-kind row per first-kind count;
 * ``*_enumerate``   explicit brute-force enumeration of the partitions
                     themselves (the oracle; it never touches polynomial
                     arithmetic), generated in canonical order: descending
@@ -26,7 +28,8 @@ largest target is held to ``MAX_DENSE_DEGREE`` like every dense polynomial:
 a span past it raises ``ValueError`` before the row is built.  The
 enumeration rows are also sized by their walk, in pairs of picks and in
 parts drawn; past ``MAX_ENUMERATION_WORK`` of either they raise
-``ValueError`` before the first pick.  ``TwoKindQuery``,
+``ValueError`` before the first pick.  That sizing is ``_check_walk``, which
+the oracle verifiers also apply to a grid's costliest row.  ``TwoKindQuery``,
 ``pbar_convolution`` and the listings still take any r.
 
 The records ``TwoKindQuery``, ``TwoKindPartition`` and
@@ -276,15 +279,26 @@ def pbar_convolution_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[
     """Two-kind counts for every target, by the convolution route.
 
     Entry ``n`` is ``pbar_convolution`` at target n, for n from 0 through
-    r*N1*k1 + N2*k2, the same span as ``pbar_enumerate_totals``.  Both
-    one-kind rows are read once for the whole list.
+    r*N1*k1 + N2*k2, the same span as ``pbar_enumerate_totals``.  The row is
+    built whole rather than target by target: each first-kind count
+    p(N1, k1, j) adds itself times the whole second-kind row [N2+k2, N2]
+    into the entries from r*j on, one list comprehension per j.  That is
+    N1*k1 + 1 Python steps for the row.  No polynomial product is used, so
+    this route stays apart from the generating-function one.
     """
     _check_bounds(r, n1, n2, k1, k2)
     top = r * n1 * k1 + n2 * k2
     _check_dense(top)
     first = qbinom(n1 + k1, n1).coeffs
     second = qbinom(n2 + k2, n2).coeffs
-    return [_convolve(first, second, r, n) for n in range(top + 1)]
+    width = len(second)
+    out = [0] * (top + 1)
+    for j, a in enumerate(first):
+        start = r * j
+        out[start:start + width] = [
+            c + a * b for c, b in zip(out[start:start + width], second)
+        ]
+    return out
 
 
 def qbar_genfun(query: TwoKindQuery) -> int:
@@ -368,21 +382,15 @@ def qbar_enumerate(query: TwoKindQuery) -> list[DistinctTwoKindPartition]:
     return _listing(DistinctTwoKindPartition, query, 1)
 
 
-def _tally(r: int, pick: Callable, first: tuple, second: tuple, top: int) -> list[int]:
-    """Count the pairs of picks (tuples of parts) by r*sum(first) + sum(second).
+def _check_walk(first: tuple[int, int], second: tuple[int, int]) -> None:
+    """Refuse an enumeration walk of more than ``MAX_ENUMERATION_WORK`` steps.
 
-    ``first`` and ``second`` are (pool, k, t) triples, each drawn as
-    ``pick(pool, k)``, which yields C(t, k) picks.  The list covers the
-    totals 0 through ``top``, which is checked against ``MAX_DENSE_DEGREE``
-    first.  The walk is then sized with ``comb``: C1 * C2 pairs of picks, and
-    k1 * C1 + k2 * C2 parts drawn.  Past ``MAX_ENUMERATION_WORK`` of either it
-    is refused with ``ValueError``.  Both checks come before any pick is set
-    up: itertools copies the whole pool when it makes the iterator, so an
-    oversized row is refused before a pool of the same size is built.  A
-    pick of no parts copies no pool.
+    ``first`` and ``second`` are (k, t) pairs: k parts picked in one of
+    C(t, k) ways per kind.  The walk pairs every pick of one kind with every
+    pick of the other, C1 * C2 pairs, and draws k1 * C1 + k2 * C2 parts.
+    Past the limit in either it raises ``ValueError``.
     """
-    _check_dense(top)
-    (_, k1, t1), (_, k2, t2) = first, second
+    (k1, t1), (k2, t2) = first, second
     c1, c2 = comb(t1, k1), comb(t2, k2)
     pairs, parts = c1 * c2, k1 * c1 + k2 * c2
     if pairs > MAX_ENUMERATION_WORK or parts > MAX_ENUMERATION_WORK:
@@ -390,6 +398,21 @@ def _tally(r: int, pick: Callable, first: tuple, second: tuple, top: int) -> lis
             f"enumeration of {pairs} pairs of picks drawing {parts} parts "
             f"exceeds the limit of {MAX_ENUMERATION_WORK}"
         )
+
+
+def _tally(r: int, pick: Callable, first: tuple, second: tuple, top: int) -> list[int]:
+    """Count the pairs of picks (tuples of parts) by r*sum(first) + sum(second).
+
+    ``first`` and ``second`` are (pool, k, t) triples, each drawn as
+    ``pick(pool, k)``, which yields C(t, k) picks.  The list covers the
+    totals 0 through ``top``, which is checked against ``MAX_DENSE_DEGREE``
+    first.  The walk is then sized by ``_check_walk``.  Both checks come
+    before any pick is set up: itertools copies the whole pool when it makes
+    the iterator, so an oversized row is refused before a pool of the same
+    size is built.  A pick of no parts copies no pool.
+    """
+    _check_dense(top)
+    _check_walk(first[1:], second[1:])
     first_sums, second_sums = (
         list(map(sum, pick(pool if k else (), k))) for pool, k, _ in (first, second)
     )

@@ -371,6 +371,18 @@ class TestVerify:
             "of 1000000\n"
         )
 
+    def test_costly_oracle_grid_is_a_usage_error(self, capsys, monkeypatch):
+        # 12,288 points; the enumeration row at (7, 7, 7, 7) walks 3,432**2
+        # pairs, and no row is walked before the refusal
+        monkeypatch.setattr(identities, "pbar_enumerate_totals", None)
+        code, out, err = run(capsys, "verify", "thm2.1", "--param-max", "7")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: enumeration of 11778624 pairs of picks drawing 48048 parts "
+            "exceeds the limit of 1000000\n"
+        )
+
     def test_every_grid_bound_has_a_flag(self):
         accepted = {name for _, names in identities._REGISTRY.values() for name in names}
         assert sorted(cli._GRID_BOUNDS) == sorted(accepted)

@@ -247,10 +247,83 @@ class TestGridLimit:
         with pytest.raises(ValueError, match=refusal):
             run_identity(identity_id, m_max=2, n_max=3)
 
+    @pytest.mark.parametrize(
+        "identity_id, oracle, bound, pairs, parts",
+        [
+            # the costliest row is (2, 2, 2, 2): C(4, 2)**2 pairs, 2 * 2 * 6 parts
+            ("thm2.1", "pbar_enumerate_totals", 2, 36, 24),
+            ("thm2.2", "pbar_enumerate_totals", 2, 36, 24),
+            # the costliest row is (3, 3, 2, 2): C(3, 2)**2 pairs, 2 * 2 * 3 parts
+            ("thm2.6", "qbar_enumerate_totals", 3, 9, 12),
+        ],
+    )
+    def test_oracle_grids_size_their_walk_first(
+        self, monkeypatch, identity_id, oracle, bound, pairs, parts
+    ):
+        work = max(pairs, parts)
+        monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", work)
+        assert run_identity(identity_id, r_max=1, param_max=bound).passed
+        monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", work - 1)
+
+        def unreachable(*bounds):
+            raise AssertionError(f"walked {bounds}")
+
+        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", oracle):
+            monkeypatch.setattr(identities, name, unreachable)
+        refusal = (
+            f"^enumeration of {pairs} pairs of picks drawing {parts} parts "
+            f"exceeds the limit of {work - 1}$"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            run_identity(identity_id, r_max=1, param_max=bound)
+
+    @pytest.mark.parametrize(
+        "walk, picks",
+        [
+            # k picks with replacement from 0..N
+            (identities._multiset_walk, lambda n, k: (k, n + k)),
+            # k distinct picks from 1..N; a kind with k > N is not walked
+            (identities._set_walk, lambda n, k: (k, n) if k <= n else None),
+        ],
+    )
+    def test_walk_is_the_costliest_row(self, walk, picks):
+        for bound in range(16):
+            rows = [picks(n, k) for n in range(bound + 1) for k in range(bound + 1)]
+            k, t = walk(bound)
+            assert (k, t) in rows
+            assert math.comb(t, k) == max(math.comb(t, k) for k, t in filter(None, rows))
+            assert k * math.comb(t, k) == max(
+                k * math.comb(t, k) for k, t in filter(None, rows)
+            )
+
     def test_empty_axis_is_not_walked(self):
         # an empty N1 axis next to a huge r axis checks nothing, at once
         with pytest.raises(ValueError, match="empty verification grid"):
             verify_thm23(r_max=10**15, param_max=0)
+
+
+class TestRowFailures:
+    def test_equal_rows_of_either_type_match(self):
+        assert identities._row_failures((1,), (1, 2, 3), [1, 2, 3]) == []
+        assert identities._row_failures((1,), [1, 2, 3], (1, 2, 3)) == []
+
+    def test_trailing_zeros_read_as_zero(self):
+        assert identities._row_failures((1,), [1, 2, 0, 0], (1, 2)) == []
+        assert identities._row_failures((1,), (1, 2), [1, 2, 0]) == []
+
+    def test_changed_entry(self):
+        assert identities._row_failures((4, 5), [1, 7, 1], (1, 2, 1)) == [
+            Counterexample((4, 5, 1), "7", "2")
+        ]
+
+    def test_extra_nonzero_entry(self):
+        assert identities._row_failures((4, 5), (1, 2, 1), [1, 2, 1, 0, 3]) == [
+            Counterexample((4, 5, 4), "0", "3")
+        ]
+        assert identities._row_failures((4,), [0, 6, 1, 0], (0, 2)) == [
+            Counterexample((4, 1), "6", "2"),
+            Counterexample((4, 2), "1", "0"),
+        ]
 
 
 class TestGuoYang:

@@ -590,6 +590,20 @@ class TestRouteAgreement:
         qbar_count = qbar_totals[n] if n < len(qbar_totals) else 0
         assert qbar_count == len(qbar_enumerate(query))
 
+    @settings(deadline=None)
+    @given(st.integers(1, 6), *[st.integers(0, 12)] * 4)
+    def test_row_kernel_matches_per_target_sums(self, r, n1, n2, k1, k2):
+        # past the enumeration oracle's reach, so against the clipped sums
+        row = pbar_convolution_totals(r, n1, n2, k1, k2)
+        top = r * n1 * k1 + n2 * k2
+        assert len(row) == top + 1
+        assert row == [
+            pbar_convolution(TwoKindQuery(r, n1, n2, k1, k2, n))
+            for n in range(top + 1)
+        ]
+        for n in range(top + 1, top + r + 2):
+            assert pbar_convolution(TwoKindQuery(r, n1, n2, k1, k2, n)) == 0
+
     def test_totals_match_materialized_enumeration(self):
         totals = pbar_enumerate_totals(2, 2, 3, 2, 2)
         for n, expected in enumerate(totals):
