@@ -19,7 +19,8 @@ limit bounds the run, not its speed: the largest square Thm 3.x grid it
 allows, 44 by 44 (982,125 comparisons), takes over a minute.  A grid
 checked against an enumeration row (Thm 2.1, 2.2 and 2.6) is also refused
 before its first point when its costliest row would walk past
-``MAX_ENUMERATION_WORK``, with the error that row would raise.
+``MAX_ENUMERATION_WORK``, with the error that row would raise, or when its
+rows would walk more than ``MAX_GRID_WORK`` pairs of picks in all.
 
 The registry at the bottom maps stable identity ids (``"thm2.1"``, ``"eq2"``,
 ``"cor3.2"``, ...) to their verifiers; ``run_identity`` is the single entry
@@ -33,7 +34,7 @@ from itertools import product, zip_longest
 from math import comb, isqrt, prod
 from typing import Callable, Sequence
 
-from .polynomial import ZERO, IntPolynomial, packed_sums
+from .polynomial import ZERO, IntPolynomial, Packing, packed_sums
 from .qbinomial import qbinom
 from .partitions import (
     TwoKindQuery,
@@ -51,6 +52,9 @@ from .partitions import (
 
 # The most points one verification grid may hold.
 MAX_GRID_POINTS = 10**6
+
+# The most pairs of picks the enumeration rows of one grid may walk in all.
+MAX_GRID_WORK = 10**8
 
 
 class Counterexample(_Record):
@@ -146,11 +150,12 @@ def _mismatch(params: tuple, lhs: object, rhs: object) -> list[Counterexample]:
     return [] if lhs == rhs else [Counterexample(params, str(lhs), str(rhs))]
 
 
-def _check_grid(identity_id: str, size: int, unit: str) -> None:
-    """Refuse a grid of more than ``MAX_GRID_POINTS`` points or comparisons."""
-    if size > MAX_GRID_POINTS:
+def _check_grid(identity_id: str, size: int, unit: str, limit: int | None = None) -> None:
+    """Refuse a grid of more than ``limit`` units, ``MAX_GRID_POINTS`` by default."""
+    limit = MAX_GRID_POINTS if limit is None else limit
+    if size > limit:
         raise ValueError(
-            f"{identity_id}: grid of {size} {unit} exceeds the limit of {MAX_GRID_POINTS}"
+            f"{identity_id}: grid of {size} {unit} exceeds the limit of {limit}"
         )
 
 
@@ -281,6 +286,14 @@ def _multiset_walk(bound: int) -> tuple[int, int]:
     return bound, 2 * bound
 
 
+def _multiset_picks(bound: int) -> int:
+    """One kind's picks in ``pbar_enumerate_totals``, summed over N, k <= ``bound``.
+
+    The sum of C(N+k, k) over 0 <= N, k <= bound is C(2*bound + 2, bound + 1) - 1.
+    """
+    return comb(2 * bound + 2, bound + 1) - 1
+
+
 def _set_walk(bound: int) -> tuple[int, int]:
     """The costliest (k, t) of ``qbar_enumerate_totals`` with N, k <= ``bound``.
 
@@ -293,11 +306,21 @@ def _set_walk(bound: int) -> tuple[int, int]:
     return -(-bound // 2), bound
 
 
+def _set_picks(bound: int) -> int:
+    """One kind's picks in ``qbar_enumerate_totals``, summed over N, k <= ``bound``.
+
+    A kind with k > N is not walked, and the sum of C(N, k) over k <= N is
+    2**N, so the sum over N <= bound is 2**(bound + 1) - 1.
+    """
+    return 2 ** (bound + 1) - 1
+
+
 def _rows_against_oracle(
     identity_id: str,
     route: Callable,
     oracle: Callable,
     walk: Callable[[int], tuple[int, int]],
+    picks: Callable[[int], int],
     r_max: int,
     param_max: int,
 ) -> VerificationReport:
@@ -305,7 +328,10 @@ def _rows_against_oracle(
 
     ``walk(param_max)`` is the oracle's costliest (k, t) per kind over the
     grid, so ``_check_walk`` on it refuses, before the first point, exactly
-    the grids in which the oracle would refuse some point.
+    the grids in which the oracle would refuse some point.  ``picks(param_max)``
+    is one kind's picks summed over its bounds, S, so each r walks S**2
+    pairs of picks; past ``MAX_GRID_WORK`` pairs in all, r_max * S**2, the
+    grid is refused before its first point too.
     """
 
     def check(*bounds: int):
@@ -314,6 +340,8 @@ def _rows_against_oracle(
     def size_work() -> None:
         worst = walk(param_max)
         _check_walk(worst, worst)
+        pairs = r_max * picks(param_max) ** 2
+        _check_grid(identity_id, pairs, "pairs of picks", MAX_GRID_WORK)
 
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}, all n"
     axes = _two_kind_grid(r_max, param_max)
@@ -324,7 +352,7 @@ def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Convolution route against the enumeration oracle, every target."""
     return _rows_against_oracle(
         "thm2.1", pbar_convolution_totals, pbar_enumerate_totals, _multiset_walk,
-        r_max, param_max,
+        _multiset_picks, r_max, param_max,
     )
 
 
@@ -332,7 +360,7 @@ def verify_thm22(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Generating-function coefficients against the enumeration oracle."""
     return _rows_against_oracle(
         "thm2.2", lambda *b: pbar_gf(*b).coeffs, pbar_enumerate_totals, _multiset_walk,
-        r_max, param_max,
+        _multiset_picks, r_max, param_max,
     )
 
 
@@ -341,25 +369,69 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
 
     Checking generating functions covers every target n at once; boundary
     terms with a part-count bound at -1 vanish through the zero branch of
-    the Gaussian polynomial.  A counterexample's first parameter is the
-    relation's index, 1 to 3.
+    ``pbar_gf``.  A counterexample's first parameter is the relation's
+    index, 1 to 3.
+
+    Each relation is checked as one integer sum of packed operands.  Every
+    ``pbar_gf`` the grid reads has bounds at most p = ``param_max``, so its
+    coefficients are nonnegative and sum to C(N1+k1, N1) * C(N2+k2, N2),
+    which is at most B = C(2p, p)**2.  Each is packed once per r, all at one
+    ``Packing`` sized for 4B, and a right side is the sum of its four
+    operands shifted by whole digits.  Every coefficient of either side is
+    then at most 4B in size and fits its digit, so the two sides are equal
+    exactly when their packed integers are.  A point with an operand that
+    has a coefficient over B in size, or with a relation whose packed sides
+    differ, is checked again with ``IntPolynomial`` arithmetic, which alone
+    builds the counterexamples.  ``pbar_gf`` is read from this module at
+    each call.
     """
 
+    @lru_cache(maxsize=1)
+    def packed_at(r: int) -> tuple[Callable[..., int | None], int]:
+        # product() walks r outermost, so only one r's packed values are held.
+        # B is computed here, at a point, so only for a grid known to be small.
+        bound = comb(2 * param_max, param_max) ** 2
+        digits = Packing(4 * bound)
+
+        @lru_cache(maxsize=None)
+        def packed(*bounds: int) -> int | None:
+            coeffs = pbar_gf(r, *bounds).coeffs
+            fits = max(map(abs, coeffs), default=0) <= bound
+            return digits.pack(coeffs) if fits else None
+
+        return packed, 8 * digits.width
+
     def check(r: int, n1: int, n2: int, k1: int, k2: int):
-        gf = pbar_gf(r, n1, n2, k1, k2)
-        a = pbar_gf(r, n1 - 1, n2 - 1, k1, k2)
-        b = pbar_gf(r, n1 - 1, n2, k1, k2 - 1)
-        c = pbar_gf(r, n1, n2 - 1, k1 - 1, k2)
-        d = pbar_gf(r, n1, n2, k1 - 1, k2 - 1)
-        relations = (
-            a.shift(k1 * r + k2) + b.shift(k1 * r) + c.shift(k2) + d,
-            a + b.shift(n2) + c.shift(n1 * r) + d.shift(n1 * r + n2),
-            a.shift(k1 * r) + b.shift(k1 * r + n2) + c + d.shift(n2),
+        params = (r, n1, n2, k1, k2)
+        neighbours = (
+            (n1 - 1, n2 - 1, k1, k2),
+            (n1 - 1, n2, k1, k2 - 1),
+            (n1, n2 - 1, k1 - 1, k2),
+            (n1, n2, k1 - 1, k2 - 1),
         )
-        return 3, [
-            Counterexample((index, r, n1, n2, k1, k2), str(gf), str(rhs))
-            for index, rhs in enumerate(relations, start=1) if gf != rhs
-        ]
+        # each relation's shift of each neighbour, in that order
+        relations = (
+            (k1 * r + k2, k1 * r, k2, 0),
+            (0, n2, n1 * r, n1 * r + n2),
+            (k1 * r, k1 * r + n2, 0, n2),
+        )
+        packed, w = packed_at(r)
+        gf = packed(n1, n2, k1, k2)
+        terms = [packed(*bounds) for bounds in neighbours]
+        if gf is not None and None not in terms:
+            a, b, c, d = terms
+            if all(
+                (a << w * s) + (b << w * t) + (c << w * u) + (d << w * v) == gf
+                for s, t, u, v in relations
+            ):
+                return 3, []
+        gf = pbar_gf(*params)
+        terms = [pbar_gf(r, *bounds) for bounds in neighbours]
+        found = []
+        for index, shifts in enumerate(relations, start=1):
+            rhs = sum((term.shift(s) for term, s in zip(terms, shifts)), ZERO)
+            found += _mismatch((index,) + params, gf, rhs)
+        return 3, found
 
     grid = (
         f"1<=r<={r_max}, 1<=N1,N2<={param_max}, 0<=k1,k2<={param_max}, "
@@ -421,7 +493,7 @@ def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     """Distinct-part generating function against the enumeration oracle."""
     return _rows_against_oracle(
         "thm2.6", lambda *b: qbar_gf(*b).coeffs, qbar_enumerate_totals, _set_walk,
-        r_max, param_max,
+        _set_picks, r_max, param_max,
     )
 
 

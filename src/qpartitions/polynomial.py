@@ -15,7 +15,15 @@ two-kind generating functions call at step r, so no inflated copy of ``a`` is
 built.  ``packed_sums`` uses it for whole sums of shifted products, such as
 the sides of the Guo-Yang identities (eq2/eq3): every operand is packed once,
 all at one digit width sized from the operands, the products are summed as
-integers, and each sum is read back once.
+integers, and each sum is read back once.  The ``thm2.3`` verifier packs
+generating functions with it directly and compares sums of them shifted by
+whole digits, with no product at all.
+
+A digit of 1, 2, 4 or 8 bytes is packed by one ``struct.pack`` over the
+whole sequence, and a step spreads those digits into a zeroed buffer with
+one strided copy; a wider digit is packed with one ``to_bytes`` per
+coefficient.  Negative coefficients are packed apart from the others and
+subtracted, so every packed digit is nonnegative.
 
 Every dense result whose degree comes from a caller's step or shift is
 checked against ``MAX_DENSE_DEGREE`` before anything is allocated, so an
@@ -305,6 +313,15 @@ class Packing:
                 [-c if c < 0 else 0 for c in coeffs], step
             )
         width = self.width
+        if width in _STRUCT_CODES:
+            code = _STRUCT_CODES[width].upper()
+            raw = struct.pack(f"<{len(coeffs)}{code}", *coeffs)
+            if step > 1:
+                # copy the digits into every step-th slot of a zeroed buffer
+                spread = bytearray(width * (step * (len(coeffs) - 1) + 1))
+                memoryview(spread).cast(code)[::step] = memoryview(raw).cast(code)
+                raw = spread
+            return int.from_bytes(raw, "little")
         # one coefficient alone needs no gap, whatever the step
         gap = bytes(width * (step - 1)) if len(coeffs) > 1 else b""
         return int.from_bytes(

@@ -383,6 +383,20 @@ class TestVerify:
             "exceeds the limit of 1000000\n"
         )
 
+    def test_long_oracle_grid_is_a_usage_error(self, capsys, monkeypatch):
+        # every row of param-max 6 is within the walk limit, but 416 r walk
+        # 416 * 3,431**2 pairs of picks in all
+        monkeypatch.setattr(identities, "pbar_enumerate_totals", None)
+        code, out, err = run(
+            capsys, "verify", "thm2.1", "--r-max", "416", "--param-max", "6"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: thm2.1: grid of 4897052576 pairs of picks exceeds the limit "
+            "of 100000000\n"
+        )
+
     def test_every_grid_bound_has_a_flag(self):
         accepted = {name for _, names in identities._REGISTRY.values() for name in names}
         assert sorted(cli._GRID_BOUNDS) == sorted(accepted)

@@ -1,5 +1,6 @@
 """Identity verifiers: worked instances, default grids, report contracts."""
 
+import itertools
 import math
 
 import pytest
@@ -296,6 +297,64 @@ class TestGridLimit:
                 k * math.comb(t, k) for k, t in filter(None, rows)
             )
 
+    @pytest.mark.parametrize(
+        "picks, row",
+        [
+            (identities._multiset_picks, lambda n, k: math.comb(n + k, k)),
+            (identities._set_picks, lambda n, k: math.comb(n, k)),
+        ],
+    )
+    def test_picks_sum_every_row(self, picks, row):
+        for bound in range(16):
+            assert picks(bound) == sum(
+                row(n, k) for n in range(bound + 1) for k in range(bound + 1)
+            )
+
+    @pytest.mark.parametrize(
+        "identity_id, oracle, pairs",
+        [
+            # two r, each (C(6, 3) - 1)**2 pairs over N1, N2, k1, k2 <= 2
+            ("thm2.1", "pbar_enumerate_totals", 2 * 19**2),
+            ("thm2.2", "pbar_enumerate_totals", 2 * 19**2),
+            # two r, each (2**3 - 1)**2 pairs
+            ("thm2.6", "qbar_enumerate_totals", 2 * 7**2),
+        ],
+    )
+    def test_oracle_grids_size_their_total_walk_first(
+        self, monkeypatch, identity_id, oracle, pairs
+    ):
+        walked = []
+        real = partitions._check_walk
+
+        def counted(first, second):
+            walked.append(math.comb(first[1], first[0]) * math.comb(second[1], second[0]))
+            real(first, second)
+
+        monkeypatch.setattr(partitions, "_check_walk", counted)
+        monkeypatch.setattr(identities, "MAX_GRID_WORK", pairs)
+        assert run_identity(identity_id, r_max=2, param_max=2).passed
+        # the sizing is exact: it counts the pairs the rows then walk
+        assert sum(walked) == pairs
+        monkeypatch.setattr(identities, "MAX_GRID_WORK", pairs - 1)
+
+        def unreachable(*bounds):
+            raise AssertionError(f"walked {bounds}")
+
+        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", oracle):
+            monkeypatch.setattr(identities, name, unreachable)
+        refusal = (
+            f"^{identity_id}: grid of {pairs} pairs of picks exceeds the limit of {pairs - 1}$"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            run_identity(identity_id, r_max=2, param_max=2)
+
+    def test_unpatched_work_limit_refuses_long_grids(self, monkeypatch):
+        # 2,401 points per r, each row within the walk limit, but 416 r walk
+        # 416 * 3,431**2 pairs
+        monkeypatch.setattr(identities, "pbar_enumerate_totals", None)
+        with pytest.raises(ValueError, match=f"^thm2.1: grid of {416 * 3431**2} pairs"):
+            verify_thm21(r_max=416, param_max=6)
+
     def test_empty_axis_is_not_walked(self):
         # an empty N1 axis next to a huge r axis checks nothing, at once
         with pytest.raises(ValueError, match="empty verification grid"):
@@ -479,6 +538,60 @@ class TestStructuralVerifiers:
             {"params": [2, 1, 1, 1, 1, 1], "lhs": lhs, "rhs": lhs + " + q^3"},
             {"params": [3, 1, 1, 1, 1, 1], "lhs": lhs, "rhs": lhs + " + q^4"},
         ]
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            # a negative coefficient, within the packed bound B = C(4, 2)**2
+            {(2, 1, 1, 1, 1): IntPolynomial((0, -3))},
+            # a coefficient over B, as the point's own side and as a neighbour
+            {(1, 2, 1, 1, 2): IntPolynomial((0, 0, 2**70))},
+            {(2, 1, 0, 2, 1): IntPolynomial((2**70,))},
+        ],
+    )
+    def test_recurrence_packed_sides_report_like_polynomials(self, monkeypatch, cells):
+        perturb(monkeypatch, "pbar_gf", cells)
+        gf = identities.pbar_gf
+        expected = []
+        for r, n1, n2, k1, k2 in itertools.product(
+            range(1, 3), range(1, 3), range(1, 3), range(3), range(3)
+        ):
+            a = gf(r, n1 - 1, n2 - 1, k1, k2)
+            b = gf(r, n1 - 1, n2, k1, k2 - 1)
+            c = gf(r, n1, n2 - 1, k1 - 1, k2)
+            d = gf(r, n1, n2, k1 - 1, k2 - 1)
+            relations = (
+                a.shift(k1 * r + k2) + b.shift(k1 * r) + c.shift(k2) + d,
+                a + b.shift(n2) + c.shift(n1 * r) + d.shift(n1 * r + n2),
+                a.shift(k1 * r) + b.shift(k1 * r + n2) + c + d.shift(n2),
+            )
+            lhs = gf(r, n1, n2, k1, k2)
+            expected += [
+                {"params": [index, r, n1, n2, k1, k2], "lhs": str(lhs), "rhs": str(rhs)}
+                for index, rhs in enumerate(relations, start=1)
+                if lhs != rhs
+            ]
+        assert expected  # the perturbation is seen
+        report = verify_thm23(r_max=2, param_max=2)
+        assert report.as_dict() == {
+            "identity_id": "thm2.3",
+            "grid": "1<=r<=2, 1<=N1,N2<=2, 0<=k1,k2<=2, three relations, all n",
+            "checked": 3 * 2 * 2 * 2 * 3 * 3,
+            "failures": sorted(expected, key=lambda c: c["params"]),
+        }
+
+    def test_passing_recurrences_add_no_polynomials(self, monkeypatch):
+        # a passing point is decided on packed integers alone
+        def forbidden(*args):
+            raise AssertionError("polynomial arithmetic on a passing point")
+
+        partitions.pbar_gf.cache_clear()
+        monkeypatch.setattr(IntPolynomial, "__add__", forbidden)
+        monkeypatch.setattr(IntPolynomial, "__radd__", forbidden)
+        monkeypatch.setattr(IntPolynomial, "shift", forbidden)
+        report = verify_thm23(r_max=3, param_max=4)
+        assert report.passed
+        assert report.checked == 3 * 3 * 4 * 4 * 5 * 5
 
     def test_symmetry_counterexamples_share_their_params(self, monkeypatch):
         # three swaps, then the reversed polynomial, at the perturbed tuple;

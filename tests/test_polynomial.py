@@ -249,6 +249,48 @@ def schoolbook_sum(terms):
     return total
 
 
+def pack_by_bytes(width, coeffs, step):
+    """``Packing.pack`` one coefficient at a time: the positive and negative halves
+    as ``width``-byte digits with ``step - 1`` zero digits between them."""
+
+    def half(cs):
+        gap = bytes(width * (step - 1))
+        return int.from_bytes(gap.join(c.to_bytes(width, "little") for c in cs), "little")
+
+    return half([max(c, 0) for c in coeffs]) - half([max(-c, 0) for c in coeffs])
+
+
+# every digit width: the four struct sizes and two past them, each with the
+# bit lengths of the bounds that choose it
+_WIDTH_BITS = {1: (1, 7), 2: (9, 15), 4: (17, 31), 8: (33, 63), 9: (65, 71), 16: (121, 127)}
+
+
+@pytest.mark.parametrize("width", sorted(_WIDTH_BITS))
+@given(data=st.data(), step=st.integers(1, 5))
+def test_pack_matches_per_coefficient_bytes(width, data, step):
+    low, high = _WIDTH_BITS[width]
+    bound = data.draw(st.integers(2 ** (low - 1), 2**high - 1))
+    coefficient = st.integers(-bound, bound) | st.sampled_from((0, bound, -bound))
+    coeffs = data.draw(
+        st.lists(coefficient, max_size=12)
+        | st.lists(st.integers(0, bound), max_size=12)
+        | st.lists(coefficient, max_size=1).map(tuple)
+    )
+    packing = Packing(bound)
+    assert packing.width == width
+    assert packing.pack(coeffs, step) == pack_by_bytes(width, coeffs, step)
+
+
+@pytest.mark.parametrize("width", sorted(_WIDTH_BITS))
+def test_pack_empty_and_single_coefficients(width):
+    bound = 2 ** _WIDTH_BITS[width][1] - 1
+    packing = Packing(bound)
+    for step in range(1, 6):
+        assert packing.pack([], step) == 0
+        for c in (0, 1, -1, bound, -bound):
+            assert packing.pack([c], step) == c == pack_by_bytes(width, [c], step)
+
+
 @given(long_lists, long_lists)
 def test_kronecker_matches_schoolbook(a, b):
     expected = IntPolynomial(schoolbook(a, b))
