@@ -45,7 +45,6 @@ from .identities import (
     IDENTITY_IDS,
     Counterexample,
     VerificationReport,
-    corollary_ceiling_index,
     corollary_lower_index,
     corollary_term_count,
     corollary_terms,
@@ -109,7 +108,6 @@ __all__ = [
     "verify_cor32",
     "expand_p_thm31",
     "corollary_lower_index",
-    "corollary_ceiling_index",
     "corollary_term_count",
     "corollary_terms",
     "p_by_corollary",

@@ -10,15 +10,18 @@ pass; failures carry the offending parameter tuple and both sides' values.
 partition records; ``VerificationReport`` is a plain mutable class that
 compares by value and is unhashable.  Neither is a dataclass.
 
-A grid of more than ``MAX_GRID_POINTS`` points is refused with
-``ValueError`` before its first point.  A point of Thm 3.1 or Thm 3.3 at
-(N, k) compares N*k + 1 counts, so those two grids are held to the same
-limit in comparisons, the report's ``checked``.  An eq2 or eq3 grid is
-held to it in the Gaussian coefficients its largest m builds at once.  The
-limit bounds the run, not its speed: the largest square Thm 3.x grid it
-allows, 44 by 44 (982,125 comparisons), takes over a minute.  A grid
-checked against an enumeration row (Thm 2.1, 2.2 and 2.6) is also refused
-before its first point when its costliest row would walk past
+Every verifier states the total work of its whole grid, and ``_sweep``
+refuses a grid over its limit with ``ValueError`` before the first point.
+The points come first: a grid of more than ``MAX_GRID_POINTS`` points is
+refused.  A verifier's ``cost`` then sizes the whole grid in its own unit.
+A point (a, b) of Thm 3.1, Thm 3.3, eq2 or eq3 makes a*b + 1 units of work:
+comparisons for Thm 3.x (the report's ``checked``), and for eq2 and eq3 the
+coefficients of the Gaussian [a+b, b] that the memo keeps.  Point n of
+Cor 3.2 builds and keeps [2n, n], of n*n + 1 coefficients.  These are held
+to ``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed:
+the largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
+takes over a minute.  A grid checked against an enumeration row (Thm 2.1,
+2.2 and 2.6) is refused when its costliest row would walk past
 ``MAX_ENUMERATION_WORK``, with the error that row would raise, or when its
 rows would walk more than ``MAX_GRID_WORK`` pairs of picks in all.
 
@@ -150,9 +153,8 @@ def _mismatch(params: tuple, lhs: object, rhs: object) -> list[Counterexample]:
     return [] if lhs == rhs else [Counterexample(params, str(lhs), str(rhs))]
 
 
-def _check_grid(identity_id: str, size: int, unit: str, limit: int | None = None) -> None:
-    """Refuse a grid of more than ``limit`` units, ``MAX_GRID_POINTS`` by default."""
-    limit = MAX_GRID_POINTS if limit is None else limit
+def _check_grid(identity_id: str, size: int, unit: str, limit: int) -> None:
+    """Refuse a grid of more than ``limit`` units of work."""
     if size > limit:
         raise ValueError(
             f"{identity_id}: grid of {size} {unit} exceeds the limit of {limit}"
@@ -164,7 +166,7 @@ def _sweep(
     grid: str,
     axes: tuple[range, ...],
     check: Callable,
-    size_work: Callable[[], None] | None = None,
+    cost: Callable[[], tuple[int, str, int]] | None = None,
 ) -> VerificationReport:
     """Run ``check(*point)`` at every point of the product of ``axes``.
 
@@ -172,14 +174,14 @@ def _sweep(
     their order within one point is kept by the report's stable sort.  The
     axes are step-1 ranges, so the point count is known before the first
     point: above ``MAX_GRID_POINTS`` the grid is refused with ``ValueError``.
-    A grid within that limit and with points is then passed to
-    ``size_work``, when given, which raises ``ValueError`` if the work at
-    the grid's costliest point is over its limit.
+    A grid within that limit and with points is then sized by ``cost``, when
+    given, which returns the whole grid's work as (size, unit, limit) and
+    may raise itself; a size over its limit is refused the same way.
     """
     points = prod(max(0, axis.stop - axis.start) for axis in axes)
-    _check_grid(identity_id, points, "points")
-    if points and size_work is not None:
-        size_work()
+    _check_grid(identity_id, points, "points", MAX_GRID_POINTS)
+    if points and cost is not None:
+        _check_grid(identity_id, *cost())
     checked = 0
     failures: list[Counterexample] = []
     # product() holds each axis as a tuple first, so an empty grid is not walked
@@ -188,6 +190,14 @@ def _sweep(
         checked += comparisons
         failures += found
     return VerificationReport(identity_id, grid, checked, failures)
+
+
+def _rectangle_work(a_max: int, b_max: int) -> int:
+    """The sum of a*b + 1 over 0 <= a <= ``a_max`` and 0 <= b <= ``b_max``.
+
+    It is C(a_max+1, 2) * C(b_max+1, 2) + (a_max+1) * (b_max+1).
+    """
+    return comb(a_max + 1, 2) * comb(b_max + 1, 2) + (a_max + 1) * (b_max + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +221,9 @@ def _gaussian_sweep(
     call is made at the first n of m and, since the points come in order,
     each n reads its own sides back in turn.
 
-    So the largest m holds every [m_max+j, j] for j up to n_max at once,
-    m_max*j + 1 coefficients each.  A grid whose largest m holds more than
-    ``MAX_GRID_POINTS`` of them is refused with ``ValueError`` here, before
-    its first point.
+    The Gaussian memo keeps every [m+j, j] the grid builds, m*j + 1
+    coefficients each, so the grid's cost is their sum over the whole grid.
     """
-    ns = max(0, n_max + 1)
-    if m_max >= 0:
-        _check_grid(identity_id, m_max * comb(ns, 2) + ns, "Gaussian coefficients")
 
     @lru_cache(maxsize=1)
     def sums_at(m: int):
@@ -240,8 +245,11 @@ def _gaussian_sweep(
         rhs = wide[n] if right is None else IntPolynomial(next(sums))
         return 1, _mismatch((m, n), lhs, rhs)
 
+    def cost():
+        return _rectangle_work(m_max, n_max), "Gaussian coefficients", MAX_GRID_POINTS
+
     grid = f"0<=m<={m_max}, 0<=n<={n_max}"
-    return _sweep(identity_id, grid, (range(m_max + 1), range(n_max + 1)), check)
+    return _sweep(identity_id, grid, (range(m_max + 1), range(n_max + 1)), check, cost)
 
 
 def verify_guo_yang_1(m_max: int = 10, n_max: int = 10) -> VerificationReport:
@@ -337,15 +345,14 @@ def _rows_against_oracle(
     def check(*bounds: int):
         return 1, _row_failures(bounds, route(*bounds), oracle(*bounds))
 
-    def size_work() -> None:
+    def cost():
         worst = walk(param_max)
         _check_walk(worst, worst)
-        pairs = r_max * picks(param_max) ** 2
-        _check_grid(identity_id, pairs, "pairs of picks", MAX_GRID_WORK)
+        return r_max * picks(param_max) ** 2, "pairs of picks", MAX_GRID_WORK
 
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}, all n"
     axes = _two_kind_grid(r_max, param_max)
-    return _sweep(identity_id, grid, axes, check, size_work)
+    return _sweep(identity_id, grid, axes, check, cost)
 
 
 def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
@@ -536,19 +543,19 @@ def expand_p_thm31(N: int, k: int, n: int) -> int:
     return total
 
 
-def _expansion_grid(
-    identity_id: str, n_max: int, k_max: int
-) -> tuple[str, tuple[range, range]]:
-    """The grid text and the (N, k) axes of Thm 3.1 and Thm 3.3.
+def _expansion_sweep(
+    identity_id: str, n_max: int, k_max: int, check: Callable, note: str = ""
+) -> VerificationReport:
+    """Run a check of Thm 3.1 or Thm 3.3 at every (N, k), costed in comparisons.
 
-    A point (N, k) compares rows of N*k + 1 counts, so the grid makes
-    C(n_max+1, 2) * C(k_max+1, 2) + (n_max+1) * (k_max+1) comparisons.  Past
-    ``MAX_GRID_POINTS`` of them it is refused with ``ValueError`` here,
-    before its first point.
+    A point (N, k) compares rows of N*k + 1 counts.
     """
-    ns, ks = max(0, n_max + 1), max(0, k_max + 1)
-    _check_grid(identity_id, comb(ns, 2) * comb(ks, 2) + ns * ks, "comparisons")
-    return f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k", (range(ns), range(ks))
+
+    def cost():
+        return _rectangle_work(n_max, k_max), "comparisons", MAX_GRID_POINTS
+
+    grid = f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k{note}"
+    return _sweep(identity_id, grid, (range(n_max + 1), range(k_max + 1)), check, cost)
 
 
 def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:
@@ -565,33 +572,17 @@ def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:
         got = _expansion(2, N, k).coeffs
         return N * k + 1, _row_failures((N, k), got, qbinom(N + k, N).coeffs)
 
-    return _sweep("thm3.1", *_expansion_grid("thm3.1", n_max, k_max), check)
+    return _expansion_sweep("thm3.1", n_max, k_max, check)
 
 
 def corollary_lower_index(n: int) -> int:
-    """Smallest j >= 0 with C(n-2j, 2) <= n, found by exact integer scan.
+    """Smallest j >= 0 with C(n-2j, 2) <= n, in closed form.
 
     This is the first index whose summand can be nonzero in the partition
-    formula below; the scan is bit-exact for arbitrarily large n.  The
-    condition holds at j = n // 2 and on every j above the answer, so the
-    scan walks down from n // 2 and its work is bounded by the term count,
-    about sqrt(n/2), not by n.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    j = n // 2
-    while j > 0 and comb(n - 2 * (j - 1), 2) <= n:
-        j -= 1
-    return j
-
-
-def corollary_ceiling_index(n: int) -> int:
-    """The same lower index, via the closed-form ceiling expression.
-
-    Evaluates ceil(n/2 - 1/4 - sqrt(n/2 + 1/16)) exactly: the expression
-    equals (2n - 1 - sqrt(8n + 1)) / 4, and for integer arguments t the
-    comparison t <= sqrt(8n + 1) is decided by isqrt.  Kept alongside the
-    scan so the two can be checked against each other.
+    formula below.  It is ceil(n/2 - 1/4 - sqrt(n/2 + 1/16)), evaluated
+    exactly for arbitrarily large n: the expression equals
+    (2n - 1 - sqrt(8n + 1)) / 4, and for integer arguments t the comparison
+    t <= sqrt(8n + 1) is decided by isqrt.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -628,7 +619,12 @@ def verify_cor32(n_max: int = 60) -> VerificationReport:
     def check(n: int):
         return 1, _mismatch((n,), p_by_corollary(n), partition_p(n))
 
-    return _sweep("cor3.2", f"0<=n<={n_max}", (range(n_max + 1),), check)
+    def cost():
+        # point n builds and keeps [2n, n], of n*n + 1 coefficients
+        coeffs = n_max * (n_max + 1) * (2 * n_max + 1) // 6 + n_max + 1
+        return coeffs, "Gaussian coefficients", MAX_GRID_POINTS
+
+    return _sweep("cor3.2", f"0<=n<={n_max}", (range(n_max + 1),), check, cost)
 
 
 def verify_thm33(
@@ -653,10 +649,8 @@ def verify_thm33(
             rhs = rhs + (-row if signed and j % 2 else row)
         return N * k + 1, _row_failures((N, k), _expansion(4, N, k).coeffs, rhs.coeffs)
 
-    grid, axes = _expansion_grid("thm3.3", n_max, k_max)
-    if not signed:
-        grid += " (sign factor dropped)"
-    return _sweep("thm3.3", grid, axes, check)
+    note = "" if signed else " (sign factor dropped)"
+    return _expansion_sweep("thm3.3", n_max, k_max, check, note)
 
 
 # ---------------------------------------------------------------------------

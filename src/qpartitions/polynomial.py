@@ -77,9 +77,6 @@ class IntPolynomial:
         """Degree of the polynomial; ``-1`` for the zero polynomial."""
         return len(self._coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def coeff(self, i: int) -> int:
         """Coefficient of ``q**i``; zero outside the stored range.
 

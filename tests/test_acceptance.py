@@ -168,7 +168,7 @@ def test_criterion_8_unimodality_and_reciprocity():
                 if not qbinom(a + b, a, r).is_self_reciprocal():
                     reciprocal = False
                 inner = qbinom(a, b, r)
-                if not inner.is_zero() and not inner.is_self_reciprocal():
+                if inner and not inner.is_self_reciprocal():
                     reciprocal = False
     report(8, "step-2 non-unimodal witness exists; all grid gaussians palindromic",
            witness and reciprocal, time.perf_counter() - start, 10.0)

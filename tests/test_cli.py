@@ -360,15 +360,39 @@ class TestVerify:
         )
 
     def test_costly_gaussian_grid_is_a_usage_error(self, capsys):
-        # 5,511 points, but m = 10 holds 1,253,001 Gaussian coefficients at once
+        # 5,511 points, but the memo keeps [m+j, j] of m*j + 1 coefficients
+        # for every m <= 10 and j <= 500: 6,894,261 in all
         code, out, err = run(
             capsys, "verify", "eq2", "--m-max", "10", "--n-max", "500"
         )
         assert code == 2
         assert out == ""
         assert err == (
-            "error: eq2: grid of 1253001 Gaussian coefficients exceeds the limit "
+            "error: eq2: grid of 6894261 Gaussian coefficients exceeds the limit "
             "of 1000000\n"
+        )
+
+    def test_tall_gaussian_grid_is_a_usage_error(self, capsys):
+        # 400,004 points, but [m+j, j] for m <= 100,000 and j <= 3 hold
+        # 30,000,700,004 coefficients
+        code, out, err = run(
+            capsys, "verify", "eq3", "--m-max", "100000", "--n-max", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: eq3: grid of 30000700004 Gaussian coefficients exceeds the "
+            "limit of 1000000\n"
+        )
+
+    def test_costly_corollary_grid_is_a_usage_error(self, capsys):
+        # 10**6 points, but point n builds [2n, n] of n*n + 1 coefficients
+        code, out, err = run(capsys, "verify", "cor3.2", "--n-max", "999999")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: cor3.2: grid of 333332833334500000 Gaussian coefficients "
+            "exceeds the limit of 1000000\n"
         )
 
     def test_costly_oracle_grid_is_a_usage_error(self, capsys, monkeypatch):

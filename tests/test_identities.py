@@ -9,7 +9,6 @@ from qpartitions import identities, partitions
 from qpartitions.identities import (
     Counterexample,
     VerificationReport,
-    corollary_ceiling_index,
     corollary_lower_index,
     corollary_term_count,
     corollary_terms,
@@ -213,6 +212,8 @@ class TestGridLimit:
             ("thm3.1", {"n_max": 200, "k_max": 200}),  # 40,401 points
             ("eq2", {"m_max": 10, "n_max": 500}),  # 5,511 points
             ("eq3", {"m_max": 5, "n_max": 1000}),  # 6,006 points
+            ("cor3.2", {"n_max": 999999}),  # 10**6 points
+            ("eq3", {"m_max": 100000, "n_max": 3}),  # 400,004 points
         ],
     )
     def test_unpatched_limit_refuses_large_grids(self, identity_id, grid):
@@ -220,33 +221,54 @@ class TestGridLimit:
             run_identity(identity_id, **grid)
 
     @pytest.mark.parametrize(
-        "identity_id, verifier", [("thm3.1", verify_thm31), ("thm3.3", verify_thm33)]
+        "identity_id, verifier",
+        [
+            ("thm3.1", verify_thm31),
+            ("thm3.3", verify_thm33),
+            ("eq2", verify_guo_yang_1),
+            ("eq3", verify_guo_yang_2),
+        ],
     )
     def test_expansion_grids_count_comparisons(
         self, monkeypatch, identity_id, verifier
     ):
-        # 12 points at N <= 2, k <= 3, whose rows hold 3 * 6 + 3 * 4 = 30 counts
+        # 12 points at (2, 3).  A point (a, b) of thm3.x compares rows of
+        # a*b + 1 counts, and one of eq2 or eq3 keeps [a+b, b] of a*b + 1
+        # coefficients, so each grid costs 3 * 6 + 3 * 4 = 30
+        if identity_id.startswith("thm"):
+            unit, checked = "comparisons", 30
+        else:
+            unit, checked = "Gaussian coefficients", 12
         monkeypatch.setattr(identities, "MAX_GRID_POINTS", 30)
-        assert verifier(n_max=2, k_max=3).checked == 30
+        report = verifier(2, 3)
+        assert report.passed and report.checked == checked
         monkeypatch.setattr(identities, "MAX_GRID_POINTS", 29)
         monkeypatch.setattr(identities, "pbar_convolution_totals", None)
-        refusal = f"^{identity_id}: grid of 30 comparisons exceeds the limit of 29$"
-        with pytest.raises(ValueError, match=refusal):
-            verifier(n_max=2, k_max=3)
-
-    @pytest.mark.parametrize("identity_id", ["eq2", "eq3"])
-    def test_gaussian_grids_count_coefficients(self, monkeypatch, identity_id):
-        # 12 points at m <= 2, n <= 3; m = 2 holds [2+j, j] for j <= 3,
-        # of 1 + 3 + 5 + 7 = 16 coefficients
-        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 16)
-        assert run_identity(identity_id, m_max=2, n_max=3).checked == 12
-        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 15)
         monkeypatch.setattr(identities, "qbinom", None)
-        refusal = (
-            f"^{identity_id}: grid of 16 Gaussian coefficients exceeds the limit of 15$"
-        )
+        refusal = f"^{identity_id}: grid of 30 {unit} exceeds the limit of 29$"
         with pytest.raises(ValueError, match=refusal):
-            run_identity(identity_id, m_max=2, n_max=3)
+            verifier(2, 3)
+
+    def test_rectangle_work_sums_every_point(self):
+        for a_max, b_max in itertools.product(range(8), repeat=2):
+            assert identities._rectangle_work(a_max, b_max) == sum(
+                a * b + 1 for a in range(a_max + 1) for b in range(b_max + 1)
+            )
+
+    def test_corollary_grid_counts_its_gaussian_rows(self, monkeypatch):
+        # n <= 3 builds [2n, n] of n*n + 1 coefficients: 1 + 2 + 5 + 10 = 18
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 18)
+        assert verify_cor32(n_max=3).passed
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 17)
+
+        def unreachable(n):
+            raise AssertionError(f"checked {n}")
+
+        monkeypatch.setattr(identities, "partition_p", unreachable)
+        monkeypatch.setattr(identities, "p_by_corollary", unreachable)
+        refusal = "^cor3.2: grid of 18 Gaussian coefficients exceeds the limit of 17$"
+        with pytest.raises(ValueError, match=refusal):
+            verify_cor32(n_max=3)
 
     @pytest.mark.parametrize(
         "identity_id, oracle, bound, pairs, parts",
@@ -697,27 +719,30 @@ def decimal_ceiling_index(n):
     return max(0, int(value.to_integral_value(rounding=decimal.ROUND_CEILING)))
 
 
+def scanned_lower_index(n):
+    """Smallest j >= 0 with C(n-2j, 2) <= n, by exact integer scan.  Oracle only.
+
+    The condition holds at j = n // 2 and on every j above the answer, so
+    the scan walks down from n // 2, about sqrt(n/2) steps.
+    """
+    j = n // 2
+    while j > 0 and math.comb(n - 2 * (j - 1), 2) <= n:
+        j -= 1
+    return j
+
+
 class TestShortSumFormula:
     def test_lower_index_scan_matches_ceiling_formula(self):
         for n in range(201):
             assert (
                 corollary_lower_index(n)
-                == corollary_ceiling_index(n)
+                == scanned_lower_index(n)
                 == decimal_ceiling_index(n)
             ), n
 
-    def test_lower_index_scan_is_bounded_by_the_term_count(self, monkeypatch):
+    def test_lower_index_at_large_n(self):
         assert corollary_term_count(10**12) == 707108
-        real = identities.comb
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(identities, "comb", counting)
-        assert corollary_lower_index(10**6) == corollary_ceiling_index(10**6)
-        assert len(calls) <= 1000
+        assert corollary_lower_index(10**6) == scanned_lower_index(10**6)
 
     def test_worked_instance_terms(self):
         assert corollary_terms(6) == [1, 7, 3]
@@ -726,9 +751,7 @@ class TestShortSumFormula:
     def test_edge(self):
         assert p_by_corollary(0) == 1
         assert corollary_terms(0) == [1]
-        for formula in (
-            corollary_lower_index, corollary_ceiling_index, corollary_terms, p_by_corollary
-        ):
+        for formula in (corollary_lower_index, corollary_terms, p_by_corollary):
             with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
                 formula(-1)
 

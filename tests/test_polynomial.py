@@ -22,7 +22,7 @@ def P(*coeffs):
 
 
 polys = st.builds(IntPolynomial, st.lists(st.integers(-9, 9), max_size=8))
-nonzero_polys = polys.filter(lambda p: not p.is_zero())
+nonzero_polys = polys.filter(bool)
 
 # Coefficient lists long enough for the Kronecker path: up to 60 entries, a
 # run of zeros in front, signed or all nonnegative, small or near 2**200.
@@ -53,7 +53,7 @@ class TestConstruction:
 
     def test_zero_polynomial_is_empty(self):
         assert P(0, 0, 0).coeffs == ()
-        assert P().is_zero()
+        assert not P()
 
     def test_degree(self):
         assert P(1, 0, 5).degree == 2
