@@ -23,7 +23,9 @@ the largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
 takes over a minute.  A grid checked against an enumeration row (Thm 2.1,
 2.2 and 2.6) is refused when its costliest row would walk past
 ``MAX_ENUMERATION_WORK``, with the error that row would raise, or when its
-rows would walk more than ``MAX_GRID_WORK`` pairs of picks in all.
+rows would walk more than ``MAX_GRID_WORK`` pairs of picks in all.  These
+three enumerate each kind's list of pick totals once per grid, in a cache
+made for the call, and still tally every pair of picks at every point.
 
 The registry at the bottom maps stable identity ids (``"thm2.1"``, ``"eq2"``,
 ``"cor3.2"``, ...) to their verifiers; ``run_identity`` is the single entry
@@ -43,13 +45,14 @@ from .partitions import (
     TwoKindQuery,
     _Record,
     _check_walk,
+    _kind_sums,
+    _pbar_row,
+    _qbar_row,
     _set,
     partition_p,
     pbar_convolution,
     pbar_convolution_totals,
-    pbar_enumerate_totals,
     pbar_gf,
-    qbar_enumerate_totals,
     qbar_gf,
 )
 
@@ -334,16 +337,25 @@ def _rows_against_oracle(
 ) -> VerificationReport:
     """Compare a route's row of counts with the oracle's for every bound tuple.
 
+    ``oracle(sums, *bounds)`` is ``_pbar_row`` or ``_qbar_row``.  A kind's
+    pick totals depend only on its own (N, k), so ``sums`` is a cache of
+    ``_kind_sums`` made for this call alone: each list is enumerated once
+    per grid, not once per point, and is gone when the call returns.  Every
+    row still runs the oracle's own checks, and its pairs of picks are
+    still counted one by one.
+
     ``walk(param_max)`` is the oracle's costliest (k, t) per kind over the
     grid, so ``_check_walk`` on it refuses, before the first point, exactly
     the grids in which the oracle would refuse some point.  ``picks(param_max)``
     is one kind's picks summed over its bounds, S, so each r walks S**2
     pairs of picks; past ``MAX_GRID_WORK`` pairs in all, r_max * S**2, the
-    grid is refused before its first point too.
+    grid is refused before its first point too.  The cache holds S totals
+    in all, so that limit also holds it to 10**4.
     """
+    sums = lru_cache(maxsize=None)(_kind_sums)
 
     def check(*bounds: int):
-        return 1, _row_failures(bounds, route(*bounds), oracle(*bounds))
+        return 1, _row_failures(bounds, route(*bounds), oracle(sums, *bounds))
 
     def cost():
         worst = walk(param_max)
@@ -358,7 +370,7 @@ def _rows_against_oracle(
 def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Convolution route against the enumeration oracle, every target."""
     return _rows_against_oracle(
-        "thm2.1", pbar_convolution_totals, pbar_enumerate_totals, _multiset_walk,
+        "thm2.1", pbar_convolution_totals, _pbar_row, _multiset_walk,
         _multiset_picks, r_max, param_max,
     )
 
@@ -366,7 +378,7 @@ def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
 def verify_thm22(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Generating-function coefficients against the enumeration oracle."""
     return _rows_against_oracle(
-        "thm2.2", lambda *b: pbar_gf(*b).coeffs, pbar_enumerate_totals, _multiset_walk,
+        "thm2.2", lambda *b: pbar_gf(*b).coeffs, _pbar_row, _multiset_walk,
         _multiset_picks, r_max, param_max,
     )
 
@@ -499,7 +511,7 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     """Distinct-part generating function against the enumeration oracle."""
     return _rows_against_oracle(
-        "thm2.6", lambda *b: qbar_gf(*b).coeffs, qbar_enumerate_totals, _set_walk,
+        "thm2.6", lambda *b: qbar_gf(*b).coeffs, _qbar_row, _set_walk,
         _set_picks, r_max, param_max,
     )
 

@@ -29,8 +29,13 @@ a span past it raises ``ValueError`` before the row is built.  The
 enumeration rows are also sized by their walk, in pairs of picks and in
 parts drawn; past ``MAX_ENUMERATION_WORK`` of either they raise
 ``ValueError`` before the first pick.  That sizing is ``_check_walk``, which
-the oracle verifiers also apply to a grid's costliest row.  ``TwoKindQuery``,
-``pbar_convolution`` and the listings still take any r.
+the oracle verifiers also apply to a grid's costliest row.  A row is two
+steps: ``_kind_sums`` lists one kind's pick totals, which depend only on
+that kind's (N, k), and ``_pair_counts`` tallies every pair of picks one by
+one.  The public rows draw both lists afresh; the oracle verifiers build
+the same rows through ``_pbar_row`` and ``_qbar_row`` from a cache of the
+lists that lasts one call, so each list is enumerated once per grid.
+``TwoKindQuery``, ``pbar_convolution`` and the listings still take any r.
 
 The records ``TwoKindQuery``, ``TwoKindPartition`` and
 ``DistinctTwoKindPartition`` are frozen, slotted classes on one private
@@ -400,27 +405,66 @@ def _check_walk(first: tuple[int, int], second: tuple[int, int]) -> None:
         )
 
 
-def _tally(r: int, pick: Callable, first: tuple, second: tuple, top: int) -> list[int]:
-    """Count the pairs of picks (tuples of parts) by r*sum(first) + sum(second).
+def _kind_sums(pick: Callable, pool: range, k: int) -> list[int]:
+    """The totals of one kind's picks, ``pick(pool, k)``, in the order drawn.
 
-    ``first`` and ``second`` are (pool, k, t) triples, each drawn as
-    ``pick(pool, k)``, which yields C(t, k) picks.  The list covers the
-    totals 0 through ``top``, which is checked against ``MAX_DENSE_DEGREE``
-    first.  The walk is then sized by ``_check_walk``.  Both checks come
-    before any pick is set up: itertools copies the whole pool when it makes
-    the iterator, so an oversized row is refused before a pool of the same
-    size is built.  A pick of no parts copies no pool.
+    A pick of no parts draws from no pool, so that itertools copies none.
+    The totals depend only on the kind's own (pool, k), not on r or on the
+    other kind, so an oracle grid can draw each kind's list once and share
+    it between rows; nothing here keeps it.
     """
-    _check_dense(top)
-    _check_walk(first[1:], second[1:])
-    first_sums, second_sums = (
-        list(map(sum, pick(pool if k else (), k))) for pool, k, _ in (first, second)
-    )
+    return list(map(sum, pick(pool if k else (), k)))
+
+
+def _pair_counts(
+    r: int, first_sums: list[int], second_sums: list[int], top: int
+) -> list[int]:
+    """Count the pairs of picks by r*(first total) + (second total), 0 through ``top``.
+
+    Every pair is counted on its own, one increment each; the lists are
+    only read, so they may be shared between rows.
+    """
     counts = [0] * (top + 1)
     for a in (r * s for s in first_sums):
         for b in second_sums:
             counts[a + b] += 1
     return counts
+
+
+def _pbar_row(sums: Callable, r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
+    """``pbar_enumerate_totals``, with each kind's pick totals from ``sums``.
+
+    ``sums`` is ``_kind_sums`` or a cache of it.  The row's span is checked
+    against ``MAX_DENSE_DEGREE`` and its walk sized by ``_check_walk``
+    before ``sums`` is called: itertools copies the whole pool when it
+    makes the iterator, so an oversized row is refused before a pool of the
+    same size is built.
+    """
+    _check_bounds(r, n1, n2, k1, k2)
+    top = r * n1 * k1 + n2 * k2
+    _check_dense(top)
+    _check_walk((k1, n1 + k1), (k2, n2 + k2))
+    pick = combinations_with_replacement
+    return _pair_counts(
+        r, sums(pick, range(n1 + 1), k1), sums(pick, range(n2 + 1), k2), top
+    )
+
+
+def _qbar_row(sums: Callable, r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
+    """``qbar_enumerate_totals``, with each kind's pick totals from ``sums``.
+
+    Checked and sized first as in ``_pbar_row``.
+    """
+    _check_bounds(r, n1, n2, k1, k2)
+    if k1 > n1 or k2 > n2:
+        return [0]
+    top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
+    _check_dense(top)
+    _check_walk((k1, n1), (k2, n2))
+    pick = combinations
+    return _pair_counts(
+        r, sums(pick, range(1, n1 + 1), k1), sums(pick, range(1, n2 + 1), k2), top
+    )
 
 
 def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -433,9 +477,7 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     multiset of at most k parts from 1..N is listed as k picks with
     replacement from 0..N, a 0 standing for "no part": C(N+k, k) picks.
     """
-    _check_bounds(r, n1, n2, k1, k2)
-    kinds = (range(n1 + 1), k1, n1 + k1), (range(n2 + 1), k2, n2 + k2)
-    return _tally(r, combinations_with_replacement, *kinds, r * n1 * k1 + n2 * k2)
+    return _pbar_row(_kind_sums, r, n1, n2, k1, k2)
 
 
 def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -446,9 +488,4 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     exists.  A set of exactly k distinct parts is listed as k picks without
     replacement from 1..N: C(N, k) picks.
     """
-    _check_bounds(r, n1, n2, k1, k2)
-    if k1 > n1 or k2 > n2:
-        return [0]
-    top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
-    kinds = (range(1, n1 + 1), k1, n1), (range(1, n2 + 1), k2, n2)
-    return _tally(r, combinations, *kinds, top)
+    return _qbar_row(_kind_sums, r, n1, n2, k1, k2)

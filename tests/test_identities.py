@@ -2,8 +2,13 @@
 
 import itertools
 import math
+import sys
+import threading
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpartitions import identities, partitions
 from qpartitions.identities import (
@@ -28,7 +33,14 @@ from qpartitions.identities import (
     verify_thm33,
     IDENTITY_IDS,
 )
-from qpartitions.partitions import p, partition_p
+from qpartitions.partitions import (
+    p,
+    partition_p,
+    pbar_enumerate_totals,
+    pbar_gf,
+    qbar_enumerate_totals,
+    qbar_gf,
+)
 from qpartitions.polynomial import IntPolynomial
 from qpartitions.qbinomial import qbinom
 
@@ -42,6 +54,11 @@ def perturb(monkeypatch, name, cells):
         return value + cells[args] if args in cells else value
 
     monkeypatch.setattr(identities, name, perturbed)
+
+
+# the private row builder through which the oracle verifiers build each
+# public enumeration function's rows
+ROW_OF = {"pbar_enumerate_totals": "_pbar_row", "qbar_enumerate_totals": "_qbar_row"}
 
 
 def failures(report):
@@ -291,7 +308,7 @@ class TestGridLimit:
         def unreachable(*bounds):
             raise AssertionError(f"walked {bounds}")
 
-        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", oracle):
+        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", ROW_OF[oracle]):
             monkeypatch.setattr(identities, name, unreachable)
         refusal = (
             f"^enumeration of {pairs} pairs of picks drawing {parts} parts "
@@ -362,7 +379,7 @@ class TestGridLimit:
         def unreachable(*bounds):
             raise AssertionError(f"walked {bounds}")
 
-        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", oracle):
+        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", ROW_OF[oracle]):
             monkeypatch.setattr(identities, name, unreachable)
         refusal = (
             f"^{identity_id}: grid of {pairs} pairs of picks exceeds the limit of {pairs - 1}$"
@@ -373,7 +390,7 @@ class TestGridLimit:
     def test_unpatched_work_limit_refuses_long_grids(self, monkeypatch):
         # 2,401 points per r, each row within the walk limit, but 416 r walk
         # 416 * 3,431**2 pairs
-        monkeypatch.setattr(identities, "pbar_enumerate_totals", None)
+        monkeypatch.setattr(identities, "_pbar_row", None)
         with pytest.raises(ValueError, match=f"^thm2.1: grid of {416 * 3431**2} pairs"):
             verify_thm21(r_max=416, param_max=6)
 
@@ -672,6 +689,139 @@ class TestStructuralVerifiers:
         for verify in (verify_thm22, verify_thm23, verify_thm24, verify_thm25, verify_thm26):
             assert verify(r_max=3, param_max=2).passed
         assert steps and set(steps) == {1}
+
+
+class TestOracleRows:
+    """The oracle verifiers draw each kind's picks once per grid."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_cached_rows_match_the_public_rows_and_the_generating_functions(
+        self, data
+    ):
+        r = data.draw(st.integers(1, 4))
+        n1, n2, k1, k2 = (data.draw(st.integers(0, 5)) for _ in range(4))
+        for row, public, gf in (
+            (identities._pbar_row, pbar_enumerate_totals, pbar_gf),
+            (identities._qbar_row, qbar_enumerate_totals, qbar_gf),
+        ):
+            sums = lru_cache(maxsize=None)(partitions._kind_sums)
+            # the swapped row draws both kinds' lists first, so the row
+            # below reads every list it needs back from the cache
+            row(sums, r, n2, n1, k2, k1)
+            drawn = sums.cache_info().misses
+            cached = row(sums, r, n1, n2, k1, k2)
+            assert sums.cache_info().misses == drawn
+            assert cached == public(r, n1, n2, k1, k2)
+            coeffs = list(gf(r, n1, n2, k1, k2).coeffs)
+            assert cached == coeffs + [0] * (len(cached) - len(coeffs))
+
+    @pytest.mark.parametrize(
+        "verify, grid, lists",
+        [
+            # k picks with replacement from 0..N, for N, k <= 4
+            (verify_thm21, (4, 4), 25),
+            # k distinct picks from 1..N, for k <= N <= 7
+            (verify_thm26, (4, 7), 36),
+        ],
+    )
+    def test_each_kind_is_enumerated_once_per_grid(
+        self, monkeypatch, verify, grid, lists
+    ):
+        calls = []
+        real = identities._kind_sums
+
+        def counted(pick, pool, k):
+            calls.append((pick, pool, k))
+            return real(pick, pool, k)
+
+        monkeypatch.setattr(identities, "_kind_sums", counted)
+        first = verify(*grid)
+        assert first.passed
+        assert len(calls) == len(set(calls)) == lists
+        # a second call enumerates them all again: no cache outlives a call
+        assert verify(*grid) == first
+        assert len(calls) == 2 * lists
+
+    def test_distinct_failure_is_reported_at_its_point(self, monkeypatch):
+        # the row at (2, 2, 1, 1, 1) is q^3 + q^5: one part 2 or 4, one part 1
+        extra = IntPolynomial((0, 0, 0, 1, 0, 0, 0, 1))
+        perturb(monkeypatch, "qbar_gf", {(2, 2, 1, 1, 1): extra})
+        report = verify_thm26(r_max=2, param_max=3)
+        assert report.checked == 2 * 4**4
+        assert failures(report) == [
+            {"params": [2, 2, 1, 1, 1, 3], "lhs": "2", "rhs": "1"},
+            {"params": [2, 2, 1, 1, 1, 7], "lhs": "1", "rhs": "0"},
+        ]
+
+    def test_oracle_rows_need_no_polynomial_arithmetic(self, monkeypatch):
+        grid = (2, 3)
+        rows = {
+            row: {
+                bounds: list(gf(*bounds).coeffs)
+                for bounds in itertools.product(*identities._two_kind_grid(*grid))
+            }
+            for row, gf in ((identities._pbar_row, pbar_gf), (identities._qbar_row, qbar_gf))
+        }
+
+        def public_rows():
+            return pbar_enumerate_totals(2, 3, 2, 2, 3), qbar_enumerate_totals(2, 3, 2, 2, 1)
+
+        before = public_rows()
+
+        def forbidden(*args):
+            raise AssertionError("polynomial arithmetic in the oracle")
+
+        # with the memos cleared, a generating function read anywhere would
+        # reach the patched product and Gaussian
+        partitions.pbar_gf.cache_clear()
+        partitions.qbar_gf.cache_clear()
+        monkeypatch.setattr(partitions, "qbinom", forbidden)
+        monkeypatch.setattr(partitions, "product", forbidden)
+        assert public_rows() == before
+        for row, walk, picks in (
+            (identities._pbar_row, identities._multiset_walk, identities._multiset_picks),
+            (identities._qbar_row, identities._set_walk, identities._set_picks),
+        ):
+            # the route reads the rows made before the patch; an empty
+            # distinct-part row reads as the oracle's [0]
+            route = rows[row].__getitem__
+            report = identities._rows_against_oracle(
+                "x", lambda *b: route(b), row, walk, picks, *grid
+            )
+            assert report.passed and report.checked == 2 * 4**4
+
+    def test_concurrent_verifiers_match_serial(self):
+        calls = [(verify_thm21, 3, 4), (verify_thm26, 3, 5)]
+        expected = [verify(*grid) for verify, *grid in calls]
+        workers = 4
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+        errors = []
+
+        def run(index):
+            try:
+                barrier.wait(timeout=30)
+                # half the threads run the verifiers in the other order
+                order = calls if index % 2 else calls[::-1]
+                got = {verify: verify(*grid) for verify, *grid in order}
+                results[index] = [got[verify] for verify, *_ in calls]
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * workers
 
 
 class TestOneKindExpansion:
