@@ -17,8 +17,12 @@ refused.  A verifier's ``cost`` then sizes the whole grid in its own unit.
 A point (a, b) of Thm 3.1, Thm 3.3, eq2 or eq3 makes a*b + 1 units of work:
 comparisons for Thm 3.x (the report's ``checked``), and for eq2 and eq3 the
 coefficients of the Gaussian [a+b, b] that the memo keeps.  Point n of
-Cor 3.2 builds and keeps [2n, n], of n*n + 1 coefficients.  These are held
-to ``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed:
+Cor 3.2 builds and keeps [2n, n], of n*n + 1 coefficients, and its terms
+keep [n+j, j] and [n+1, 2j+1]; the grid counts each distinct row once, after
+its [2n, n] rows alone have passed.  Thm 2.3, 2.4 and 2.5 count the
+coefficients of the ``pbar_gf`` and ``qbar_gf`` memo entries their grid
+reads, neighbours included, in closed form.  These are held to
+``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed:
 the largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
 takes over a minute.  A grid checked against an enumeration row (Thm 2.1,
 2.2 and 2.6) is refused when its costliest row would walk past
@@ -39,7 +43,7 @@ from itertools import product, zip_longest
 from math import comb, isqrt, prod
 from typing import Callable, Sequence
 
-from .polynomial import ZERO, IntPolynomial, Packing, packed_sums
+from .polynomial import ONE, ZERO, IntPolynomial, Packing, packed_sums
 from .qbinomial import qbinom
 from .partitions import (
     TwoKindQuery,
@@ -208,7 +212,7 @@ def _rectangle_work(a_max: int, b_max: int) -> int:
 
 
 def _gaussian_sweep(
-    identity_id: str, m_max: int, n_max: int, step: int, right: Callable | None = None
+    identity_id: str, m_max: int, n_max: int, step: int, right: Callable
 ) -> VerificationReport:
     """At every (m, n), compare a sum of Gaussian products with a right side.
 
@@ -217,12 +221,19 @@ def _gaussian_sweep(
     [m+1, j] vanishes past j = m+1, so only the terms with n - step*k at
     most m+1 are built.
     ``right(n, wide)`` gives the ``packed_sums`` terms of the right side,
-    where wide[j] is [m+j, j]; without it the left side is compared with
-    [m+n, n] itself.  Every side at one m goes through one ``packed_sums``
-    call, which packs each Gaussian once for that m (the ones at q^step
-    padded, not inflated), so each product is one integer product.  The
-    call is made at the first n of m and, since the points come in order,
-    each n reads its own sides back in turn.
+    where wide[j] is the coefficients of [m+j, j].  Every side at one m
+    goes through one ``packed_sums`` call, which packs each Gaussian once
+    for that m (the ones at q^step padded, not inflated), so each product
+    is one integer product.  The call is made at the first n of m and,
+    since the points come in order, each n takes its own two totals in
+    turn.
+
+    The two sides are compared as packed integers.  Every coefficient of
+    either side is at most the bound ``packed_sums`` sized the digits for,
+    which is below half a digit, so each total determines its side's
+    coefficients and the sides are equal exactly when their totals are.
+    Only the sides of a point whose totals differ are read back, and their
+    counterexample is built from those coefficients.
 
     The Gaussian memo keeps every [m+j, j] the grid builds, m*j + 1
     coefficients each, so the grid's cost is their sum over the whole grid.
@@ -230,23 +241,26 @@ def _gaussian_sweep(
 
     @lru_cache(maxsize=1)
     def sums_at(m: int):
-        wide = [qbinom(m + j, j) for j in range(n_max + 1)]
+        wide = [qbinom(m + j, j).coeffs for j in range(n_max + 1)]
         narrow = [qbinom(m + 1, j).coeffs for j in range(min(m + 1, n_max) + 1)]
         sides = []
         for n in range(n_max + 1):
             sides.append([
-                (1, comb(n - step * k, 2), step, wide[k].coeffs, narrow[n - step * k])
+                (1, comb(n - step * k, 2), step, wide[k], narrow[n - step * k])
                 for k in range(max(0, -((m + 1 - n) // step)), n // step + 1)
             ])
-            if right is not None:
-                sides.append(right(n, wide))
-        return wide, packed_sums(sides)
+            sides.append(right(n, wide))
+        packing, totals = packed_sums(sides)
+        return packing, iter(totals)
 
     def check(m: int, n: int) -> tuple[int, list[Counterexample]]:
-        wide, sums = sums_at(m)
-        lhs = IntPolynomial(next(sums))
-        rhs = wide[n] if right is None else IntPolynomial(next(sums))
-        return 1, _mismatch((m, n), lhs, rhs)
+        packing, totals = sums_at(m)
+        (lhs, lhs_length), (rhs, rhs_length) = next(totals), next(totals)
+        if lhs == rhs:
+            return 1, []
+        lhs_poly = IntPolynomial(packing.unpack(lhs, lhs_length))
+        rhs_poly = IntPolynomial(packing.unpack(rhs, rhs_length))
+        return 1, _mismatch((m, n), lhs_poly, rhs_poly)
 
     def cost():
         return _rectangle_work(m_max, n_max), "Gaussian coefficients", MAX_GRID_POINTS
@@ -260,9 +274,11 @@ def verify_guo_yang_1(m_max: int = 10, n_max: int = 10) -> VerificationReport:
 
     For each grid point: the sum over k of
     [m+k, k] at q^2 times [m+1, n-2k] times q^C(n-2k, 2)
-    must equal [m+n, n].
+    must equal [m+n, n], here the one-term side [m+n, n] times 1.
     """
-    return _gaussian_sweep("eq2", m_max, n_max, 2)
+    return _gaussian_sweep("eq2", m_max, n_max, 2, lambda n, wide: [
+        (1, 0, 1, wide[n], ONE.coeffs)
+    ])
 
 
 def verify_guo_yang_2(m_max: int = 10, n_max: int = 10) -> VerificationReport:
@@ -273,7 +289,7 @@ def verify_guo_yang_2(m_max: int = 10, n_max: int = 10) -> VerificationReport:
     [m+n-2k, n-2k]).
     """
     return _gaussian_sweep("eq3", m_max, n_max, 4, lambda n, wide: [
-        (-1 if k % 2 else 1, 0, 2, wide[k].coeffs, wide[n - 2 * k].coeffs)
+        (-1 if k % 2 else 1, 0, 2, wide[k], wide[n - 2 * k])
         for k in range(n // 2 + 1)
     ])
 
@@ -324,6 +340,35 @@ def _set_picks(bound: int) -> int:
     2**N, so the sum over N <= bound is 2**(bound + 1) - 1.
     """
     return 2 ** (bound + 1) - 1
+
+
+def _generating_function_cost(
+    r_max: int, *entries: tuple[int, int]
+) -> tuple[int, str, int]:
+    """The coefficients of sets of two-kind generating functions, as a cost.
+
+    A generating function at (r, N1, N2, k1, k2) holds r*s1 + s2 + 1
+    coefficients, where s1 and s2 are each kind's share of its length.  Each
+    set in ``entries`` is (pairs, shares): every r up to ``r_max`` with any
+    two of ``pairs`` bound pairs (N, k), whose shares add up to ``shares``.
+    Such a set holds (C(r_max+1, 2) + r_max) * shares * pairs + r_max *
+    pairs**2 coefficients.
+    """
+    work = sum(
+        (comb(r_max + 1, 2) + r_max) * shares * pairs + r_max * pairs**2
+        for pairs, shares in entries
+    )
+    return work, "generating-function coefficients", MAX_GRID_POINTS
+
+
+def _pbar_gf_cost(r_max: int, param_max: int) -> tuple[int, str, int]:
+    """The coefficients of ``pbar_gf`` at every bound tuple up to p = ``param_max``.
+
+    Its share per kind is N*k, and the shares of the (p+1)**2 pairs of one
+    kind add up to C(p+1, 2)**2.
+    """
+    pairs = (param_max + 1) ** 2
+    return _generating_function_cost(r_max, (pairs, comb(param_max + 1, 2) ** 2))
 
 
 def _rows_against_oracle(
@@ -403,6 +448,10 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     differ, is checked again with ``IntPolynomial`` arithmetic, which alone
     builds the counterexamples.  ``pbar_gf`` is read from this module at
     each call.
+
+    The grid's cost counts the ``pbar_gf`` coefficients at every bound tuple
+    up to p.  That covers every point and neighbour the recurrences read,
+    and 2(p+1) tuples per r that none reads.
     """
 
     @lru_cache(maxsize=1)
@@ -456,7 +505,8 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
         f"1<=r<={r_max}, 1<=N1,N2<={param_max}, 0<=k1,k2<={param_max}, "
         "three relations, all n"
     )
-    return _sweep("thm2.3", grid, _two_kind_grid(r_max, param_max, lower=1), check)
+    axes = _two_kind_grid(r_max, param_max, lower=1)
+    return _sweep("thm2.3", grid, axes, check, lambda: _pbar_gf_cost(r_max, param_max))
 
 
 def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -471,6 +521,9 @@ def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     the very same row objects as ``pbar_gf(r, n1, n2, k1, k2)`` and can
     differ only if ``product`` is not deterministic.  Per-kind conjugation
     of the enumerated partitions would make them a real check.
+
+    The swaps stay inside the grid, so its cost counts the ``pbar_gf``
+    coefficients at the grid's own points.
     """
 
     def check(*params: int):
@@ -486,7 +539,8 @@ def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
         return 1, found
 
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}"
-    return _sweep("thm2.4", grid, _two_kind_grid(r_max, param_max), check)
+    axes = _two_kind_grid(r_max, param_max)
+    return _sweep("thm2.4", grid, axes, check, lambda: _pbar_gf_cost(r_max, param_max))
 
 
 def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -495,6 +549,10 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     The distinct-part generating function must equal the two-kind generating
     function at (N1-k1, N2-k2) shifted by r*C(k1+1, 2) + C(k2+1, 2); when a
     reduced bound is negative, both sides vanish.
+
+    The grid's cost counts the coefficients of both sides' memo entries:
+    ``qbar_gf`` at each point, its shift included, and ``pbar_gf`` at the
+    reduced bounds.  Each is nonzero only where k <= N for both kinds.
     """
 
     def check(*params: int):
@@ -504,8 +562,17 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
         rhs = pbar_gf(r, n1 - k1, n2 - k2, k1, k2).shift(offset)
         return 1, _mismatch(params, lhs, rhs)
 
+    def cost():
+        # one kind's pairs with k <= N, C(p+2, 2) of them: a qbar_gf share is
+        # k*(N-k) + C(k+1, 2), and the share of its pbar_gf at (N-k, k) is
+        # (N-k)*k; summed over the pairs, these are C(p+2, 4) + C(p+3, 4)
+        # and C(p+2, 4)
+        pairs, reduced = comb(param_max + 2, 2), comb(param_max + 2, 4)
+        qbar = (pairs, reduced + comb(param_max + 3, 4))
+        return _generating_function_cost(r_max, qbar, (pairs, reduced))
+
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}"
-    return _sweep("thm2.5", grid, _two_kind_grid(r_max, param_max), check)
+    return _sweep("thm2.5", grid, _two_kind_grid(r_max, param_max), check, cost)
 
 
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -634,6 +701,15 @@ def verify_cor32(n_max: int = 60) -> VerificationReport:
     def cost():
         # point n builds and keeps [2n, n], of n*n + 1 coefficients
         coeffs = n_max * (n_max + 1) * (2 * n_max + 1) // 6 + n_max + 1
+        _check_grid("cor3.2", coeffs, "Gaussian coefficients", MAX_GRID_POINTS)
+        # and term j keeps [n+j, j] and [n+1, 2j+1]; the memo holds [t, b]
+        # and [t, t-b] as one row of b*(t-b) + 1 coefficients
+        rows = {(2 * n, n) for n in range(n_max + 1)}
+        for n in range(n_max + 1):
+            for j in range(corollary_lower_index(n), n // 2 + 1):
+                rows.add((n + j, j))
+                rows.add((n + 1, min(2 * j + 1, n - 2 * j)))
+        coeffs = sum(b * (t - b) + 1 for t, b in rows)
         return coeffs, "Gaussian coefficients", MAX_GRID_POINTS
 
     return _sweep("cor3.2", f"0<=n<={n_max}", (range(n_max + 1),), check, cost)

@@ -14,16 +14,23 @@ single product ``a(q**step) * b``, which ``__mul__`` calls at step 1 and the
 two-kind generating functions call at step r, so no inflated copy of ``a`` is
 built.  ``packed_sums`` uses it for whole sums of shifted products, such as
 the sides of the Guo-Yang identities (eq2/eq3): every operand is packed once,
-all at one digit width sized from the operands, the products are summed as
-integers, and each sum is read back once.  The ``thm2.3`` verifier packs
-generating functions with it directly and compares sums of them shifted by
-whole digits, with no product at all.
+all at one digit width sized from the operands, and the products are summed
+as integers.  It hands back each sum packed, with the ``Packing`` that reads
+it.  The ``thm2.3`` verifier packs generating functions with it directly and
+compares sums of them shifted by whole digits, with no product at all.
 
-A digit of 1, 2, 4 or 8 bytes is packed by one ``struct.pack`` over the
-whole sequence, and a step spreads those digits into a zeroed buffer with
-one strided copy; a wider digit is packed with one ``to_bytes`` per
-coefficient.  Negative coefficients are packed apart from the others and
-subtracted, so every packed digit is nonnegative.
+A digit is exactly as wide as its bound needs: ``bound.bit_length() // 8 + 1``
+bytes, so every coefficient is below half a digit in size and the digit's
+top bit is spare for the sign.  Then a packed integer determines each of its
+coefficients, and two sequences packed at one width are equal exactly when
+their integers are.  At widths 1, 2, 4 and 8 a digit is a struct
+integer: one ``struct.pack`` packs the whole sequence, and a step spreads
+the digits into a zeroed buffer with one strided copy.  At widths 3, 5, 6
+and 7 one ``struct.pack`` packs 8-byte digits, and their low bytes are
+copied into a zeroed buffer one byte position at a time.  A wider digit is
+packed with one ``to_bytes`` per coefficient.  Negative coefficients are
+packed apart from the others and subtracted, so every packed digit is
+nonnegative.
 
 Every dense result whose degree comes from a caller's step or shift is
 checked against ``MAX_DENSE_DEGREE`` before anything is allocated, so an
@@ -36,7 +43,7 @@ packed.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # The largest degree of a dense coefficient sequence built from a step or a
 # shift.  Every test and benchmark request stays far below it: the largest,
@@ -44,6 +51,9 @@ from typing import Iterable, Iterator, Sequence
 MAX_DENSE_DEGREE = 10**7
 
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+# A byte to the byte that extends its sign bit: 0x00 below 0x80, else 0xff.
+_SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
 class IntPolynomial:
@@ -256,7 +266,9 @@ def _check_dense(degree: int) -> None:
 
 def _magnitudes(coeffs: Sequence[int]) -> tuple[int, int]:
     """``(sum|c|, max|c|)`` over a coefficient sequence; ``(0, 0)`` when empty."""
-    return sum(map(abs, coeffs)), max(map(abs, coeffs), default=0)
+    if min(coeffs, default=0) >= 0:
+        return sum(coeffs), max(coeffs, default=0)
+    return sum(map(abs, coeffs)), max(map(abs, coeffs))
 
 
 def _product_bound(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -277,20 +289,19 @@ class Packing:
     A coefficient sequence is packed as one integer, coefficient i in digit
     i, each digit ``width`` bytes wide, so one big-integer product does a
     whole convolution and a sum of shifted products is plain integer
-    addition.  The width is fixed up front from ``bound``: every coefficient
-    that is packed or read back must be at most ``bound`` in size, which
-    leaves each digit a spare top bit for the sign.  Reading back adds half a
-    digit to every digit, so every digit is nonnegative whatever the signs,
-    and ``to_bytes`` raises rather than truncating a total that does not fit.
+    addition.  The width is fixed up front from ``bound``, at the fewest
+    whole bytes that hold ``bound`` and a sign bit: every coefficient that is
+    packed or read back must be at most ``bound`` in size, so below half a
+    digit, and a packed integer then has exactly one such digit sequence.
+    Packing does not check the bound.  Reading back adds half a digit to
+    every digit, so every digit is nonnegative whatever the signs, and
+    ``to_bytes`` raises rather than truncating a total that does not fit.
     """
 
     __slots__ = ("width", "_half")
 
     def __init__(self, bound: int) -> None:
-        width = bound.bit_length() // 8 + 1
-        # up to 8 bytes, round up to a struct integer size, so that reading
-        # back is one struct.unpack rather than a loop over the digits
-        self.width = 1 << (width - 1).bit_length() if width <= 8 else width
+        self.width = bound.bit_length() // 8 + 1
         self._half = 1 << (8 * self.width - 1)
 
     def pack(self, coeffs: Sequence[int], step: int = 1) -> int:
@@ -304,11 +315,17 @@ class Packing:
         if not coeffs:
             return 0
         _check_dense(step * (len(coeffs) - 1))
-        if min(coeffs) < 0:
-            # the positive and the negative coefficients, packed apart
-            return self.pack([c if c > 0 else 0 for c in coeffs], step) - self.pack(
-                [-c if c < 0 else 0 for c in coeffs], step
-            )
+        try:
+            return self._pack_nonnegative(coeffs, step)
+        except (struct.error, OverflowError):
+            # every digit is packed unsigned, so a negative coefficient is
+            # refused: the positive and the negative ones are packed apart
+            return self._pack_nonnegative(
+                [c if c > 0 else 0 for c in coeffs], step
+            ) - self._pack_nonnegative([-c if c < 0 else 0 for c in coeffs], step)
+
+    def _pack_nonnegative(self, coeffs: Sequence[int], step: int) -> int:
+        """``pack`` for a nonempty sequence; a negative coefficient raises."""
         width = self.width
         if width in _STRUCT_CODES:
             code = _STRUCT_CODES[width].upper()
@@ -319,6 +336,15 @@ class Packing:
                 memoryview(spread).cast(code)[::step] = memoryview(raw).cast(code)
                 raw = spread
             return int.from_bytes(raw, "little")
+        if width < 8:
+            # 8-byte digits, then byte b of each copied to byte b of every
+            # step-th digit of a zeroed buffer, one copy per b < width
+            raw = struct.pack(f"<{len(coeffs)}Q", *coeffs)
+            stride = width * step
+            spread = bytearray(width * (step * (len(coeffs) - 1) + 1))
+            for b in range(width):
+                spread[b::stride] = raw[b::8]
+            return int.from_bytes(spread, "little")
         # one coefficient alone needs no gap, whatever the step
         gap = bytes(width * (step - 1)) if len(coeffs) > 1 else b""
         return int.from_bytes(
@@ -335,6 +361,16 @@ class Packing:
         raw = ((total + bias) ^ bias).to_bytes(size, "little")
         if width in _STRUCT_CODES:
             return list(struct.unpack(f"<{length}{_STRUCT_CODES[width]}", raw))
+        if width < 8:
+            # each digit's bytes into the low end of an 8-byte slot, and its
+            # top byte's sign bit, spread by _SIGN_FILL, into the rest
+            slots = bytearray(8 * length)
+            for b in range(width):
+                slots[b::8] = raw[b::width]
+            sign = raw[width - 1 :: width].translate(_SIGN_FILL)
+            for b in range(width, 8):
+                slots[b::8] = sign
+            return list(struct.unpack(f"<{length}q", slots))
         return [
             int.from_bytes(raw[i : i + width], "little", signed=True)
             for i in range(0, size, width)
@@ -363,8 +399,8 @@ def product(a: Sequence[int], b: Sequence[int], step: int = 1) -> IntPolynomial:
 
 def packed_sums(
     sides: Sequence[Sequence[tuple[int, int, int, Sequence[int], Sequence[int]]]],
-) -> Iterator[list[int]]:
-    """The coefficients of several sums of products, all through one packing.
+) -> tuple[Packing, list[tuple[int, int]]]:
+    """Several sums of products, each packed as one integer at one digit width.
 
     A side is a list of terms ``(sign, shift, step, a, b)``, each standing
     for ``sign * q**shift * a(q**step) * b`` with ``sign`` 1 or -1.  One
@@ -373,30 +409,37 @@ def packed_sums(
     coefficient of every side and of every operand.  A term with a zero
     operand contributes nothing and is skipped.  Every other operand is
     packed once per step, however many terms share it; operands are told
-    apart by identity, so pass a repeated operand as the same object.  Each
-    side is read back once, up to its highest term degree, and yielded in
-    turn, so only one side's coefficients are held at a time.  Every term's
-    degree is checked against ``MAX_DENSE_DEGREE`` before anything is packed.
+    apart by identity, so pass a repeated operand as the same object.  Every
+    term's degree is checked against ``MAX_DENSE_DEGREE`` before anything is
+    packed.
+
+    The result is the ``Packing`` and, per side in order, its packed total
+    and its length, its highest term degree plus one; ``unpack(total,
+    length)`` on the packing reads the side's coefficients.  No side is read
+    back here.  Every coefficient of every side is below half a digit in
+    size, so a total determines its coefficients, and two sides are equal
+    exactly when their totals are.
     """
     magnitudes: dict[int, tuple[int, int]] = {}
-
-    def bound(a: Sequence[int], b: Sequence[int]) -> int:
-        for cs in (a, b):
-            if id(cs) not in magnitudes:
-                magnitudes[id(cs)] = _magnitudes(cs)
-        return _product_bound(magnitudes[id(a)], magnitudes[id(b)])
-
     live = []
     largest = 0
     for side in sides:
-        bounds = [bound(a, b) for _, _, _, a, b in side]
-        terms = [term for term, term_bound in zip(side, bounds) if term_bound]
-        ends = [shift + step * (len(a) - 1) + len(b) for _, shift, step, a, b in terms]
-        length = max(ends, default=0)
+        terms = []
+        side_bound = length = 0
+        for term in side:
+            _, shift, step, a, b = term
+            for cs in (a, b):
+                if id(cs) not in magnitudes:
+                    magnitudes[id(cs)] = _magnitudes(cs)
+            term_bound = _product_bound(magnitudes[id(a)], magnitudes[id(b)])
+            if term_bound:
+                terms.append(term)
+                side_bound += term_bound
+                length = max(length, shift + step * (len(a) - 1) + len(b))
         # the side's highest term degree, checked before anything is packed
         _check_dense(length - 1)
         live.append((terms, length))
-        largest = max(largest, sum(bounds))
+        largest = max(largest, side_bound)
     packing = Packing(largest)
     bits = 8 * packing.width
     packed: dict[tuple[int, int], int] = {}
@@ -407,12 +450,14 @@ def packed_sums(
             packed[key] = packing.pack(cs, step)
         return packed[key]
 
+    totals = []
     for terms, length in live:
         total = 0
         for sign, shift, step, a, b in terms:
             product = (pack(a, step) * pack(b, 1)) << (bits * shift)
             total = total + product if sign > 0 else total - product
-        yield packing.unpack(total, length)
+        totals.append((total, length))
+    return packing, totals
 
 
 ZERO = IntPolynomial()

@@ -395,6 +395,31 @@ class TestVerify:
             "exceeds the limit of 1000000\n"
         )
 
+    def test_costly_generating_function_grid_is_a_usage_error(self, capsys, monkeypatch):
+        # 28,561 points, but the pbar_gf memo would hold 2,084,953 coefficients
+        monkeypatch.setattr(identities, "pbar_gf", None)
+        code, out, err = run(
+            capsys, "verify", "thm2.4", "--r-max", "1", "--param-max", "12"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: thm2.4: grid of 2084953 generating-function coefficients "
+            "exceeds the limit of 1000000\n"
+        )
+
+    def test_costly_corollary_rows_are_a_usage_error(self, capsys, monkeypatch):
+        # the rows [2n, n] hold 338,451 coefficients, and the terms' rows
+        # [n+j, j] and [n+1, 2j+1] bring the memo to 1,528,848
+        monkeypatch.setattr(identities, "partition_p", None)
+        code, out, err = run(capsys, "verify", "cor3.2", "--n-max", "100")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: cor3.2: grid of 1528848 Gaussian coefficients "
+            "exceeds the limit of 1000000\n"
+        )
+
     def test_costly_oracle_grid_is_a_usage_error(self, capsys, monkeypatch):
         # 12,288 points; the enumeration row at (7, 7, 7, 7) walks 3,432**2
         # pairs, and no row is walked before the refusal

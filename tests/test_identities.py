@@ -41,7 +41,7 @@ from qpartitions.partitions import (
     qbar_enumerate_totals,
     qbar_gf,
 )
-from qpartitions.polynomial import IntPolynomial
+from qpartitions.polynomial import IntPolynomial, packed_sums
 from qpartitions.qbinomial import qbinom
 
 
@@ -273,19 +273,100 @@ class TestGridLimit:
             )
 
     def test_corollary_grid_counts_its_gaussian_rows(self, monkeypatch):
-        # n <= 3 builds [2n, n] of n*n + 1 coefficients: 1 + 2 + 5 + 10 = 18
-        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 18)
+        # n <= 3 builds [2n, n] of n*n + 1 coefficients, 1 + 2 + 5 + 10 = 18,
+        # and its terms add [1, 0], [2, 0], [3, 0], [3, 1] and [4, 1]: 28 in all
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 28)
         assert verify_cor32(n_max=3).passed
-        monkeypatch.setattr(identities, "MAX_GRID_POINTS", 17)
 
         def unreachable(n):
             raise AssertionError(f"checked {n}")
 
         monkeypatch.setattr(identities, "partition_p", unreachable)
         monkeypatch.setattr(identities, "p_by_corollary", unreachable)
-        refusal = "^cor3.2: grid of 18 Gaussian coefficients exceeds the limit of 17$"
+        for limit, size in ((27, 28), (17, 18)):
+            monkeypatch.setattr(identities, "MAX_GRID_POINTS", limit)
+            refusal = (
+                f"^cor3.2: grid of {size} Gaussian coefficients exceeds the limit "
+                f"of {limit}$"
+            )
+            with pytest.raises(ValueError, match=refusal):
+                verify_cor32(n_max=3)
+            # past the limit, the [2n, n] rows alone refuse before any term
+            monkeypatch.setattr(identities, "corollary_lower_index", unreachable)
+
+    @pytest.mark.parametrize("n_max", (0, 1, 7, 20))
+    def test_corollary_cost_is_the_rows_the_memo_keeps(self, monkeypatch, n_max):
+        # every distinct row the grid reads, [t, b] and [t, t-b] as one
+        rows = set()
+        real = partitions.qbinom
+
+        def recording(top, bottom, step=1):
+            if 0 <= bottom <= top:
+                rows.add((top, min(bottom, top - bottom)))
+            return real(top, bottom, step)
+
+        monkeypatch.setattr(partitions, "qbinom", recording)
+        assert verify_cor32(n_max=n_max).passed
+        held = sum(b * (t - b) + 1 for t, b in rows)
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", held - 1)
+        with pytest.raises(ValueError, match=f"^cor3.2: grid of {held} Gaussian"):
+            verify_cor32(n_max=n_max)
+
+    @pytest.mark.parametrize("n_max, coeffs", [(40, 74054), (60, 282299), (88, 998851)])
+    def test_corollary_cost_at_documented_sizes(self, monkeypatch, n_max, coeffs):
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", coeffs - 1)
+        monkeypatch.setattr(identities, "partition_p", None)
+        with pytest.raises(ValueError, match=f"^cor3.2: grid of {coeffs} Gaussian"):
+            verify_cor32(n_max=n_max)
+
+    @pytest.mark.parametrize("r_max, param_max", [(1, 3), (2, 2), (3, 4)])
+    @pytest.mark.parametrize("identity_id", ("thm2.3", "thm2.4", "thm2.5"))
+    def test_generating_function_grids_count_their_memo(
+        self, monkeypatch, identity_id, r_max, param_max
+    ):
+        # the coefficients of every distinct pbar_gf and qbar_gf the grid
+        # reads, neighbours included; thm2.3 counts every bound tuple up to
+        # param_max, a few of which no recurrence reads
+        held = {}
+        for name in ("pbar_gf", "qbar_gf"):
+            real = getattr(identities, name)
+
+            def recording(*bounds, real=real, name=name):
+                gf = real(*bounds)
+                held[name, bounds] = len(gf.coeffs)
+                return gf
+
+            monkeypatch.setattr(identities, name, recording)
+        assert run_identity(identity_id, r_max=r_max, param_max=param_max).passed
+        size = sum(held.values())
+        if identity_id == "thm2.3":
+            tuples = itertools.product(
+                range(1, r_max + 1), *[range(param_max + 1)] * 4
+            )
+            everything = {("pbar_gf", bounds) for bounds in tuples}
+            assert {key for key, length in held.items() if length} <= everything
+            size = sum(r * n1 * k1 + n2 * k2 + 1 for _, (r, n1, n2, k1, k2) in everything)
+        unit = "generating-function coefficients"
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", size)
+        assert run_identity(identity_id, r_max=r_max, param_max=param_max).passed
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", size - 1)
+        monkeypatch.setattr(identities, "pbar_gf", None)
+        monkeypatch.setattr(identities, "qbar_gf", None)
+        refusal = f"^{identity_id}: grid of {size} {unit} exceeds the limit of {size - 1}$"
         with pytest.raises(ValueError, match=refusal):
-            verify_cor32(n_max=3)
+            run_identity(identity_id, r_max=r_max, param_max=param_max)
+
+    @pytest.mark.parametrize(
+        "r_max, param_max, coeffs",
+        [(3, 5, 76788), (3, 7, 463872), (1, 10, 746691), (1, 12, 2084953)],
+    )
+    def test_symmetry_cost_at_documented_sizes(self, monkeypatch, r_max, param_max, coeffs):
+        # the sum of r*N1*k1 + N2*k2 + 1 over the grid's points
+        monkeypatch.setattr(identities, "MAX_GRID_POINTS", coeffs - 1)
+        monkeypatch.setattr(identities, "pbar_gf", None)
+        refusal = f"^thm2.4: grid of {coeffs} generating-function coefficients"
+        with pytest.raises(ValueError, match=refusal):
+            verify_thm24(r_max=r_max, param_max=param_max)
 
     @pytest.mark.parametrize(
         "identity_id, oracle, bound, pairs, parts",
@@ -436,12 +517,14 @@ class TestGuoYang:
         assert report.checked == 81
 
     def test_only_live_terms_are_built(self, monkeypatch):
-        # [1, j] vanishes past j = 1, so at m = 0 each n has one live term
+        # [1, j] vanishes past j = 1, so at m = 0 each n has one live left
+        # term; the sides alternate, and each right side is [n, n] alone
         real = identities.packed_sums
         terms = []
 
         def counting(sides):
-            terms.append(sum(len(side) for side in sides))
+            terms.append(sum(len(side) for side in sides[::2]))
+            assert [len(side) for side in sides[1::2]] == [1] * 61
             return real(sides)
 
         monkeypatch.setattr(identities, "packed_sums", counting)
@@ -461,12 +544,19 @@ class TestGuoYang:
         [
             ((4, 2), IntPolynomial((0, -7, 0, 1))),  # a negative coefficient
             ((5, 2), IntPolynomial((0, 0, 2**70))),  # past 64 bits
+            ((6, 3), IntPolynomial((0, 0, 0, 0, -(2**75)))),  # and negative
             ((3, 0), IntPolynomial((0, 1))),
+            ((6, 2), IntPolynomial((3, 1))),  # small, on every side it is in
+            # only the highest-degree coefficient of [7, 3], the right side
+            # of eq2 at (4, 3): raised, and cancelled so the degree drops
+            ((7, 3), IntPolynomial((0,) * 12 + (1,))),
+            ((7, 3), IntPolynomial((0,) * 12 + (-1,))),
         ],
     )
     def test_counterexamples_match_the_product_loop(self, monkeypatch, cell, extra):
-        # one Gaussian cell perturbed: the packed sums must report exactly
-        # the failures of the plain multiply-and-add loop
+        # one Gaussian cell perturbed: the packed totals must report exactly
+        # the failures of the plain multiply-and-add loop, and of reading
+        # every packed side back and comparing the polynomials
         real = identities.qbinom
 
         def perturbed(top, bottom, step=1):
@@ -505,6 +595,34 @@ class TestGuoYang:
                         failures.append([[m, n], str(lhs), str(rhs)])
             return failures
 
+        def unpacked(identity_id, m_max, n_max):
+            # the comparison of whole polynomials that packed totals replace
+            step = 2 if identity_id == "eq2" else 4
+            failures = []
+            for m in range(m_max + 1):
+                wide = [perturbed(m + j, j).coeffs for j in range(n_max + 1)]
+                narrow = [perturbed(m + 1, j).coeffs for j in range(m + 2)]
+                sides = []
+                for n in range(n_max + 1):
+                    sides.append([
+                        (1, math.comb(n - step * k, 2), step, wide[k], narrow[n - step * k])
+                        for k in range(n // step + 1)
+                        if n - step * k <= m + 1
+                    ])
+                    if identity_id == "eq3":
+                        sides.append([
+                            (-1 if k % 2 else 1, 0, 2, wide[k], wide[n - 2 * k])
+                            for k in range(n // 2 + 1)
+                        ])
+                packing, totals = packed_sums(sides)
+                read = iter([IntPolynomial(packing.unpack(*total)) for total in totals])
+                for n in range(n_max + 1):
+                    lhs = next(read)
+                    rhs = perturbed(m + n, n) if identity_id == "eq2" else next(read)
+                    if lhs != rhs:
+                        failures.append([[m, n], str(lhs), str(rhs)])
+            return failures
+
         for verify, reference, identity_id in (
             (verify_guo_yang_1, first, "eq2"),
             (verify_guo_yang_2, second, "eq3"),
@@ -514,6 +632,7 @@ class TestGuoYang:
                 for params, lhs, rhs in reference(6, 9)
             ]
             assert expected  # the perturbation is seen
+            assert unpacked(identity_id, 6, 9) == reference(6, 9)
             assert verify(m_max=6, n_max=9).as_dict() == {
                 "identity_id": identity_id,
                 "grid": "0<=m<=6, 0<=n<=9",

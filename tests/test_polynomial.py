@@ -233,9 +233,15 @@ def test_mul_distributes_long(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def unpacked_sums(sides):
+    """Every side of ``packed_sums``, read back through its packing."""
+    packing, totals = packed_sums(sides)
+    return [packing.unpack(total, length) for total, length in totals]
+
+
 def kronecker(a, b):
     """One product through the packing kernel."""
-    [coeffs] = packed_sums([[(1, 0, 1, a, b)]])
+    [coeffs] = unpacked_sums([[(1, 0, 1, a, b)]])
     return coeffs
 
 
@@ -260,9 +266,12 @@ def pack_by_bytes(width, coeffs, step):
     return half([max(c, 0) for c in coeffs]) - half([max(-c, 0) for c in coeffs])
 
 
-# every digit width: the four struct sizes and two past them, each with the
-# bit lengths of the bounds that choose it
-_WIDTH_BITS = {1: (1, 7), 2: (9, 15), 4: (17, 31), 8: (33, 63), 9: (65, 71), 16: (121, 127)}
+# exact digit widths, each with the bit lengths of the bounds that choose it:
+# a bound of b bits takes b // 8 + 1 bytes, so a sign bit is always spare.
+# Widths 1, 2, 4 and 8 pack through one struct code, 3, 5, 6 and 7 through
+# 8-byte digits copied byte by byte, and 9 and 16 one coefficient at a time
+_WIDTH_BITS = {1: (1, 7), 16: (120, 127)}
+_WIDTH_BITS.update({width: (8 * width - 8, 8 * width - 1) for width in range(2, 10)})
 
 
 @pytest.mark.parametrize("width", sorted(_WIDTH_BITS))
@@ -289,6 +298,36 @@ def test_pack_empty_and_single_coefficients(width):
         assert packing.pack([], step) == 0
         for c in (0, 1, -1, bound, -bound):
             assert packing.pack([c], step) == c == pack_by_bytes(width, [c], step)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+@given(data=st.data())
+def test_unpack_inverts_pack(width, data):
+    # signed digits at every width through 9, the bound itself included
+    low, high = _WIDTH_BITS[width]
+    bound = data.draw(st.integers(2 ** (low - 1), 2**high - 1))
+    coefficient = st.integers(-bound, bound) | st.sampled_from((bound, -bound))
+    coeffs = data.draw(st.lists(coefficient, max_size=12))
+    packing = Packing(bound)
+    assert packing.width == width
+    assert packing.unpack(packing.pack(coeffs), len(coeffs)) == coeffs
+
+
+@pytest.mark.parametrize("width", (3, 5, 6, 7))
+@given(data=st.data(), step=st.integers(1, 4))
+def test_product_at_odd_widths_matches_schoolbook(width, data, step):
+    # scaling a scales the product's bound, so a drawn scale sets the width
+    small = st.lists(st.integers(-9, 9), min_size=1, max_size=12).filter(any)
+    a, b = data.draw(small), data.draw(small)
+    bound = polynomial._product_bound(
+        polynomial._magnitudes(a), polynomial._magnitudes(b)
+    )
+    low, high = _WIDTH_BITS[width]
+    scale = data.draw(st.integers(-(-(2 ** (low - 1)) // bound), (2**high - 1) // bound))
+    a = [c * scale for c in a]
+    bound *= scale
+    assert Packing(bound).width == width
+    assert product(a, b, step) == schoolbook_sum([(1, 0, step, a, b)])
 
 
 @given(long_lists, long_lists)
@@ -336,17 +375,17 @@ class TestDenseDegreeLimit:
         monkeypatch.setattr(polynomial, "MAX_DENSE_DEGREE", 6)
         a, b = [1, 1], [1, 1, 1]
         for shift, step in ((3, 1), (2, 2), (0, 4)):
-            [coeffs] = packed_sums([[(1, 0, 1, b, b), (1, shift, step, a, b)]])
+            [coeffs] = unpacked_sums([[(1, 0, 1, b, b), (1, shift, step, a, b)]])
             assert len(coeffs) == 7
         for shift, step in ((4, 1), (3, 2), (0, 5)):
             sides = [[(1, 0, 1, a, b)], [(1, 0, 1, b, b), (-1, shift, step, a, b)]]
             with pytest.raises(ValueError, match="^dense degree 7 exceeds the limit of 6$"):
-                next(packed_sums(sides))
+                packed_sums(sides)
         # a term with a zero operand adds nothing and is not sized
-        assert list(packed_sums([[(1, 10**18, 1, [0], b)]])) == [[]]
+        assert unpacked_sums([[(1, 10**18, 1, [0], b)]]) == [[]]
         monkeypatch.undo()
         with pytest.raises(ValueError, match=f"^dense degree {10**18} exceeds"):
-            next(packed_sums([[(1, 10**18, 1, [1], [1])]]))
+            packed_sums([[(1, 10**18, 1, [1], [1])]])
 
 
 terms = st.tuples(
@@ -362,7 +401,7 @@ terms = st.tuples(
 def test_packed_sums_match_schoolbook(sides):
     # signed and all-nonnegative operands, empty and all-zero ones, and
     # coefficients far past 64 bits, all sides at one width
-    for side, coeffs in zip(sides, packed_sums(sides), strict=True):
+    for side, coeffs in zip(sides, unpacked_sums(sides), strict=True):
         assert IntPolynomial(coeffs) == schoolbook_sum(side)
 
 
@@ -370,7 +409,7 @@ def test_packed_sums_share_an_operand_across_steps():
     a = list(range(1, 13))
     b = [2, -1] * 6
     sides = [[(1, 0, 2, a, b), (-1, 3, 1, a, a)], [(1, 1, 3, b, a)]]
-    for side, coeffs in zip(sides, packed_sums(sides), strict=True):
+    for side, coeffs in zip(sides, unpacked_sums(sides), strict=True):
         assert IntPolynomial(coeffs) == schoolbook_sum(side)
 
 
@@ -403,7 +442,7 @@ def test_packed_sums_at_the_sum_bound(sign):
                 for j in range(count)
             ]
             bound = sum(n * (2**bits - 1) * (2 ** (j % 3 + 1) - 1) for j in range(count))
-            [coeffs] = packed_sums([side])
+            [coeffs] = unpacked_sums([side])
             assert coeffs[n - 1] == sign * bound, (bits, count)
             assert IntPolynomial(coeffs) == schoolbook_sum(side), (bits, count)
 
