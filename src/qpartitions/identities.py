@@ -27,9 +27,11 @@ the largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
 takes over a minute.  A grid checked against an enumeration row (Thm 2.1,
 2.2 and 2.6) is refused when its costliest row would walk past
 ``MAX_ENUMERATION_WORK``, with the error that row would raise, or when its
-rows would walk more than ``MAX_GRID_WORK`` pairs of picks in all.  These
-three enumerate each kind's list of pick totals once per grid, in a cache
-made for the call, and still tally every pair of picks at every point.
+rows would walk more than ``MAX_GRID_WORK`` pairs of picks in all; both are
+counted by the oracle's own pick-count rule, ``_walk``.  These three build
+their rows through the oracle's ``_row``, enumerating each kind's list of
+pick totals once per grid through the listings' walker, in a cache made
+for the call, and still tally every pair of picks at every point.
 
 The registry at the bottom maps stable identity ids (``"thm2.1"``, ``"eq2"``,
 ``"cor3.2"``, ...) to their verifiers; ``run_identity`` is the single entry
@@ -50,9 +52,9 @@ from .partitions import (
     _Record,
     _check_walk,
     _kind_sums,
-    _pbar_row,
-    _qbar_row,
+    _row,
     _set,
+    _walk,
     partition_p,
     pbar_convolution,
     pbar_convolution_totals,
@@ -304,44 +306,6 @@ def _two_kind_grid(r_max: int, param_max: int, lower: int = 0) -> tuple[range, .
     return range(1, r_max + 1), bounds, bounds, parts, parts
 
 
-def _multiset_walk(bound: int) -> tuple[int, int]:
-    """The costliest (k, t) of ``pbar_enumerate_totals`` with N, k <= ``bound``.
-
-    A kind draws k picks with replacement from 0..N, C(N+k, k) of them, and
-    both that count and k times it are largest at N = k = ``bound``.
-    """
-    return bound, 2 * bound
-
-
-def _multiset_picks(bound: int) -> int:
-    """One kind's picks in ``pbar_enumerate_totals``, summed over N, k <= ``bound``.
-
-    The sum of C(N+k, k) over 0 <= N, k <= bound is C(2*bound + 2, bound + 1) - 1.
-    """
-    return comb(2 * bound + 2, bound + 1) - 1
-
-
-def _set_walk(bound: int) -> tuple[int, int]:
-    """The costliest (k, t) of ``qbar_enumerate_totals`` with N, k <= ``bound``.
-
-    A kind with k <= N draws k distinct picks from 1..N, C(N, k) of them; a
-    kind with k > N is not walked.  Both C(N, k) and k * C(N, k) grow with
-    N.  At N = ``bound`` the first is largest at k = bound // 2 and the
-    second, bound * C(bound-1, k-1), at k = ceil(bound/2), where C(N, k) has
-    the same largest value.
-    """
-    return -(-bound // 2), bound
-
-
-def _set_picks(bound: int) -> int:
-    """One kind's picks in ``qbar_enumerate_totals``, summed over N, k <= ``bound``.
-
-    A kind with k > N is not walked, and the sum of C(N, k) over k <= N is
-    2**N, so the sum over N <= bound is 2**(bound + 1) - 1.
-    """
-    return 2 ** (bound + 1) - 1
-
-
 def _generating_function_cost(
     r_max: int, *entries: tuple[int, int]
 ) -> tuple[int, str, int]:
@@ -372,40 +336,40 @@ def _pbar_gf_cost(r_max: int, param_max: int) -> tuple[int, str, int]:
 
 
 def _rows_against_oracle(
-    identity_id: str,
-    route: Callable,
-    oracle: Callable,
-    walk: Callable[[int], tuple[int, int]],
-    picks: Callable[[int], int],
-    r_max: int,
-    param_max: int,
+    identity_id: str, route: Callable, gap: int, r_max: int, param_max: int
 ) -> VerificationReport:
-    """Compare a route's row of counts with the oracle's for every bound tuple.
+    """Compare a route's row of counts with the oracle's ``_row`` at ``gap``.
 
-    ``oracle(sums, *bounds)`` is ``_pbar_row`` or ``_qbar_row``.  A kind's
-    pick totals depend only on its own (N, k), so ``sums`` is a cache of
-    ``_kind_sums`` made for this call alone: each list is enumerated once
-    per grid, not once per point, and is gone when the call returns.  Every
-    row still runs the oracle's own checks, and its pairs of picks are
-    still counted one by one.
+    A kind's pick totals depend only on its own (N, k), so the oracle reads
+    them from a cache of ``_kind_sums`` made for this call alone: each list
+    is enumerated once per grid, not once per point, and is gone when the
+    call returns.  Every row still runs the oracle's own checks, and its
+    pairs of picks are still counted one by one.
 
-    ``walk(param_max)`` is the oracle's costliest (k, t) per kind over the
-    grid, so ``_check_walk`` on it refuses, before the first point, exactly
-    the grids in which the oracle would refuse some point.  ``picks(param_max)``
-    is one kind's picks summed over its bounds, S, so each r walks S**2
-    pairs of picks; past ``MAX_GRID_WORK`` pairs in all, r_max * S**2, the
-    grid is refused before its first point too.  The cache holds S totals
-    in all, so that limit also holds it to 10**4.
+    The cost applies ``_walk`` to each bound pair (N, k) of one kind, at
+    most 31**2 of them once ``_sweep`` has held the grid to
+    ``MAX_GRID_POINTS`` points.  The costliest, the most picks C with ties
+    broken by the most parts k * C, goes to ``_check_walk`` as both kinds,
+    so a grid is refused before its first point, with the error its
+    costliest row would raise, exactly when some row would be refused.
+    Each r pairs every pick of one kind with every pick of the other, S**2
+    pairs for S picks over the bound pairs; past ``MAX_GRID_WORK`` pairs in
+    all, r_max * S**2, the grid is refused before its first point too.  The
+    cache holds S totals, so that limit also holds it to 10**4.
     """
     sums = lru_cache(maxsize=None)(_kind_sums)
 
     def check(*bounds: int):
-        return 1, _row_failures(bounds, route(*bounds), oracle(sums, *bounds))
+        return 1, _row_failures(bounds, route(*bounds), _row(sums, gap, *bounds))
 
     def cost():
-        worst = walk(param_max)
-        _check_walk(worst, worst)
-        return r_max * picks(param_max) ** 2, "pairs of picks", MAX_GRID_WORK
+        bounds = range(param_max + 1)
+        walks = [_walk(n, k, gap) for n in bounds for k in bounds]
+        # the most picks C, ties broken by the most parts k * C
+        _, k, t = max((comb(t, k), k, t) for k, t in walks)
+        _check_walk((k, t), (k, t))
+        picks = sum(comb(t, k) for k, t in walks)
+        return r_max * picks**2, "pairs of picks", MAX_GRID_WORK
 
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}, all n"
     axes = _two_kind_grid(r_max, param_max)
@@ -414,17 +378,13 @@ def _rows_against_oracle(
 
 def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Convolution route against the enumeration oracle, every target."""
-    return _rows_against_oracle(
-        "thm2.1", pbar_convolution_totals, _pbar_row, _multiset_walk,
-        _multiset_picks, r_max, param_max,
-    )
+    return _rows_against_oracle("thm2.1", pbar_convolution_totals, 0, r_max, param_max)
 
 
 def verify_thm22(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Generating-function coefficients against the enumeration oracle."""
     return _rows_against_oracle(
-        "thm2.2", lambda *b: pbar_gf(*b).coeffs, _pbar_row, _multiset_walk,
-        _multiset_picks, r_max, param_max,
+        "thm2.2", lambda *b: pbar_gf(*b).coeffs, 0, r_max, param_max
     )
 
 
@@ -578,8 +538,7 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     """Distinct-part generating function against the enumeration oracle."""
     return _rows_against_oracle(
-        "thm2.6", lambda *b: qbar_gf(*b).coeffs, _qbar_row, _set_walk,
-        _set_picks, r_max, param_max,
+        "thm2.6", lambda *b: qbar_gf(*b).coeffs, 1, r_max, param_max
     )
 
 

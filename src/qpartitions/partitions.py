@@ -19,21 +19,23 @@ Every count is computable by two or three independent routes:
                     themselves (the oracle; it never touches polynomial
                     arithmetic), generated in canonical order: descending
                     lexicographic on (first-kind parts, second-kind parts),
-                    with no sort afterwards.  Both listings walk each kind
-                    by total through one pruned walker, so the work is
-                    bounded by the listing.
+                    with no sort afterwards.  The listings and the bulk
+                    rows alike walk each kind through one pruned walker,
+                    ``_picks``; a listing walks by total, so its work is
+                    bounded by the listing.  The walker keeps its own
+                    stack, so no depth of walk exhausts the call stack.
 
 The bulk ``*_totals`` forms return one dense entry per target, so the
 largest target is held to ``MAX_DENSE_DEGREE`` like every dense polynomial:
 a span past it raises ``ValueError`` before the row is built.  The
 enumeration rows are also sized by their walk, in pairs of picks and in
 parts drawn; past ``MAX_ENUMERATION_WORK`` of either they raise
-``ValueError`` before the first pick.  That sizing is ``_check_walk``, which
-the oracle verifiers also apply to a grid's costliest row.  A row is two
-steps: ``_kind_sums`` lists one kind's pick totals, which depend only on
-that kind's (N, k), and ``_pair_counts`` tallies every pair of picks one by
-one.  The public rows draw both lists afresh; the oracle verifiers build
-the same rows through ``_pbar_row`` and ``_qbar_row`` from a cache of the
+``ValueError`` before the first pick.  That sizing is ``_check_walk`` of
+each kind's pick count ``_walk``, which the oracle verifiers also apply to a
+grid's costliest row.  A row, ``_row``, is two steps: ``_kind_sums`` lists
+one kind's pick totals, which depend only on that kind's (N, k), and the
+row tallies every pair of picks one by one.  The public rows list both
+kinds afresh; the oracle verifiers build the same rows from a cache of the
 lists that lasts one call, so each list is enumerated once per grid.
 ``TwoKindQuery``, ``pbar_convolution`` and the listings still take any r.
 
@@ -52,10 +54,9 @@ by the test suite and the identity verifiers.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .polynomial import ZERO, IntPolynomial, _check_dense, product
 from .qbinomial import qbinom
@@ -328,16 +329,58 @@ def _picks(
     count * f - ``least``; every total in between is reached.  So a branch
     is cut as soon as it can no longer reach [low, high], every branch
     walked yields a tuple, and the walk is bounded by what it yields.
+
+    The walk keeps an explicit stack, not the call stack, so its depth is
+    bounded by memory alone, and one list of the parts placed, so that its
+    memory grows with the depth, not with its square.  Each level computes
+    the descending range of candidates that pass both cuts.  A level with
+    more than one part left to place and some candidate becomes a frame on
+    the stack, holding that range, the count left below it and its own
+    window [low, high], from which its placed part is subtracted.  Every
+    other level's candidates are last parts, each completing a tuple, so
+    they are yielded at once.  At gap 0 a level yields its own prefix after
+    its candidates.  A level with an empty window, which only the outermost
+    can have, walks no candidate.
     """
-    if count > 0 and low <= high:
-        least = gap * count * (count - 1) // 2
-        for first in range(min(max_value, high - least), gap * (count - 1), -1):
-            if count * first - least < low:
+    parts, frames = [], []
+    while True:
+        # the level below ``parts``: ``count`` more parts, at most ``max_value``
+        candidates: Iterable[int] = ()
+        if count and low <= high:
+            # the two cuts, as comparisons: min and max calls cost a third
+            # of an exact-target walk
+            least = gap * count * (count - 1) // 2
+            top = high - least
+            if top > max_value:
+                top = max_value
+            stop = (low + least - 1) // count
+            if stop < gap * (count - 1):
+                stop = gap * (count - 1)
+            candidates = range(top, stop, -1)
+        if count > 1 and candidates:
+            frames.append((iter(candidates), count - 1, low, high))
+            parts.append(0)
+        else:
+            # a level with no frame: each candidate, if any, is a last part
+            head = tuple(parts)
+            for last in candidates:
+                yield head + (last,)
+            if low <= 0 <= high and (gap == 0 or count == 0):
+                yield head
+        # place the next candidate of the deepest frame that has one left
+        while frames:
+            candidates, count, low, high = frames[-1]
+            first = next(candidates, 0)
+            if first:
+                parts[-1] = first
+                max_value, low, high = first - gap, low - first, high - first
                 break
-            for rest in _picks(first - gap, count - 1, low - first, high - first, gap):
-                yield (first,) + rest
-    if low <= 0 <= high and (count == 0 or gap == 0):
-        yield ()
+            frames.pop()
+            parts.pop()
+            if gap == 0 and low <= 0 <= high:
+                yield tuple(parts)
+        else:
+            return
 
 
 def _listing(
@@ -387,6 +430,15 @@ def qbar_enumerate(query: TwoKindQuery) -> list[DistinctTwoKindPartition]:
     return _listing(DistinctTwoKindPartition, query, 1)
 
 
+def _walk(n: int, k: int, gap: int) -> tuple[int, int]:
+    """One kind's picks at ``gap`` as (k, t): k parts picked in one of C(t, k) ways.
+
+    At gap 0 these are the multisets of at most k parts from 1..N, C(N+k, k)
+    of them; at gap 1 the sets of exactly k distinct parts, C(N, k).
+    """
+    return k, n + k - gap * k
+
+
 def _check_walk(first: tuple[int, int], second: tuple[int, int]) -> None:
     """Refuse an enumeration walk of more than ``MAX_ENUMERATION_WORK`` steps.
 
@@ -405,66 +457,43 @@ def _check_walk(first: tuple[int, int], second: tuple[int, int]) -> None:
         )
 
 
-def _kind_sums(pick: Callable, pool: range, k: int) -> list[int]:
-    """The totals of one kind's picks, ``pick(pool, k)``, in the order drawn.
+def _kind_sums(n: int, k: int, gap: int) -> list[int]:
+    """The totals of one kind's picks at ``gap``, in the order ``_picks`` walks them.
 
-    A pick of no parts draws from no pool, so that itertools copies none.
-    The totals depend only on the kind's own (pool, k), not on r or on the
-    other kind, so an oracle grid can draw each kind's list once and share
-    it between rows; nothing here keeps it.
+    The totals depend only on the kind's own (N, k), not on r or on the
+    other kind, so an oracle grid can list each kind once and share the
+    list between rows; nothing here keeps it.
     """
-    return list(map(sum, pick(pool if k else (), k)))
+    return [sum(parts) for parts in _picks(n, k, 0, n * k, gap)]
 
 
-def _pair_counts(
-    r: int, first_sums: list[int], second_sums: list[int], top: int
+def _row(
+    sums: Callable, gap: int, r: int, n1: int, n2: int, k1: int, k2: int
 ) -> list[int]:
-    """Count the pairs of picks by r*(first total) + (second total), 0 through ``top``.
+    """The enumeration row at ``gap``, with each kind's pick totals from ``sums``.
 
-    Every pair is counted on its own, one increment each; the lists are
-    only read, so they may be shared between rows.
+    Gap 0 gives ``pbar_enumerate_totals`` and gap 1 ``qbar_enumerate_totals``;
+    ``sums`` is ``_kind_sums`` or a cache of it, and its lists are only
+    read, so they may be shared between rows.  At gap 1 a kind with k > N
+    has no pick, and the row is [0].  Otherwise the row's span is checked
+    against ``MAX_DENSE_DEGREE`` and its walk sized by ``_check_walk``
+    before ``sums`` is called, so an oversized row is refused before its
+    first pick.  Then every pair of picks is counted on its own, by
+    r*(first total) + (second total), one increment each.
     """
+    _check_bounds(r, n1, n2, k1, k2)
+    if gap and (k1 > n1 or k2 > n2):
+        return [0]
+    # each kind's greatest total: its k parts at the top of 1..N
+    top = r * (n1 * k1 - gap * comb(k1, 2)) + n2 * k2 - gap * comb(k2, 2)
+    _check_dense(top)
+    _check_walk(_walk(n1, k1, gap), _walk(n2, k2, gap))
+    first, second = sums(n1, k1, gap), sums(n2, k2, gap)
     counts = [0] * (top + 1)
-    for a in (r * s for s in first_sums):
-        for b in second_sums:
+    for a in (r * s for s in first):
+        for b in second:
             counts[a + b] += 1
     return counts
-
-
-def _pbar_row(sums: Callable, r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
-    """``pbar_enumerate_totals``, with each kind's pick totals from ``sums``.
-
-    ``sums`` is ``_kind_sums`` or a cache of it.  The row's span is checked
-    against ``MAX_DENSE_DEGREE`` and its walk sized by ``_check_walk``
-    before ``sums`` is called: itertools copies the whole pool when it
-    makes the iterator, so an oversized row is refused before a pool of the
-    same size is built.
-    """
-    _check_bounds(r, n1, n2, k1, k2)
-    top = r * n1 * k1 + n2 * k2
-    _check_dense(top)
-    _check_walk((k1, n1 + k1), (k2, n2 + k2))
-    pick = combinations_with_replacement
-    return _pair_counts(
-        r, sums(pick, range(n1 + 1), k1), sums(pick, range(n2 + 1), k2), top
-    )
-
-
-def _qbar_row(sums: Callable, r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
-    """``qbar_enumerate_totals``, with each kind's pick totals from ``sums``.
-
-    Checked and sized first as in ``_pbar_row``.
-    """
-    _check_bounds(r, n1, n2, k1, k2)
-    if k1 > n1 or k2 > n2:
-        return [0]
-    top = r * (k1 * n1 - comb(k1, 2)) + k2 * n2 - comb(k2, 2)
-    _check_dense(top)
-    _check_walk((k1, n1), (k2, n2))
-    pick = combinations
-    return _pair_counts(
-        r, sums(pick, range(1, n1 + 1), k1), sums(pick, range(1, n2 + 1), k2), top
-    )
 
 
 def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -472,12 +501,11 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
 
     Entry ``n`` of the result is the number of two-kind partitions of ``n``
     under the bounds; the list covers 0 through r*N1*k1 + N2*k2.  This is the
-    bulk form of the enumeration oracle: it generates every admissible
-    multiset pair and tallies by total, with no polynomial arithmetic.  A
-    multiset of at most k parts from 1..N is listed as k picks with
-    replacement from 0..N, a 0 standing for "no part": C(N+k, k) picks.
+    bulk form of the enumeration oracle: it walks every admissible multiset
+    pair and tallies by total, with no polynomial arithmetic.  ``_picks``
+    walks the multisets of at most k parts from 1..N, C(N+k, k) per kind.
     """
-    return _pbar_row(_kind_sums, r, n1, n2, k1, k2)
+    return _row(_kind_sums, 0, r, n1, n2, k1, k2)
 
 
 def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -485,7 +513,7 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
 
     The list covers 0 through the largest achievable total (at least 0); all
     entries are 0 when no selection of exactly k1 and k2 distinct parts
-    exists.  A set of exactly k distinct parts is listed as k picks without
-    replacement from 1..N: C(N, k) picks.
+    exists.  ``_picks`` walks the sets of exactly k distinct parts from 1..N,
+    C(N, k) per kind.
     """
-    return _qbar_row(_kind_sums, r, n1, n2, k1, k2)
+    return _row(_kind_sums, 1, r, n1, n2, k1, k2)

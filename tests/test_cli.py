@@ -117,6 +117,19 @@ class TestCount:
         assert code == 0
         assert out == "2\n"
 
+    @pytest.mark.parametrize(
+        "method, expected",
+        [("enumerate", "1\n"), ("all", "genfun: 1\nenumerate: 1\n")],
+        ids=("enumerate", "all"),
+    )
+    def test_deep_enumeration_counts(self, capsys, method, expected):
+        # the one partition, 1500 ones, is a walk 1500 parts deep
+        code, out, err = run(
+            capsys, "count", "p", "--N", "1", "--k", "2000", "--n", "1500",
+            "--method", method,
+        )
+        assert (code, out, err) == (0, expected, "")
+
     def test_convolution_invalid_for_p(self, capsys):
         code, _, err = run(
             capsys, "count", "p", "--N", "2", "--k", "2", "--n", "2",
@@ -235,6 +248,29 @@ class TestEnumerate:
         )
         assert code == 0
         assert out == "4+1'\n"
+
+    @pytest.mark.parametrize(
+        "function, bounds, expected",
+        [
+            # 1200 first-kind ones
+            ("pbar", ("1", "0", "1500", "0", "1200"), "+".join(["1"] * 1200)),
+            # every second-kind part from 1 to 1200, once
+            (
+                "qbar",
+                ("0", "1200", "0", "1200", "720600"),
+                "+".join(f"{part}'" for part in range(1200, 0, -1)),
+            ),
+        ],
+        ids=("pbar", "qbar"),
+    )
+    def test_deep_walk_lists_its_one_partition(self, capsys, function, bounds, expected):
+        flags = [
+            word
+            for flag, value in zip(("--n1", "--n2", "--k1", "--k2", "--n"), bounds)
+            for word in (flag, value)
+        ]
+        code, out, err = run(capsys, "enumerate", function, "--r", "1", *flags)
+        assert (code, out, err) == (0, expected + "\n", "")
 
     def test_json_renders_each_partition_once(self, capsys, monkeypatch):
         # the encoder asks for each partition's record as it reaches it, so
@@ -423,7 +459,7 @@ class TestVerify:
     def test_costly_oracle_grid_is_a_usage_error(self, capsys, monkeypatch):
         # 12,288 points; the enumeration row at (7, 7, 7, 7) walks 3,432**2
         # pairs, and no row is walked before the refusal
-        monkeypatch.setattr(identities, "_pbar_row", None)
+        monkeypatch.setattr(identities, "_row", None)
         code, out, err = run(capsys, "verify", "thm2.1", "--param-max", "7")
         assert code == 2
         assert out == ""
@@ -435,7 +471,7 @@ class TestVerify:
     def test_long_oracle_grid_is_a_usage_error(self, capsys, monkeypatch):
         # every row of param-max 6 is within the walk limit, but 416 r walk
         # 416 * 3,431**2 pairs of picks in all
-        monkeypatch.setattr(identities, "_pbar_row", None)
+        monkeypatch.setattr(identities, "_row", None)
         code, out, err = run(
             capsys, "verify", "thm2.1", "--r-max", "416", "--param-max", "6"
         )

@@ -56,11 +56,6 @@ def perturb(monkeypatch, name, cells):
     monkeypatch.setattr(identities, name, perturbed)
 
 
-# the private row builder through which the oracle verifiers build each
-# public enumeration function's rows
-ROW_OF = {"pbar_enumerate_totals": "_pbar_row", "qbar_enumerate_totals": "_qbar_row"}
-
-
 def failures(report):
     return [c.as_dict() for c in report.failures]
 
@@ -369,17 +364,17 @@ class TestGridLimit:
             verify_thm24(r_max=r_max, param_max=param_max)
 
     @pytest.mark.parametrize(
-        "identity_id, oracle, bound, pairs, parts",
+        "identity_id, bound, pairs, parts",
         [
             # the costliest row is (2, 2, 2, 2): C(4, 2)**2 pairs, 2 * 2 * 6 parts
-            ("thm2.1", "pbar_enumerate_totals", 2, 36, 24),
-            ("thm2.2", "pbar_enumerate_totals", 2, 36, 24),
+            ("thm2.1", 2, 36, 24),
+            ("thm2.2", 2, 36, 24),
             # the costliest row is (3, 3, 2, 2): C(3, 2)**2 pairs, 2 * 2 * 3 parts
-            ("thm2.6", "qbar_enumerate_totals", 3, 9, 12),
+            ("thm2.6", 3, 9, 12),
         ],
     )
     def test_oracle_grids_size_their_walk_first(
-        self, monkeypatch, identity_id, oracle, bound, pairs, parts
+        self, monkeypatch, identity_id, bound, pairs, parts
     ):
         work = max(pairs, parts)
         monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", work)
@@ -389,7 +384,7 @@ class TestGridLimit:
         def unreachable(*bounds):
             raise AssertionError(f"walked {bounds}")
 
-        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", ROW_OF[oracle]):
+        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", "_row"):
             monkeypatch.setattr(identities, name, unreachable)
         refusal = (
             f"^enumeration of {pairs} pairs of picks drawing {parts} parts "
@@ -399,49 +394,42 @@ class TestGridLimit:
             run_identity(identity_id, r_max=1, param_max=bound)
 
     @pytest.mark.parametrize(
-        "walk, picks",
+        "identity_id, walk",
         [
             # k picks with replacement from 0..N
-            (identities._multiset_walk, lambda n, k: (k, n + k)),
+            ("thm2.1", lambda n, k: (k, n + k)),
             # k distinct picks from 1..N; a kind with k > N is not walked
-            (identities._set_walk, lambda n, k: (k, n) if k <= n else None),
+            ("thm2.6", lambda n, k: (k, n) if k <= n else None),
         ],
     )
-    def test_walk_is_the_costliest_row(self, walk, picks):
+    def test_grid_refuses_as_its_costliest_row(self, monkeypatch, identity_id, walk):
+        # with no walk allowed, the grid names its costliest row; that row
+        # has both the most pairs and the most parts of any row in the grid,
+        # so a grid is refused exactly when one of its rows would be
+        monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", 0)
         for bound in range(16):
-            rows = [picks(n, k) for n in range(bound + 1) for k in range(bound + 1)]
-            k, t = walk(bound)
-            assert (k, t) in rows
-            assert math.comb(t, k) == max(math.comb(t, k) for k, t in filter(None, rows))
-            assert k * math.comb(t, k) == max(
-                k * math.comb(t, k) for k, t in filter(None, rows)
+            kinds = [walk(n, k) for n in range(bound + 1) for k in range(bound + 1)]
+            picks = [math.comb(t, k) for k, t in filter(None, kinds)]
+            parts = [k * math.comb(t, k) for k, t in filter(None, kinds)]
+            refusal = (
+                f"^enumeration of {max(picks) ** 2} pairs of picks "
+                f"drawing {2 * max(parts)} parts "
             )
+            with pytest.raises(ValueError, match=refusal):
+                run_identity(identity_id, r_max=1, param_max=bound)
 
     @pytest.mark.parametrize(
-        "picks, row",
-        [
-            (identities._multiset_picks, lambda n, k: math.comb(n + k, k)),
-            (identities._set_picks, lambda n, k: math.comb(n, k)),
-        ],
-    )
-    def test_picks_sum_every_row(self, picks, row):
-        for bound in range(16):
-            assert picks(bound) == sum(
-                row(n, k) for n in range(bound + 1) for k in range(bound + 1)
-            )
-
-    @pytest.mark.parametrize(
-        "identity_id, oracle, pairs",
+        "identity_id, pairs",
         [
             # two r, each (C(6, 3) - 1)**2 pairs over N1, N2, k1, k2 <= 2
-            ("thm2.1", "pbar_enumerate_totals", 2 * 19**2),
-            ("thm2.2", "pbar_enumerate_totals", 2 * 19**2),
+            ("thm2.1", 2 * 19**2),
+            ("thm2.2", 2 * 19**2),
             # two r, each (2**3 - 1)**2 pairs
-            ("thm2.6", "qbar_enumerate_totals", 2 * 7**2),
+            ("thm2.6", 2 * 7**2),
         ],
     )
     def test_oracle_grids_size_their_total_walk_first(
-        self, monkeypatch, identity_id, oracle, pairs
+        self, monkeypatch, identity_id, pairs
     ):
         walked = []
         real = partitions._check_walk
@@ -460,7 +448,7 @@ class TestGridLimit:
         def unreachable(*bounds):
             raise AssertionError(f"walked {bounds}")
 
-        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", ROW_OF[oracle]):
+        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", "_row"):
             monkeypatch.setattr(identities, name, unreachable)
         refusal = (
             f"^{identity_id}: grid of {pairs} pairs of picks exceeds the limit of {pairs - 1}$"
@@ -471,7 +459,7 @@ class TestGridLimit:
     def test_unpatched_work_limit_refuses_long_grids(self, monkeypatch):
         # 2,401 points per r, each row within the walk limit, but 416 r walk
         # 416 * 3,431**2 pairs
-        monkeypatch.setattr(identities, "_pbar_row", None)
+        monkeypatch.setattr(identities, "_row", None)
         with pytest.raises(ValueError, match=f"^thm2.1: grid of {416 * 3431**2} pairs"):
             verify_thm21(r_max=416, param_max=6)
 
@@ -820,16 +808,17 @@ class TestOracleRows:
     ):
         r = data.draw(st.integers(1, 4))
         n1, n2, k1, k2 = (data.draw(st.integers(0, 5)) for _ in range(4))
-        for row, public, gf in (
-            (identities._pbar_row, pbar_enumerate_totals, pbar_gf),
-            (identities._qbar_row, qbar_enumerate_totals, qbar_gf),
+        row = identities._row
+        for gap, public, gf in (
+            (0, pbar_enumerate_totals, pbar_gf),
+            (1, qbar_enumerate_totals, qbar_gf),
         ):
             sums = lru_cache(maxsize=None)(partitions._kind_sums)
             # the swapped row draws both kinds' lists first, so the row
             # below reads every list it needs back from the cache
-            row(sums, r, n2, n1, k2, k1)
+            row(sums, gap, r, n2, n1, k2, k1)
             drawn = sums.cache_info().misses
-            cached = row(sums, r, n1, n2, k1, k2)
+            cached = row(sums, gap, r, n1, n2, k1, k2)
             assert sums.cache_info().misses == drawn
             assert cached == public(r, n1, n2, k1, k2)
             coeffs = list(gf(r, n1, n2, k1, k2).coeffs)
@@ -850,9 +839,9 @@ class TestOracleRows:
         calls = []
         real = identities._kind_sums
 
-        def counted(pick, pool, k):
-            calls.append((pick, pool, k))
-            return real(pick, pool, k)
+        def counted(n, k, gap):
+            calls.append((n, k, gap))
+            return real(n, k, gap)
 
         monkeypatch.setattr(identities, "_kind_sums", counted)
         first = verify(*grid)
@@ -876,11 +865,11 @@ class TestOracleRows:
     def test_oracle_rows_need_no_polynomial_arithmetic(self, monkeypatch):
         grid = (2, 3)
         rows = {
-            row: {
+            gap: {
                 bounds: list(gf(*bounds).coeffs)
                 for bounds in itertools.product(*identities._two_kind_grid(*grid))
             }
-            for row, gf in ((identities._pbar_row, pbar_gf), (identities._qbar_row, qbar_gf))
+            for gap, gf in ((0, pbar_gf), (1, qbar_gf))
         }
 
         def public_rows():
@@ -898,15 +887,12 @@ class TestOracleRows:
         monkeypatch.setattr(partitions, "qbinom", forbidden)
         monkeypatch.setattr(partitions, "product", forbidden)
         assert public_rows() == before
-        for row, walk, picks in (
-            (identities._pbar_row, identities._multiset_walk, identities._multiset_picks),
-            (identities._qbar_row, identities._set_walk, identities._set_picks),
-        ):
+        for gap in (0, 1):
             # the route reads the rows made before the patch; an empty
             # distinct-part row reads as the oracle's [0]
-            route = rows[row].__getitem__
+            route = rows[gap].__getitem__
             report = identities._rows_against_oracle(
-                "x", lambda *b: route(b), row, walk, picks, *grid
+                "x", lambda *b: route(b), gap, *grid
             )
             assert report.passed and report.checked == 2 * 4**4
 

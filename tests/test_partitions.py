@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -33,23 +35,24 @@ from qpartitions.polynomial import product
 WORKED_SIX = TwoKindQuery(r=2, n1=2, n2=3, k1=2, k2=2, n=4)
 
 
-def count_walker_calls(monkeypatch, limit):
-    """Record the arguments of every call to the enumeration walker.
+def count_walker_frames(monkeypatch, limit):
+    """Record the candidate range of every level the enumeration walker opens.
 
-    The walker's recursion looks its own name up on the module, so the
-    wrapper sees every call, not only the outermost ones.  A walk past
-    ``limit`` calls fails at once rather than running on.
+    The walker makes one descending ``range`` of candidates for every level
+    with a part left to place and a window of totals to reach, last-part
+    levels and dead ends included, and it looks ``range`` up on the module;
+    so a ``range`` bound there sees each of those levels.  A walk past
+    ``limit`` levels fails at once rather than running on.
     """
-    walker = partitions._picks
-    calls = []
+    frames = []
 
     def counting(*args):
-        calls.append(args)
-        assert len(calls) <= limit, "walk not bounded by the listing"
-        return walker(*args)
+        frames.append(args)
+        assert len(frames) <= limit, "walk not bounded by the listing"
+        return range(*args)
 
-    monkeypatch.setattr(partitions, "_picks", counting)
-    return calls
+    monkeypatch.setattr(partitions, "range", counting, raising=False)
+    return frames
 
 
 def all_partitions(n):
@@ -109,7 +112,7 @@ class TestQueryValidation:
         monkeypatch.undo()
         with pytest.raises(ValueError, match=f"^dense degree {10**18} exceeds"):
             totals(10**18, 1, 0, 1, 0)
-        # one part from a huge pool: refused before any pool is copied
+        # one part up to 10**18: refused before any pick is walked
         for bounds in ((10**18, 0, 1, 0), (0, 10**18, 0, 1)):
             with pytest.raises(ValueError, match=f"^dense degree {10**18} exceeds"):
                 totals(1, *bounds)
@@ -119,7 +122,7 @@ class TestQueryValidation:
         [(pbar_enumerate_totals, [1, 1, 1, 1]), (qbar_enumerate_totals, [0, 1, 1, 1])],
     )
     def test_totals_copy_no_pool_for_a_kind_with_no_parts(self, totals, one_part_row):
-        # a kind with k = 0 has one empty pick, whatever its pool
+        # a kind with k = 0 has one empty pick, whatever its bound N
         assert totals(1, 10**18, 0, 0, 0) == [1]
         assert totals(2, 0, 10**18, 0, 0) == [1]
         assert totals(1, 10**18, 3, 0, 1) == one_part_row
@@ -158,14 +161,18 @@ class TestQueryValidation:
         monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", work)
         assert sum(totals(*bounds)) == pairs
         monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", work - 1)
-        for pick in ("combinations", "combinations_with_replacement"):
-            monkeypatch.setattr(partitions, pick, None)
+        monkeypatch.setattr(partitions, "_picks", None)
         refusal = (
             f"^enumeration of {pairs} pairs of picks drawing {parts} parts "
             f"exceeds the limit of {work - 1}$"
         )
         with pytest.raises(ValueError, match=refusal):
             totals(*bounds)
+
+    def test_deepest_row_the_walk_limit_admits(self):
+        # 1,000 picks of up to 999 ones draw 999,000 parts; each pick is a
+        # walk up to 999 parts deep
+        assert pbar_enumerate_totals(1, 1, 0, 999, 0) == [1] * 1000
 
     @pytest.mark.parametrize(
         "bounds, pairs, parts",
@@ -179,7 +186,7 @@ class TestQueryValidation:
     def test_unpatched_work_limit_refuses_long_walks(
         self, bounds, pairs, parts, monkeypatch
     ):
-        monkeypatch.setattr(partitions, "combinations_with_replacement", None)
+        monkeypatch.setattr(partitions, "_picks", None)
         refusal = f"^enumeration of {pairs} pairs of picks drawing {parts} parts"
         with pytest.raises(ValueError, match=refusal):
             pbar_enumerate_totals(*bounds)
@@ -476,27 +483,76 @@ class TestEnumerationGolden:
     def test_distinct_listing_skips_second_kind_without_rest(self, monkeypatch, query):
         # filtering C(30, 15) = 155M picks of either kind by total would take
         # minutes; the walk is cut by the least and greatest total a branch
-        # can reach, so an empty listing takes a call or two
-        calls = count_walker_calls(monkeypatch, 100)
+        # can reach, so an empty listing opens a level or none
+        frames = count_walker_frames(monkeypatch, 100)
         assert qbar_enumerate(query) == []
-        assert calls
+        assert len(frames) <= 1
+
+    def test_empty_window_of_totals_opens_no_level(self, monkeypatch):
+        # 7 is no total of first-kind parts 2, 4, ..., 10 alone
+        frames = count_walker_frames(monkeypatch, 100)
+        assert pbar_enumerate(TwoKindQuery(2, 5, 0, 3, 0, 7)) == []
+        assert frames == []
 
     @settings(deadline=None)
     @given(st.data())
     def test_walk_is_bounded_by_the_listing(self, data):
-        # no branch is walked without a partition below it: every walker
-        # call lies on the path to some listed partition, at most one call
-        # per part, plus one second-kind walk per first-kind tuple.  Drop
-        # either cut, or walk an empty range of totals, and this fails.
+        # no branch is walked without a partition below it: besides the
+        # first walk's root, every level opened lies on the path to some
+        # partition, at most one level per part of each kind.  The count of
+        # partitions comes from the generating function, so a walk that
+        # lists too much cannot raise its own bound.  Drop either cut and
+        # this fails.
         r = data.draw(st.integers(1, 3))
         n1, n2, k1, k2 = (data.draw(st.integers(0, 5)) for _ in range(4))
         n = data.draw(st.integers(0, r * n1 * k1 + n2 * k2 + 1))
         query = TwoKindQuery(r, n1, n2, k1, k2, n)
-        for enumerate_ in (pbar_enumerate, qbar_enumerate):
+        routes = ((pbar_enumerate, pbar_genfun), (qbar_enumerate, qbar_genfun))
+        for enumerate_, genfun in routes:
             with pytest.MonkeyPatch.context() as monkeypatch:
-                calls = count_walker_calls(monkeypatch, 10**5)
-                listing = enumerate_(query)
-            assert len(calls) <= 1 + len(listing) * (k1 + k2 + 1)
+                frames = count_walker_frames(monkeypatch, 10**5)
+                enumerate_(query)
+            total = genfun(query)
+            assert len(frames) <= 1 + total * (k1 + k2)
+            # a partition with a part walks at least one level
+            assert frames or not total or k1 + k2 == 0
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 8),
+        st.integers(0, 6),
+        st.integers(-6, 40),
+        st.integers(-6, 40),
+        st.sampled_from((0, 1)),
+    )
+    def test_walker_matches_filtered_itertools_picks(
+        self, max_value, count, low, high, gap
+    ):
+        # the walker's model: count picks from 0..max_value with replacement,
+        # a 0 standing for no part, or from 1..max_value without; kept when
+        # their total is in [low, high], in descending order
+        if gap:
+            picks = combinations(range(1, max_value + 1), count)
+        else:
+            picks = combinations_with_replacement(range(max_value + 1), count)
+        tuples = {tuple(sorted(filter(None, pick), reverse=True)) for pick in picks}
+        expected = sorted((t for t in tuples if low <= sum(t) <= high), reverse=True)
+        assert list(partitions._picks(max_value, count, low, high, gap)) == expected
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3), *(st.integers(0, 4) for _ in range(4)))
+    def test_totals_match_an_itertools_tally(self, r, n1, n2, k1, k2):
+        for totals, pick, start in (
+            (pbar_enumerate_totals, combinations_with_replacement, 0),
+            (qbar_enumerate_totals, combinations, 1),
+        ):
+            tally = Counter(
+                r * sum(first) + sum(second)
+                for first in pick(range(start, n1 + 1), k1)
+                for second in pick(range(start, n2 + 1), k2)
+            )
+            expected = [tally[n] for n in range(max(tally, default=0) + 1)]
+            assert totals(r, n1, n2, k1, k2) == expected
 
 
 class TestDistinctTwoKind:
