@@ -162,6 +162,23 @@ def _mismatch(params: tuple, lhs: object, rhs: object) -> list[Counterexample]:
     return [] if lhs == rhs else [Counterexample(params, str(lhs), str(rhs))]
 
 
+def _packed_mismatch(
+    params: tuple, packing: Packing, lhs: int, rhs: int
+) -> list[Counterexample]:
+    """The counterexample at ``params`` when two packed sides differ, else none.
+
+    Both sides are totals at ``packing``'s width whose coefficients are all
+    below half a digit in size, so each total determines its coefficients
+    and equal totals mean equal sides.  Sides that differ are read back to
+    as many digits as the larger total spans, and reported as polynomials.
+    """
+    if lhs == rhs:
+        return []
+    length = max(abs(lhs), abs(rhs)).bit_length() // (8 * packing.width) + 1
+    sides = (IntPolynomial(packing.unpack(total, length)) for total in (lhs, rhs))
+    return _mismatch(params, *sides)
+
+
 def _check_grid(identity_id: str, size: int, unit: str, limit: int) -> None:
     """Refuse a grid of more than ``limit`` units of work."""
     if size > limit:
@@ -175,7 +192,7 @@ def _sweep(
     grid: str,
     axes: tuple[range, ...],
     check: Callable,
-    cost: Callable[[], tuple[int, str, int]] | None = None,
+    cost: Callable[[], tuple[int, str, int]],
 ) -> VerificationReport:
     """Run ``check(*point)`` at every point of the product of ``axes``.
 
@@ -183,13 +200,13 @@ def _sweep(
     their order within one point is kept by the report's stable sort.  The
     axes are step-1 ranges, so the point count is known before the first
     point: above ``MAX_GRID_POINTS`` the grid is refused with ``ValueError``.
-    A grid within that limit and with points is then sized by ``cost``, when
-    given, which returns the whole grid's work as (size, unit, limit) and
-    may raise itself; a size over its limit is refused the same way.
+    A grid within that limit and with points is then sized by ``cost``,
+    which returns the whole grid's work as (size, unit, limit) and may raise
+    itself; a size over its limit is refused the same way.
     """
     points = prod(max(0, axis.stop - axis.start) for axis in axes)
     _check_grid(identity_id, points, "points", MAX_GRID_POINTS)
-    if points and cost is not None:
+    if points:
         _check_grid(identity_id, *cost())
     checked = 0
     failures: list[Counterexample] = []
@@ -226,16 +243,14 @@ def _gaussian_sweep(
     where wide[j] is the coefficients of [m+j, j].  Every side at one m
     goes through one ``packed_sums`` call, which packs each Gaussian once
     for that m (the ones at q^step padded, not inflated), so each product
-    is one integer product.  The call is made at the first n of m and,
-    since the points come in order, each n takes its own two totals in
-    turn.
+    is one integer product.  The call is made once per m, and point n
+    reads its two totals at index 2n and 2n + 1.
 
-    The two sides are compared as packed integers.  Every coefficient of
-    either side is at most the bound ``packed_sums`` sized the digits for,
-    which is below half a digit, so each total determines its side's
-    coefficients and the sides are equal exactly when their totals are.
-    Only the sides of a point whose totals differ are read back, and their
-    counterexample is built from those coefficients.
+    The two sides are compared as packed integers by ``_packed_mismatch``.
+    Every coefficient of either side is at most the bound ``packed_sums``
+    sized the digits for, which is below half a digit, so each total
+    determines its side's coefficients and the sides are equal exactly when
+    their totals are.
 
     The Gaussian memo keeps every [m+j, j] the grid builds, m*j + 1
     coefficients each, so the grid's cost is their sum over the whole grid.
@@ -252,17 +267,12 @@ def _gaussian_sweep(
                 for k in range(max(0, -((m + 1 - n) // step)), n // step + 1)
             ])
             sides.append(right(n, wide))
-        packing, totals = packed_sums(sides)
-        return packing, iter(totals)
+        return packed_sums(sides)
 
     def check(m: int, n: int) -> tuple[int, list[Counterexample]]:
         packing, totals = sums_at(m)
-        (lhs, lhs_length), (rhs, rhs_length) = next(totals), next(totals)
-        if lhs == rhs:
-            return 1, []
-        lhs_poly = IntPolynomial(packing.unpack(lhs, lhs_length))
-        rhs_poly = IntPolynomial(packing.unpack(rhs, rhs_length))
-        return 1, _mismatch((m, n), lhs_poly, rhs_poly)
+        (lhs, _), (rhs, _) = totals[2 * n], totals[2 * n + 1]
+        return 1, _packed_mismatch((m, n), packing, lhs, rhs)
 
     def cost():
         return _rectangle_work(m_max, n_max), "Gaussian coefficients", MAX_GRID_POINTS
@@ -396,46 +406,43 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     ``pbar_gf``.  A counterexample's first parameter is the relation's
     index, 1 to 3.
 
-    Each relation is checked as one integer sum of packed operands.  Every
-    ``pbar_gf`` the grid reads has bounds at most p = ``param_max``, so its
-    coefficients are nonnegative and sum to C(N1+k1, N1) * C(N2+k2, N2),
-    which is at most B = C(2p, p)**2.  Each is packed once per r, all at one
-    ``Packing`` sized for 4B, and a right side is the sum of its four
-    operands shifted by whole digits.  Every coefficient of either side is
-    then at most 4B in size and fits its digit, so the two sides are equal
-    exactly when their packed integers are.  A point with an operand that
-    has a coefficient over B in size, or with a relation whose packed sides
-    differ, is checked again with ``IntPolynomial`` arithmetic, which alone
-    builds the counterexamples.  ``pbar_gf`` is read from this module at
-    each call.
+    Each relation is checked as one integer sum of packed operands.  For
+    each r, ``pbar_gf`` is read once at every bound tuple the relations can
+    read, N1 and N2 in 0..p and k1 and k2 in -1..p for p = ``param_max``,
+    and the largest coefficient M found, in size, sizes one ``Packing`` for
+    4M.  Each generating function is then packed once, and a right side is
+    the sum of its four operands shifted by whole digits.  Every
+    coefficient of either side is at most 4M in size, below half a digit,
+    so the two sides are equal exactly when their packed integers are,
+    whatever the operands; a relation whose sides differ is read back from
+    its two totals by ``_packed_mismatch``.  ``pbar_gf`` is read from this
+    module, so a replacement there is what gets checked.
 
     The grid's cost counts the ``pbar_gf`` coefficients at every bound tuple
-    up to p.  That covers every point and neighbour the recurrences read,
-    and 2(p+1) tuples per r that none reads.
+    up to p, which are the nonzero ones the grid reads.
     """
 
     @lru_cache(maxsize=1)
-    def packed_at(r: int) -> tuple[Callable[..., int | None], int]:
-        # product() walks r outermost, so only one r's packed values are held.
-        # B is computed here, at a point, so only for a grid known to be small.
-        bound = comb(2 * param_max, param_max) ** 2
-        digits = Packing(4 * bound)
-
-        @lru_cache(maxsize=None)
-        def packed(*bounds: int) -> int | None:
-            coeffs = pbar_gf(r, *bounds).coeffs
-            fits = max(map(abs, coeffs), default=0) <= bound
-            return digits.pack(coeffs) if fits else None
-
-        return packed, 8 * digits.width
+    def packed_at(r: int) -> tuple[dict[tuple[int, ...], int], Packing]:
+        # product() walks r outermost, so only one r's table is held
+        tuples = product(*[range(param_max + 1)] * 2, *[range(-1, param_max + 1)] * 2)
+        table = {b: pbar_gf(r, *b).coeffs for b in tuples}
+        largest = max(max(map(abs, coeffs), default=0) for coeffs in table.values())
+        packing = Packing(4 * largest)
+        # packed in place, so no second table is held beside this one
+        for b, coeffs in table.items():
+            table[b] = packing.pack(coeffs)
+        return table, packing
 
     def check(r: int, n1: int, n2: int, k1: int, k2: int):
-        params = (r, n1, n2, k1, k2)
-        neighbours = (
-            (n1 - 1, n2 - 1, k1, k2),
-            (n1 - 1, n2, k1, k2 - 1),
-            (n1, n2 - 1, k1 - 1, k2),
-            (n1, n2, k1 - 1, k2 - 1),
+        table, packing = packed_at(r)
+        w = 8 * packing.width
+        gf = table[n1, n2, k1, k2]
+        a, b, c, d = (
+            table[n1 - 1, n2 - 1, k1, k2],
+            table[n1 - 1, n2, k1, k2 - 1],
+            table[n1, n2 - 1, k1 - 1, k2],
+            table[n1, n2, k1 - 1, k2 - 1],
         )
         # each relation's shift of each neighbour, in that order
         relations = (
@@ -443,22 +450,10 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
             (0, n2, n1 * r, n1 * r + n2),
             (k1 * r, k1 * r + n2, 0, n2),
         )
-        packed, w = packed_at(r)
-        gf = packed(n1, n2, k1, k2)
-        terms = [packed(*bounds) for bounds in neighbours]
-        if gf is not None and None not in terms:
-            a, b, c, d = terms
-            if all(
-                (a << w * s) + (b << w * t) + (c << w * u) + (d << w * v) == gf
-                for s, t, u, v in relations
-            ):
-                return 3, []
-        gf = pbar_gf(*params)
-        terms = [pbar_gf(r, *bounds) for bounds in neighbours]
         found = []
-        for index, shifts in enumerate(relations, start=1):
-            rhs = sum((term.shift(s) for term, s in zip(terms, shifts)), ZERO)
-            found += _mismatch((index,) + params, gf, rhs)
+        for index, (s, t, u, v) in enumerate(relations, start=1):
+            rhs = (a << w * s) + (b << w * t) + (c << w * u) + (d << w * v)
+            found += _packed_mismatch((index, r, n1, n2, k1, k2), packing, gf, rhs)
         return 3, found
 
     grid = (

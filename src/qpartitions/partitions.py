@@ -23,7 +23,9 @@ Every count is computable by two or three independent routes:
                     rows alike walk each kind through one pruned walker,
                     ``_picks``; a listing walks by total, so its work is
                     bounded by the listing.  The walker keeps its own
-                    stack, so no depth of walk exhausts the call stack.
+                    stack, so no depth of walk exhausts the call stack,
+                    and a listing whose partitions could hold more than
+                    ``MAX_ENUMERATION_WORK`` parts is refused.
 
 The bulk ``*_totals`` forms return one dense entry per target, so the
 largest target is held to ``MAX_DENSE_DEGREE`` like every dense polynomial:
@@ -62,8 +64,8 @@ from .polynomial import ZERO, IntPolynomial, _check_dense, product
 from .qbinomial import qbinom
 
 # The most pairs of picks, and the most parts drawn, that one enumeration
-# row may walk.  The largest in the tests and the benchmark, at bounds 5,
-# walks 63,504 pairs.
+# row may walk, and the most parts a listed partition may hold.  The largest
+# row in the tests and the benchmark, at bounds 5, walks 63,504 pairs.
 MAX_ENUMERATION_WORK = 10**6
 
 # Sets a field of a frozen record, past the record's own ``__setattr__``.
@@ -397,8 +399,19 @@ def _listing(
     in canonical order without a sort.  Their tuples are already positive,
     descending and, at gap 1, distinct, so each partition is built by
     ``_canonical``, without the public constructor's checks and sorts.
+
+    Every part is at least 1, so no partition listed holds more than
+    min(k1 + k2, n) parts; past ``MAX_ENUMERATION_WORK`` the listing is
+    refused with ``ValueError`` before the first pick, since each part
+    placed costs memory in the walk and in the record.
     """
     r, n, n2, k2 = query.r, query.n, query.n2, query.k2
+    depth = min(query.k1 + k2, n)
+    if depth > MAX_ENUMERATION_WORK:
+        raise ValueError(
+            f"listing of partitions of up to {depth} parts "
+            f"exceeds the limit of {MAX_ENUMERATION_WORK}"
+        )
     fewest = gap * k2 * (k2 + 1) // 2
     most = n2 * k2 - gap * k2 * (k2 - 1) // 2
     firsts = _picks(query.n1, query.k1, -((most - n) // r), (n - fewest) // r, gap)

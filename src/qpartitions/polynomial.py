@@ -16,8 +16,9 @@ built.  ``packed_sums`` uses it for whole sums of shifted products, such as
 the sides of the Guo-Yang identities (eq2/eq3): every operand is packed once,
 all at one digit width sized from the operands, and the products are summed
 as integers.  It hands back each sum packed, with the ``Packing`` that reads
-it.  The ``thm2.3`` verifier packs generating functions with it directly and
-compares sums of them shifted by whole digits, with no product at all.
+it.  The ``thm2.3`` verifier packs generating functions with it directly, at
+a width sized from their largest coefficient, and compares sums of them
+shifted by whole digits, with no product at all.
 
 A digit is exactly as wide as its bound needs: ``bound.bit_length() // 8 + 1``
 bytes, so every coefficient is below half a digit in size and the digit's

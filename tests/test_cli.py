@@ -130,6 +130,18 @@ class TestCount:
         )
         assert (code, out, err) == (0, expected, "")
 
+    def test_listing_past_the_work_limit_is_refused(self, capsys):
+        # 1,000,001 ones would be walked and held one part at a time
+        code, out, err = run(
+            capsys, "count", "p", "--N", "1", "--k", "1000001", "--n", "1000001",
+            "--method", "enumerate",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: listing of partitions of up to 1000001 parts "
+            "exceeds the limit of 1000000\n"
+        )
+
     def test_convolution_invalid_for_p(self, capsys):
         code, _, err = run(
             capsys, "count", "p", "--N", "2", "--k", "2", "--n", "2",

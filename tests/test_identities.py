@@ -183,6 +183,10 @@ class TestReportContract:
         assert report.checked == expected
 
 
+def zero_cost():
+    return 0, "units", 0
+
+
 class TestGridLimit:
     def test_grid_at_the_limit_runs(self, monkeypatch):
         monkeypatch.setattr(identities, "MAX_GRID_POINTS", 12)
@@ -192,7 +196,8 @@ class TestGridLimit:
             points.append(point)
             return 1, []
 
-        report = identities._sweep("x", "grid", (range(3), range(1, 5)), check)
+        axes = (range(3), range(1, 5))
+        report = identities._sweep("x", "grid", axes, check, zero_cost)
         assert report.checked == 12 and report.passed
         assert points == [(i, j) for i in range(3) for j in range(1, 5)]
 
@@ -203,7 +208,7 @@ class TestGridLimit:
             raise AssertionError(f"checked {point}")
 
         with pytest.raises(ValueError, match=r"^x: grid of 12 points exceeds the limit of 11$"):
-            identities._sweep("x", "grid", (range(3), range(1, 5)), check)
+            identities._sweep("x", "grid", (range(3), range(1, 5)), check, zero_cost)
 
     def test_verifiers_size_their_grid_first(self, monkeypatch):
         # thm2.1 at r <= 2, N1, N2, k1, k2 <= 1 has 2 * 2**4 = 32 points
@@ -320,8 +325,8 @@ class TestGridLimit:
         self, monkeypatch, identity_id, r_max, param_max
     ):
         # the coefficients of every distinct pbar_gf and qbar_gf the grid
-        # reads, neighbours included; thm2.3 counts every bound tuple up to
-        # param_max, a few of which no recurrence reads
+        # reads, neighbours included; thm2.3 reads every bound tuple up to
+        # param_max, and those at a part-count bound of -1, which are zero
         held = {}
         for name in ("pbar_gf", "qbar_gf"):
             real = getattr(identities, name)
@@ -339,7 +344,7 @@ class TestGridLimit:
                 range(1, r_max + 1), *[range(param_max + 1)] * 4
             )
             everything = {("pbar_gf", bounds) for bounds in tuples}
-            assert {key for key, length in held.items() if length} <= everything
+            assert {key for key, length in held.items() if length} == everything
             size = sum(r * n1 * k1 + n2 * k2 + 1 for _, (r, n1, n2, k1, k2) in everything)
         unit = "generating-function coefficients"
         monkeypatch.setattr(identities, "MAX_GRID_POINTS", size)
@@ -688,11 +693,20 @@ class TestStructuralVerifiers:
     @pytest.mark.parametrize(
         "cells",
         [
-            # a negative coefficient, within the packed bound B = C(4, 2)**2
+            # a negative coefficient, below the largest unperturbed one
             {(2, 1, 1, 1, 1): IntPolynomial((0, -3))},
-            # a coefficient over B, as the point's own side and as a neighbour
+            # a coefficient that sets the digit width alone, as the point's
+            # own side and as a neighbour
             {(1, 2, 1, 1, 2): IntPolynomial((0, 0, 2**70))},
             {(2, 1, 0, 2, 1): IntPolynomial((2**70,))},
+            # the four neighbours of (1, 2, 2, 2, 2), their large coefficients
+            # meeting at q^4 in relation 2: a sum near 4 times the largest
+            {
+                (1, 1, 1, 2, 2): IntPolynomial((0, 0, 0, 0, 2**70 - 2**60)),
+                (1, 1, 2, 2, 1): IntPolynomial((0, 0, 2**70 - 2**60)),
+                (1, 2, 1, 1, 2): IntPolynomial((0, 0, 2**70 - 2**60)),
+                (1, 2, 2, 1, 1): IntPolynomial((2**70 - 2**60,)),
+            },
         ],
     )
     def test_recurrence_packed_sides_report_like_polynomials(self, monkeypatch, cells):
@@ -725,6 +739,34 @@ class TestStructuralVerifiers:
             "checked": 3 * 2 * 2 * 2 * 3 * 3,
             "failures": sorted(expected, key=lambda c: c["params"]),
         }
+
+    @pytest.mark.parametrize("coeff", [1, -(2**70)], ids=("one", "past-64-bits"))
+    def test_failing_recurrences_add_no_polynomials(self, monkeypatch, coeff):
+        # a failing point is read back from its packed totals, with no
+        # polynomial sums; the perturbed values are built before the ban
+        gf = {
+            bounds: partitions.pbar_gf(*bounds)
+            for bounds in itertools.product((1,), *[range(2)] * 2, *[range(-1, 2)] * 2)
+        }
+        assert gf[1, 0, 0, 1, 1] == 1
+        gf[1, 0, 0, 1, 1] = IntPolynomial((1, 0, 0, coeff))
+        monkeypatch.setattr(identities, "pbar_gf", lambda *bounds: gf[bounds])
+
+        def forbidden(*args):
+            raise AssertionError("polynomial arithmetic in a recurrence check")
+
+        monkeypatch.setattr(IntPolynomial, "__add__", forbidden)
+        monkeypatch.setattr(IntPolynomial, "__radd__", forbidden)
+        monkeypatch.setattr(IntPolynomial, "shift", forbidden)
+        report = verify_thm23(r_max=1, param_max=1)
+        assert report.checked == 12
+        lhs = "1 + 2*q + q^2"
+        extra = " + q^{}" if coeff == 1 else f" - {-coeff}*q^{{}}"
+        assert failures(report) == [
+            {"params": [1, 1, 1, 1, 1, 1], "lhs": lhs, "rhs": lhs + extra.format(5)},
+            {"params": [2, 1, 1, 1, 1, 1], "lhs": lhs, "rhs": lhs + extra.format(3)},
+            {"params": [3, 1, 1, 1, 1, 1], "lhs": lhs, "rhs": lhs + extra.format(4)},
+        ]
 
     def test_passing_recurrences_add_no_polynomials(self, monkeypatch):
         # a passing point is decided on packed integers alone

@@ -191,6 +191,27 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match=refusal):
             pbar_enumerate_totals(*bounds)
 
+    @pytest.mark.parametrize(
+        "bounds, deeper",
+        [
+            # 700 first-kind and 800 second-kind ones, then one more of each
+            ((1, 1, 1, 700, 800, 1500), (1, 1, 1, 700, 801, 1501)),
+            # any number of ones allowed, so n alone bounds the parts
+            ((1, 0, 1, 0, 10**9, 1500), (1, 0, 1, 0, 10**9, 1501)),
+        ],
+    )
+    def test_listing_refuses_partitions_past_the_work_limit(
+        self, bounds, deeper, monkeypatch
+    ):
+        monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", 1500)
+        (listed,) = pbar_enumerate(TwoKindQuery(*bounds))
+        assert len(listed.first_kind) + len(listed.second_kind) == 1500
+        monkeypatch.setattr(partitions, "_picks", None)
+        refusal = "^listing of partitions of up to 1501 parts exceeds the limit of 1500$"
+        for listing in (pbar_enumerate, qbar_enumerate):
+            with pytest.raises(ValueError, match=refusal):
+                listing(TwoKindQuery(*deeper))
+
 
 # each frozen record: its class, constructor arguments, a field, and its repr
 RECORDS = [
