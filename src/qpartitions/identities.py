@@ -6,9 +6,9 @@ identity exactly (as polynomials or as integer counts) and returns how many
 comparisons it made and its counterexamples; ``_sweep`` alone tallies them
 into a ``VerificationReport``.  A report with an empty failure list is a
 pass; failures carry the offending parameter tuple and both sides' values.
-``Counterexample`` is a frozen record on the same private base as the
-partition records; ``VerificationReport`` is a plain mutable class that
-compares by value and is unhashable.  Neither is a dataclass.
+``Counterexample`` and ``VerificationReport`` are records on the same
+private base as the partition records, not dataclasses; a counterexample is
+frozen, and a report is mutable and so unhashable.
 
 Every verifier states the total work of its whole grid, and ``_sweep``
 refuses a grid over its limit with ``ValueError`` before the first point.
@@ -21,7 +21,8 @@ Cor 3.2 builds and keeps [2n, n], of n*n + 1 coefficients, and its terms
 keep [n+j, j] and [n+1, 2j+1]; the grid counts each distinct row once, after
 its [2n, n] rows alone have passed.  Thm 2.3, 2.4 and 2.5 count the
 coefficients of the ``pbar_gf`` and ``qbar_gf`` memo entries their grid
-reads, neighbours included, in closed form.  These are held to
+reads, neighbours included: each bound pair's share summed over one kind's
+pairs, in closed form in r.  These are held to
 ``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed:
 the largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
 takes over a minute.  A grid checked against an enumeration row (Thm 2.1,
@@ -53,7 +54,6 @@ from .partitions import (
     _check_walk,
     _kind_sums,
     _row,
-    _set,
     _walk,
     partition_p,
     pbar_convolution,
@@ -76,20 +76,24 @@ class Counterexample(_Record):
     __slots__ = _fields
 
     def __init__(self, params: tuple[int, ...], lhs: str, rhs: str) -> None:
-        _set(self, "params", params)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+        super().__init__(params, lhs, rhs)
 
     def as_dict(self) -> dict:
         return {"params": list(self.params), "lhs": self.lhs, "rhs": self.rhs}
 
 
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of sweeping one identity over a parameter grid.
 
-    Its failures are sorted by parameters.  A report is mutable, equals
-    only a report with equal fields, and is unhashable.
+    Its failures are sorted by parameters.  A report is a record that
+    compares and prints field by field, but it is mutable, and so
+    unhashable.
     """
+
+    _fields = ("identity_id", "grid", "checked", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __init__(
         self,
@@ -102,24 +106,9 @@ class VerificationReport:
             raise ValueError(
                 f"{identity_id}: empty verification grid (checked nothing)"
             )
-        self.identity_id = identity_id
-        self.grid = grid
-        self.checked = checked
-        self.failures = [] if failures is None else failures
-        self.failures.sort(key=lambda c: c.params)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.identity_id, self.grid, self.checked, self.failures) == (
-            other.identity_id, other.grid, other.checked, other.failures
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(identity_id={self.identity_id!r}, "
-            f"grid={self.grid!r}, checked={self.checked!r}, failures={self.failures!r})"
-        )
+        failures = [] if failures is None else failures
+        failures.sort(key=lambda c: c.params)
+        super().__init__(identity_id, grid, checked, failures)
 
     @property
     def passed(self) -> bool:
@@ -316,21 +305,20 @@ def _two_kind_grid(r_max: int, param_max: int, lower: int = 0) -> tuple[range, .
     return range(1, r_max + 1), bounds, bounds, parts, parts
 
 
-def _generating_function_cost(
-    r_max: int, *entries: tuple[int, int]
-) -> tuple[int, str, int]:
+def _generating_function_cost(r_max: int, *sets: list[int]) -> tuple[int, str, int]:
     """The coefficients of sets of two-kind generating functions, as a cost.
 
     A generating function at (r, N1, N2, k1, k2) holds r*s1 + s2 + 1
     coefficients, where s1 and s2 are each kind's share of its length.  Each
-    set in ``entries`` is (pairs, shares): every r up to ``r_max`` with any
-    two of ``pairs`` bound pairs (N, k), whose shares add up to ``shares``.
-    Such a set holds (C(r_max+1, 2) + r_max) * shares * pairs + r_max *
-    pairs**2 coefficients.
+    of ``sets`` lists one kind's shares, one per bound pair (N, k), and
+    stands for every r up to ``r_max`` with any two of those pairs.  For P
+    pairs whose shares add up to S, that is (C(r_max+1, 2) + r_max) * S * P
+    + r_max * P**2 coefficients.
     """
     work = sum(
-        (comb(r_max + 1, 2) + r_max) * shares * pairs + r_max * pairs**2
-        for pairs, shares in entries
+        (comb(r_max + 1, 2) + r_max) * sum(shares) * len(shares)
+        + r_max * len(shares) ** 2
+        for shares in sets
     )
     return work, "generating-function coefficients", MAX_GRID_POINTS
 
@@ -338,11 +326,10 @@ def _generating_function_cost(
 def _pbar_gf_cost(r_max: int, param_max: int) -> tuple[int, str, int]:
     """The coefficients of ``pbar_gf`` at every bound tuple up to p = ``param_max``.
 
-    Its share per kind is N*k, and the shares of the (p+1)**2 pairs of one
-    kind add up to C(p+1, 2)**2.
+    Its share per kind is N*k, summed over the (p+1)**2 pairs of one kind.
     """
-    pairs = (param_max + 1) ** 2
-    return _generating_function_cost(r_max, (pairs, comb(param_max + 1, 2) ** 2))
+    bounds = range(param_max + 1)
+    return _generating_function_cost(r_max, [n * k for n in bounds for k in bounds])
 
 
 def _rows_against_oracle(
@@ -518,13 +505,11 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
         return 1, _mismatch(params, lhs, rhs)
 
     def cost():
-        # one kind's pairs with k <= N, C(p+2, 2) of them: a qbar_gf share is
-        # k*(N-k) + C(k+1, 2), and the share of its pbar_gf at (N-k, k) is
-        # (N-k)*k; summed over the pairs, these are C(p+2, 4) + C(p+3, 4)
-        # and C(p+2, 4)
-        pairs, reduced = comb(param_max + 2, 2), comb(param_max + 2, 4)
-        qbar = (pairs, reduced + comb(param_max + 3, 4))
-        return _generating_function_cost(r_max, qbar, (pairs, reduced))
+        # one kind's pairs with k <= N: a qbar_gf share is k*(N-k) + C(k+1, 2),
+        # and the share of its pbar_gf at (N-k, k) is (N-k)*k
+        pairs = [(n, k) for n in range(param_max + 1) for k in range(n + 1)]
+        qbar = [k * (n - k) + comb(k + 1, 2) for n, k in pairs]
+        return _generating_function_cost(r_max, qbar, [(n - k) * k for n, k in pairs])
 
     grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}"
     return _sweep("thm2.5", grid, _two_kind_grid(r_max, param_max), check, cost)

@@ -73,13 +73,15 @@ _set = object.__setattr__
 
 
 class _Record:
-    """A frozen record of the fields that ``_fields`` names, in order.
+    """A record of the fields that ``_fields`` names, in order.
 
     Two records are equal when they are of the same class and their fields
     are equal, equal records hash alike, and the repr names every field, as
-    for a frozen dataclass.  ``__init__`` sets each field once with
-    ``_set``; assigning or deleting an attribute afterwards raises
-    ``AttributeError``.
+    for a dataclass.  ``__init__`` takes the field values in order and sets
+    each once with ``_set``.  A record is frozen: assigning or deleting an
+    attribute afterwards raises ``AttributeError``.  A subclass may thaw
+    itself by restoring ``object``'s ``__setattr__`` and ``__delattr__``,
+    and then sets ``__hash__`` to ``None``, as ``VerificationReport`` does.
     """
 
     __slots__ = ()
@@ -89,6 +91,10 @@ class _Record:
         # the tuple of field values, read by one C getter made once per class
         # (a tuple only for two fields or more, which every record has)
         cls._values = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -128,12 +134,7 @@ class TwoKindQuery(_Record):
         _check_bounds(r, n1, n2, k1, k2)
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        _set(self, "r", r)
-        _set(self, "n1", n1)
-        _set(self, "n2", n2)
-        _set(self, "k1", k1)
-        _set(self, "k2", k2)
-        _set(self, "n", n)
+        super().__init__(r, n1, n2, k1, k2, n)
 
 
 def _check_bounds(r: int, n1: int, n2: int, k1: int, k2: int) -> None:
@@ -161,8 +162,10 @@ class TwoKindPartition(_Record):
         for kind in (first_kind, second_kind):
             if any(part < 1 for part in kind):
                 raise ValueError(f"parts must be positive, got {kind}")
-        _set(self, "first_kind", tuple(sorted(first_kind, reverse=True)))
-        _set(self, "second_kind", tuple(sorted(second_kind, reverse=True)))
+        super().__init__(
+            tuple(sorted(first_kind, reverse=True)),
+            tuple(sorted(second_kind, reverse=True)),
+        )
 
     @classmethod
     def _canonical(

@@ -26,11 +26,13 @@ top bit is spare for the sign.  Then a packed integer determines each of its
 coefficients, and two sequences packed at one width are equal exactly when
 their integers are.  At widths 1, 2, 4 and 8 a digit is a struct
 integer: one ``struct.pack`` packs the whole sequence, and a step spreads
-the digits into a zeroed buffer with one strided copy.  At widths 3, 5, 6
-and 7 one ``struct.pack`` packs 8-byte digits, and their low bytes are
-copied into a zeroed buffer one byte position at a time.  A wider digit is
-packed with one ``to_bytes`` per coefficient.  Negative coefficients are
-packed apart from the others and subtracted, so every packed digit is
+the digits into a zeroed buffer with one strided copy, and one
+``struct.unpack`` reads the digits back.  At widths 3, 5, 6 and 7 one
+``struct.pack`` packs 8-byte digits, and their low bytes are copied into a
+zeroed buffer one byte position at a time.  A wider digit is packed with one
+``to_bytes`` per coefficient.  Every width but 1, 2, 4 and 8 is read back
+with one signed ``int.from_bytes`` per coefficient.  Negative coefficients
+are packed apart from the others and subtracted, so every packed digit is
 nonnegative.
 
 Every dense result whose degree comes from a caller's step or shift is
@@ -52,9 +54,6 @@ from typing import Iterable, Sequence
 MAX_DENSE_DEGREE = 10**7
 
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-# A byte to the byte that extends its sign bit: 0x00 below 0x80, else 0xff.
-_SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
 class IntPolynomial:
@@ -353,7 +352,12 @@ class Packing:
         )
 
     def unpack(self, total: int, length: int) -> list[int]:
-        """The ``length`` coefficients packed in ``total``, constant term first."""
+        """The ``length`` coefficients packed in ``total``, constant term first.
+
+        The digits are biased to nonnegative and read back as two's
+        complement: by one ``struct.unpack`` at widths 1, 2, 4 and 8, and
+        otherwise by one signed ``int.from_bytes`` per digit.
+        """
         width = self.width
         size = width * length
         bias = int.from_bytes(self._half.to_bytes(width, "little") * length, "little")
@@ -362,16 +366,6 @@ class Packing:
         raw = ((total + bias) ^ bias).to_bytes(size, "little")
         if width in _STRUCT_CODES:
             return list(struct.unpack(f"<{length}{_STRUCT_CODES[width]}", raw))
-        if width < 8:
-            # each digit's bytes into the low end of an 8-byte slot, and its
-            # top byte's sign bit, spread by _SIGN_FILL, into the rest
-            slots = bytearray(8 * length)
-            for b in range(width):
-                slots[b::8] = raw[b::width]
-            sign = raw[width - 1 :: width].translate(_SIGN_FILL)
-            for b in range(width, 8):
-                slots[b::8] = sign
-            return list(struct.unpack(f"<{length}q", slots))
         return [
             int.from_bytes(raw[i : i + width], "little", signed=True)
             for i in range(0, size, width)

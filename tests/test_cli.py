@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import qpartitions.cli as cli
-from qpartitions import identities
+from qpartitions import identities, qbinomial
 from qpartitions.cli import main
 
 WORKED_FLAGS = ["--r", "2", "--n1", "2", "--n2", "3", "--k1", "2", "--k2", "2"]
@@ -74,6 +74,22 @@ class TestGauss:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and "degree" in err
+
+
+    def test_costly_gaussian_build_is_a_usage_error(self, capsys, monkeypatch):
+        # with the limit at 11 steps, [6, 3] (27 steps) and [12, 6] (216) are
+        # refused as count partition --n 3000 and gauss --top 6000 --bottom
+        # 1500 are at the real limit, and no row is built
+        monkeypatch.setattr(qbinomial, "MAX_GAUSSIAN_WORK", 11)
+        monkeypatch.setattr(qbinomial, "_gaussian_base", None)
+        for argv in (
+            ("gauss", "--top", "6", "--bottom", "3"),
+            ("count", "partition", "--n", "6"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: build of Gaussian [") and err.count("\n") == 1
+            assert "exceeds the limit of 11" in err
 
 
 class TestCount:

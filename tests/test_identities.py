@@ -1,7 +1,9 @@
 """Identity verifiers: worked instances, default grids, report contracts."""
 
+import copy
 import itertools
 import math
+import pickle
 import sys
 import threading
 from functools import lru_cache
@@ -128,6 +130,30 @@ class TestReportContract:
             hash(report)
         report.checked = 3
         assert report.checked == 3
+
+    def test_keyword_construction(self):
+        failures = [Counterexample(params=(2,), lhs="a", rhs="b")]
+        report = VerificationReport(
+            failures=failures, checked=2, grid="g", identity_id="x"
+        )
+        assert report == VerificationReport("x", "g", 2, list(failures))
+        assert VerificationReport(identity_id="x", grid="g", checked=1).failures == []
+
+    def test_copies_are_equal_mutable_reports(self):
+        failures = [Counterexample((2, 0), "a", "b"), Counterexample((1, 5), "c", "d")]
+        report = VerificationReport("x", "grid", 4, failures)
+        for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert twin == report and twin is not report
+            assert twin.failures is not report.failures
+            assert repr(twin) == repr(report)
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(twin)
+            twin.checked = 5
+            twin.failures.append(Counterexample((3,), "e", "f"))
+            assert twin != report and report.checked == 4
+            assert len(report.failures) == 2
+            del twin.grid
+            assert not hasattr(twin, "grid")
 
     def test_repr(self):
         failures = [Counterexample((2,), "a", "b"), Counterexample((1,), "c", "d")]

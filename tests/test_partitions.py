@@ -266,6 +266,13 @@ class TestRecordEquality:
         assert WORKED_SIX != TwoKindQuery(2, 2, 3, 2, 2, 5)
         assert TwoKindPartition(second_kind=(1,), first_kind=(2,)).render() == "2+1'"
 
+    def test_keywords_in_any_order(self):
+        assert TwoKindQuery(n=4, k2=2, k1=2, n2=3, n1=2, r=2) == WORKED_SIX
+        with pytest.raises(ValueError, match="k2 must be nonnegative"):
+            TwoKindQuery(r=1, n1=0, n2=0, k1=0, k2=-1, n=0)
+        failure = Counterexample(rhs="1", lhs="1 + q", params=(1, 2))
+        assert failure == Counterexample((1, 2), "1 + q", "1")
+
     def test_only_records_of_one_class_are_equal(self):
         assert TwoKindPartition((), ()) != DistinctTwoKindPartition((), ())
         assert not TwoKindPartition((), ()) == DistinctTwoKindPartition((), ())

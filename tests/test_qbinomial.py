@@ -76,6 +76,23 @@ class TestGaussian:
         assert qbinomial._gaussian_base.cache_info().currsize == 1
         assert low is high
 
+    def test_costly_build_is_refused_before_it_starts(self, monkeypatch):
+        # [5, 2] and [5, 3] are one row, 2 passes over degree 6: 12 steps
+        def build(top, bottom):
+            raise AssertionError(f"[{top}, {bottom}] was built")
+
+        monkeypatch.setattr(qbinomial, "MAX_GAUSSIAN_WORK", 11)
+        monkeypatch.setattr(qbinomial, "_gaussian_base", build)
+        refusal = r"^build of Gaussian \[5, 2\] in 12 steps exceeds the limit of 11$"
+        for bottom in (2, 3):
+            with pytest.raises(ValueError, match=refusal):
+                qbinom(5, bottom, 2)
+
+    def test_build_at_the_limit_is_made(self, monkeypatch):
+        monkeypatch.setattr(qbinomial, "MAX_GAUSSIAN_WORK", 12)
+        assert qbinom(5, 2) == qbinom(5, 3) == IntPolynomial([1, 1, 2, 2, 2, 1, 1])
+        assert qbinom(6, 1).degree == 5
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             qbinom(-1, 0)
