@@ -19,97 +19,22 @@ The package computes, enumerates, and cross-verifies:
 
 The command-line front end lives in ``qpartitions.cli`` (subcommands gauss,
 count, enumerate, verify, table).
+
+Each submodule's ``__all__`` is the one list of the names it exports; the
+package re-exports those lists, in module order, and ``__version__``.
 """
 
-from .polynomial import ONE, ZERO, IntPolynomial, q
-from .qbinomial import check_gr1, check_gr2, pochhammer_q, qbinom
-from .partitions import (
-    DistinctTwoKindPartition,
-    Q,
-    TwoKindPartition,
-    TwoKindQuery,
-    p,
-    partition_p,
-    pbar_convolution,
-    pbar_convolution_totals,
-    pbar_enumerate,
-    pbar_enumerate_totals,
-    pbar_genfun,
-    pbar_gf,
-    qbar_enumerate,
-    qbar_enumerate_totals,
-    qbar_genfun,
-    qbar_gf,
-)
-from .identities import (
-    IDENTITY_IDS,
-    Counterexample,
-    VerificationReport,
-    corollary_lower_index,
-    corollary_term_count,
-    corollary_terms,
-    expand_p_thm31,
-    p_by_corollary,
-    run_identity,
-    verify_cor32,
-    verify_guo_yang_1,
-    verify_guo_yang_2,
-    verify_thm21,
-    verify_thm22,
-    verify_thm23,
-    verify_thm24,
-    verify_thm25,
-    verify_thm26,
-    verify_thm31,
-    verify_thm33,
-)
+from .polynomial import *
+from .qbinomial import *
+from .partitions import *
+from .identities import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntPolynomial",
-    "ZERO",
-    "ONE",
-    "q",
-    "pochhammer_q",
-    "qbinom",
-    "check_gr1",
-    "check_gr2",
-    "TwoKindQuery",
-    "TwoKindPartition",
-    "DistinctTwoKindPartition",
-    "p",
-    "partition_p",
-    "Q",
-    "pbar_gf",
-    "qbar_gf",
-    "pbar_genfun",
-    "pbar_convolution",
-    "pbar_convolution_totals",
-    "pbar_enumerate",
-    "pbar_enumerate_totals",
-    "qbar_genfun",
-    "qbar_enumerate",
-    "qbar_enumerate_totals",
-    "Counterexample",
-    "VerificationReport",
-    "IDENTITY_IDS",
-    "run_identity",
-    "verify_guo_yang_1",
-    "verify_guo_yang_2",
-    "verify_thm21",
-    "verify_thm22",
-    "verify_thm23",
-    "verify_thm24",
-    "verify_thm25",
-    "verify_thm26",
-    "verify_thm31",
-    "verify_thm33",
-    "verify_cor32",
-    "expand_p_thm31",
-    "corollary_lower_index",
-    "corollary_term_count",
-    "corollary_terms",
-    "p_by_corollary",
+    *polynomial.__all__,
+    *qbinomial.__all__,
+    *partitions.__all__,
+    *identities.__all__,
     "__version__",
 ]

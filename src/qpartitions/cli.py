@@ -209,8 +209,12 @@ def _cmd_table(args) -> Output:
     span = _parse_range(args.n)
     fixed = _require_params(args, function)
     del fixed["n"]  # the range text; each row supplies its own n
-    genfun = _ROUTES[function]["genfun"]
-    rows = [(n, genfun({**fixed, "n": n})) for n in span]
+    if function == "partition":
+        # p(n) = p(b, b, n) for every n <= b: the one row [2b, b] serves a..b
+        genfun, bounds = _ROUTES["p"]["genfun"], {"N": span[-1], "k": span[-1]}
+    else:
+        genfun, bounds = _ROUTES[function]["genfun"], fixed
+    rows = [(n, genfun({**bounds, "n": n})) for n in span]
     record = lambda: {
         "function": function,
         "params": _strings(fixed),

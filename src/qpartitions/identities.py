@@ -46,7 +46,7 @@ from itertools import product, zip_longest
 from math import comb, isqrt, prod
 from typing import Callable, Sequence
 
-from .polynomial import ONE, ZERO, IntPolynomial, Packing, packed_sums
+from .polynomial import ONE, ZERO, IntPolynomial, Packing, _exceeds, packed_sums
 from .qbinomial import qbinom
 from .partitions import (
     TwoKindQuery,
@@ -61,6 +61,29 @@ from .partitions import (
     pbar_gf,
     qbar_gf,
 )
+
+__all__ = [
+    "Counterexample",
+    "VerificationReport",
+    "IDENTITY_IDS",
+    "run_identity",
+    "verify_guo_yang_1",
+    "verify_guo_yang_2",
+    "verify_thm21",
+    "verify_thm22",
+    "verify_thm23",
+    "verify_thm24",
+    "verify_thm25",
+    "verify_thm26",
+    "verify_thm31",
+    "verify_thm33",
+    "verify_cor32",
+    "expand_p_thm31",
+    "corollary_lower_index",
+    "corollary_term_count",
+    "corollary_terms",
+    "p_by_corollary",
+]
 
 # The most points one verification grid may hold.
 MAX_GRID_POINTS = 10**6
@@ -171,9 +194,7 @@ def _packed_mismatch(
 def _check_grid(identity_id: str, size: int, unit: str, limit: int) -> None:
     """Refuse a grid of more than ``limit`` units of work."""
     if size > limit:
-        raise ValueError(
-            f"{identity_id}: grid of {size} {unit} exceeds the limit of {limit}"
-        )
+        raise _exceeds(f"{identity_id}: grid of {size} {unit}", limit)
 
 
 def _sweep(
@@ -491,6 +512,14 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     The distinct-part generating function must equal the two-kind generating
     function at (N1-k1, N2-k2) shifted by r*C(k1+1, 2) + C(k2+1, 2); when a
     reduced bound is negative, both sides vanish.
+
+    Like thm2.4's swaps, this checks almost nothing: ``qbinom`` keeps [N, k]
+    and [N, N-k] in one memo entry, so both sides multiply the very same
+    rows and shift by the same r*C(k1+1, 2) + C(k2+1, 2).  It can catch a
+    fault in that memo's sharing, but not a wrong Gaussian row: with every
+    row's q^1 coefficient raised by 1000 it still passes at the default
+    grid, while all ten other identities fail.  A staircase map on the
+    enumerated partitions would make it a real check.
 
     The grid's cost counts the coefficients of both sides' memo entries:
     ``qbar_gf`` at each point, its shift included, and ``pbar_gf`` at the

@@ -60,8 +60,27 @@ from math import comb
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
-from .polynomial import ZERO, IntPolynomial, _check_dense, product
+from .polynomial import ZERO, IntPolynomial, _check_dense, _exceeds, product
 from .qbinomial import qbinom
+
+__all__ = [
+    "TwoKindQuery",
+    "TwoKindPartition",
+    "DistinctTwoKindPartition",
+    "p",
+    "partition_p",
+    "Q",
+    "pbar_gf",
+    "qbar_gf",
+    "pbar_genfun",
+    "pbar_convolution",
+    "pbar_convolution_totals",
+    "pbar_enumerate",
+    "pbar_enumerate_totals",
+    "qbar_genfun",
+    "qbar_enumerate",
+    "qbar_enumerate_totals",
+]
 
 # The most pairs of picks, and the most parts drawn, that one enumeration
 # row may walk, and the most parts a listed partition may hold.  The largest
@@ -411,10 +430,8 @@ def _listing(
     r, n, n2, k2 = query.r, query.n, query.n2, query.k2
     depth = min(query.k1 + k2, n)
     if depth > MAX_ENUMERATION_WORK:
-        raise ValueError(
-            f"listing of partitions of up to {depth} parts "
-            f"exceeds the limit of {MAX_ENUMERATION_WORK}"
-        )
+        subject = f"listing of partitions of up to {depth} parts"
+        raise _exceeds(subject, MAX_ENUMERATION_WORK)
     fewest = gap * k2 * (k2 + 1) // 2
     most = n2 * k2 - gap * k2 * (k2 - 1) // 2
     firsts = _picks(query.n1, query.k1, -((most - n) // r), (n - fewest) // r, gap)
@@ -467,10 +484,8 @@ def _check_walk(first: tuple[int, int], second: tuple[int, int]) -> None:
     c1, c2 = comb(t1, k1), comb(t2, k2)
     pairs, parts = c1 * c2, k1 * c1 + k2 * c2
     if pairs > MAX_ENUMERATION_WORK or parts > MAX_ENUMERATION_WORK:
-        raise ValueError(
-            f"enumeration of {pairs} pairs of picks drawing {parts} parts "
-            f"exceeds the limit of {MAX_ENUMERATION_WORK}"
-        )
+        subject = f"enumeration of {pairs} pairs of picks drawing {parts} parts"
+        raise _exceeds(subject, MAX_ENUMERATION_WORK)
 
 
 def _kind_sums(n: int, k: int, gap: int) -> list[int]:

@@ -48,9 +48,12 @@ from __future__ import annotations
 import struct
 from typing import Iterable, Sequence
 
+__all__ = ["IntPolynomial", "ZERO", "ONE", "q"]
+
 # The largest degree of a dense coefficient sequence built from a step or a
 # shift.  Every test and benchmark request stays far below it: the largest,
-# ``count partition --n 86``, reaches degree 7,396.
+# ``partition_p(200)`` in the tests, builds [400, 200] at degree 40,000, and
+# the benchmark's largest, ``count partition --n 86``, reaches 7,396.
 MAX_DENSE_DEGREE = 10**7
 
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -256,12 +259,20 @@ def _coerce(value: IntPolynomial | int) -> IntPolynomial:
     return NotImplemented
 
 
+def _exceeds(subject: str, limit: int) -> ValueError:
+    """The error refusing ``subject``, a request sized past ``limit``.
+
+    Every limit check in the package raises it, and the command line turns
+    it into exit 2.  The caller keeps its own comparison, so nothing is
+    called where nothing is refused.
+    """
+    return ValueError(f"{subject} exceeds the limit of {limit}")
+
+
 def _check_dense(degree: int) -> None:
     """Refuse a dense coefficient sequence of degree above ``MAX_DENSE_DEGREE``."""
     if degree > MAX_DENSE_DEGREE:
-        raise ValueError(
-            f"dense degree {degree} exceeds the limit of {MAX_DENSE_DEGREE}"
-        )
+        raise _exceeds(f"dense degree {degree}", MAX_DENSE_DEGREE)
 
 
 def _magnitudes(coeffs: Sequence[int]) -> tuple[int, int]:

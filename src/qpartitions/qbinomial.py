@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import functools
 
-from .polynomial import ONE, ZERO, IntPolynomial, _check_dense
+from .polynomial import ONE, ZERO, IntPolynomial, _check_dense, _exceeds
+
+__all__ = ["pochhammer_q", "qbinom", "check_gr1", "check_gr2"]
 
 # The most steps, bottom * degree, that building one Gaussian row may take.
 # On two cores with Python 3.11, [1200, 300] (8.1e7 steps) builds in 8-13 s
@@ -89,10 +91,8 @@ def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:
     degree = bottom * (top - bottom)
     _check_dense(degree)
     if bottom * degree > MAX_GAUSSIAN_WORK:
-        raise ValueError(
-            f"build of Gaussian [{top}, {bottom}] in {bottom * degree} steps "
-            f"exceeds the limit of {MAX_GAUSSIAN_WORK}"
-        )
+        subject = f"build of Gaussian [{top}, {bottom}] in {bottom * degree} steps"
+        raise _exceeds(subject, MAX_GAUSSIAN_WORK)
     return _gaussian_base(top, bottom).inflate(step)
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import qpartitions.cli as cli
-from qpartitions import identities, qbinomial
+from qpartitions import identities, partitions, qbinomial
 from qpartitions.cli import main
 
 WORKED_FLAGS = ["--r", "2", "--n1", "2", "--n2", "3", "--k1", "2", "--k2", "2"]
@@ -392,6 +392,20 @@ class TestVerify:
         assert "FAIL" in out
         assert "params=(3, 4)" in out
 
+    def test_text_shows_ten_failures_and_counts_the_rest(self, capsys, monkeypatch):
+        from qpartitions.identities import Counterexample, VerificationReport
+
+        failures = [Counterexample((n,), "1", "0") for n in range(13)]
+        failing = VerificationReport("eq2", "stub", checked=13, failures=failures)
+        monkeypatch.setattr(cli, "run_identity", lambda *a, **k: failing)
+        code, out, _ = run(capsys, "verify", "eq2")
+        assert code == 1
+        assert out.splitlines() == [
+            "eq2: FAIL (13 counterexamples) (checked=13, grid stub)",
+            *(f"  params=({n},) lhs=1 rhs=0" for n in range(10)),
+            "  ... and 3 more",
+        ]
+
     def test_empty_grid_is_a_usage_error(self, capsys):
         for argv in (
             ("eq2", "--m-max", "-1"),
@@ -551,6 +565,38 @@ class TestTable:
         )
         assert code == 2
         assert "empty range" in err
+
+    def test_partition_range_reads_one_gaussian_row(self, capsys, monkeypatch):
+        # p(n) = p(b, b, n) for n <= b, so the range 3..7 reads [14, 7] alone
+        built = set()
+
+        def recording(top, bottom, step=1):
+            built.add((top, bottom, step))
+            return qbinomial.qbinom(top, bottom, step)
+
+        monkeypatch.setattr(partitions, "qbinom", recording)
+        code, out, _ = run(capsys, "table", "partition", "--n", "3..7")
+        assert code == 0
+        assert out == "n count\n3 3\n4 5\n5 7\n6 11\n7 15\n"
+        assert built == {(14, 7, 1)}
+        code, out, _ = run(
+            capsys, "table", "partition", "--n", "6..7", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "function": "partition",
+            "params": {},
+            "rows": [{"n": "6", "count": "11"}, {"n": "7", "count": "15"}],
+        }
+
+    def test_partition_range_is_held_to_the_gaussian_work_limit(self, capsys):
+        # the one row [930, 465] is refused before it is built
+        code, out, err = run(capsys, "table", "partition", "--n", "0..465")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: build of Gaussian [930, 465] in 100544625 steps "
+            "exceeds the limit of 100000000\n"
+        )
 
     def test_malformed_range(self, capsys):
         code, _, err = run(capsys, "table", "partition", "--n", "7")

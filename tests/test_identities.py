@@ -1018,6 +1018,11 @@ class TestOneKindExpansion:
     def test_small_target_at_large_bounds(self):
         assert expand_p_thm31(40, 40, 5) == p(40, 40, 5) == 7
 
+    @pytest.mark.parametrize("args", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
+    def test_negative_rejected(self, args):
+        with pytest.raises(ValueError, match="^expand_p_thm31 needs nonnegative"):
+            expand_p_thm31(*args)
+
     def test_default_grid(self):
         report = verify_thm31()
         assert report.passed

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qpartitions
+from qpartitions import identities, partitions, polynomial, qbinomial
 from qpartitions.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,7 +63,24 @@ def test_one_shot_process_imports_no_dataclasses_or_inspect():
     assert {"dataclasses", "inspect"} & imported == set()
 
 
+MODULES = (polynomial, qbinomial, partitions, identities)
+
+
+def test_package_exports_its_modules_lists_in_order():
+    joined = [name for module in MODULES for name in module.__all__]
+    assert qpartitions.__all__ == [*joined, "__version__"]
+    assert len(set(joined)) == len(joined)
+
+
 def test_every_exported_name_resolves():
-    missing = [name for name in qpartitions.__all__ if not hasattr(qpartitions, name)]
-    assert missing == []
-    assert len(set(qpartitions.__all__)) == len(qpartitions.__all__)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(qpartitions, name) is getattr(module, name), name
+    assert isinstance(qpartitions.__version__, str)
+
+
+def test_star_import_binds_the_export_list():
+    namespace = {}
+    exec("from qpartitions import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(qpartitions.__all__)

@@ -30,7 +30,7 @@ from qpartitions.partitions import (
     qbar_genfun,
     qbar_gf,
 )
-from qpartitions.polynomial import product
+from qpartitions.polynomial import ZERO, product
 
 WORKED_SIX = TwoKindQuery(r=2, n1=2, n2=3, k1=2, k2=2, n=4)
 
@@ -126,6 +126,13 @@ class TestQueryValidation:
         assert totals(1, 10**18, 0, 0, 0) == [1]
         assert totals(2, 0, 10**18, 0, 0) == [1]
         assert totals(1, 10**18, 3, 0, 1) == one_part_row
+
+    @pytest.mark.parametrize("gf", [pbar_gf, qbar_gf])
+    @pytest.mark.parametrize(
+        "bounds", [(-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)]
+    )
+    def test_generating_functions_vanish_at_a_negative_bound(self, gf, bounds):
+        assert gf(2, *bounds) is ZERO
 
     def test_generating_functions_reject_a_step_below_one(self):
         # a one-coefficient first operand needs no gap, but its step is
@@ -351,6 +358,11 @@ class TestDistinctCounts:
 
     def test_empty_selection(self):
         assert Q(7, 0, 0) == 1
+
+    @pytest.mark.parametrize("args", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
+    def test_negative_rejected(self, args):
+        with pytest.raises(ValueError, match=r"^Q\(N, k, n\) needs nonnegative"):
+            Q(*args)
 
     def test_too_many_distinct_parts(self):
         for n in range(12):

@@ -68,6 +68,10 @@ class TestConstruction:
         assert len({ONE, 1}) == 1
         assert {1: "x"}[ONE] == "x"
 
+    def test_non_constants_hash_by_their_coefficients(self):
+        assert hash(P(1, 2)) == hash(P(1, 2, 0)) == hash((1, 2))
+        assert len({P(1, 2), P(1, 2, 0), P(2, 1), q}) == 3
+
 
 class TestAdd:
     def test_cancellation(self):
