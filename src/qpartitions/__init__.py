@@ -21,20 +21,33 @@ The command-line front end lives in ``qpartitions.cli`` (subcommands gauss,
 count, enumerate, verify, table).
 
 Each submodule's ``__all__`` is the one list of the names it exports; the
-package re-exports those lists, in module order, and ``__version__``.
+package re-exports those lists, in module order, and ``__version__``.  The
+names from ``identities``, and ``__all__`` itself, are resolved on first
+access (PEP 562), so a command that verifies nothing never compiles the
+verifiers.
 """
 
 from .polynomial import *
 from .qbinomial import *
 from .partitions import *
-from .identities import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *polynomial.__all__,
-    *qbinomial.__all__,
-    *partitions.__all__,
-    *identities.__all__,
-    "__version__",
-]
+
+def __getattr__(name: str) -> object:
+    from .identities import __all__ as deferred
+
+    if name == "__all__":
+        value = [
+            *polynomial.__all__,
+            *qbinomial.__all__,
+            *partitions.__all__,
+            *deferred,
+            "__version__",
+        ]
+    elif name in deferred:
+        value = getattr(identities, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

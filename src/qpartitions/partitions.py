@@ -57,11 +57,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from .polynomial import ZERO, IntPolynomial, _check_dense, _exceeds, product
-from .qbinomial import qbinom
+from .qbinomial import _coefficients, qbinom
 
 __all__ = [
     "TwoKindQuery",
@@ -227,11 +227,12 @@ class DistinctTwoKindPartition(TwoKindPartition):
 def p(N: int, k: int, n: int) -> int:
     """Partitions of n into at most k parts, each at most N.
 
-    This is the coefficient of q^n in the Gaussian polynomial [N+k, N].
+    This is the coefficient of q^n in the Gaussian polynomial [N+k, N],
+    read from a prefix of that row.
     """
     if N < 0 or k < 0 or n < 0:
         raise ValueError("p(N, k, n) needs nonnegative arguments")
-    return qbinom(N + k, N).coeff(n)
+    return _coefficients(N + k, N, (n,))[0]
 
 
 def partition_p(n: int) -> int:
@@ -244,11 +245,12 @@ def partition_p(n: int) -> int:
 def Q(N: int, k: int, n: int) -> int:
     """Partitions of n into exactly k distinct parts, each at most N.
 
-    Computed as the coefficient of q^n in q^C(k+1, 2) * [N, k].
+    Computed as the coefficient of q^n in q^C(k+1, 2) * [N, k], read from a
+    prefix of [N, k].
     """
     if N < 0 or k < 0 or n < 0:
         raise ValueError("Q(N, k, n) needs nonnegative arguments")
-    return qbinom(N, k).coeff(n - comb(k + 1, 2))
+    return _coefficients(N, k, (n - comb(k + 1, 2),))[0]
 
 
 @lru_cache(maxsize=None)
@@ -284,25 +286,23 @@ def pbar_genfun(query: TwoKindQuery) -> int:
     return pbar_gf(query.r, query.n1, query.n2, query.k1, query.k2).coeff(query.n)
 
 
-def _convolve(first: tuple[int, ...], second: tuple[int, ...], r: int, n: int) -> int:
-    """Sum of first[j] * second[n - r*j], over the j where both entries exist."""
-    low = max(0, -((len(second) - 1 - n) // r))
-    high = min(n // r, len(first) - 1)
-    return sum(first[j] * second[n - r * j] for j in range(low, high + 1))
-
-
 def pbar_convolution(query: TwoKindQuery) -> int:
     """Two-kind count as a convolution of one-kind counts.
 
     Sums p(N1, k1, j) * p(N2, k2, n - r*j) over j up to n // r.  Each
-    p(N, k, m) is the coefficient of q^m in [N+k, N], so both rows are read
-    once, and j runs only where both coefficients can be nonzero: at most
-    N1*k1 and at least (n - N2*k2) / r.  The work is therefore bounded by
-    the rows, not by n.
+    p(N, k, m) is the coefficient of q^m in [N+k, N], and j runs only where
+    both coefficients can be nonzero: at most N1*k1 and at least
+    (n - N2*k2) / r.  Each row's coefficients are read once, from one
+    prefix of the row, so the work is bounded by the rows, not by n.
     """
-    first = qbinom(query.n1 + query.k1, query.n1).coeffs
-    second = qbinom(query.n2 + query.k2, query.n2).coeffs
-    return _convolve(first, second, query.r, query.n)
+    r, n = query.r, query.n
+    low = max(0, -((query.n2 * query.k2 - n) // r))
+    high = min(n // r, query.n1 * query.k1)
+    first = _coefficients(query.n1 + query.k1, query.n1, range(low, high + 1))
+    second = _coefficients(
+        query.n2 + query.k2, query.n2, range(n - r * low, n - r * high - 1, -r)
+    )
+    return sum(map(mul, first, second))
 
 
 def pbar_convolution_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:

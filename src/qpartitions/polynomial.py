@@ -51,9 +51,11 @@ from typing import Iterable, Sequence
 __all__ = ["IntPolynomial", "ZERO", "ONE", "q"]
 
 # The largest degree of a dense coefficient sequence built from a step or a
-# shift.  Every test and benchmark request stays far below it: the largest,
-# ``partition_p(200)`` in the tests, builds [400, 200] at degree 40,000, and
-# the benchmark's largest, ``count partition --n 86``, reaches 7,396.
+# shift.  Every test and benchmark request stays far below it.  Counts read
+# prefixes of their Gaussian rows, so the largest whole row the tests build
+# is [120, 60], of degree 3,600, and the largest degree checked is the
+# 215,296 of [928, 464], of which ``partition_p(464)`` reads 465
+# coefficients; the benchmark's ``count partition --n 86`` reads 87.
 MAX_DENSE_DEGREE = 10**7
 
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}

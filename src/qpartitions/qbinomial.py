@@ -16,11 +16,27 @@ bottom passes over up to that degree, passes ``MAX_GAUSSIAN_WORK`` steps, is
 refused with ``ValueError`` before it is built.  The Pascal recurrences
 (``check_gr1``, ``check_gr2``) and the product characterization against the
 q-shifted factorial are independent checks, not the construction path.
+
+A count reads a few coefficients, not a whole row, so the count routes read
+through ``_coefficients``, which builds only a prefix: coefficients 0..D of
+the same product, truncated at q^(D+1).  Only the factors 1 - q^m with
+m <= D act on it, and only the divisors 1 - q^j with j <= min(bottom, D);
+division by 1 - q^j is exact in power series, so the truncated steps give
+the row's own coefficients, and there is no remainder to check.  A row
+reads the same from both ends, so coefficient n is read at
+min(n, degree - n).  Each cell keeps its longest prefix, and a read as deep
+as the middle of the row takes the whole memoized row instead.  A prefix is
+admitted by the whole row's rule, so a read is refused exactly when
+``qbinom`` would refuse its row.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from itertools import accumulate
+from operator import add, sub
+from typing import Sequence
 
 from .polynomial import ONE, ZERO, IntPolynomial, _check_dense, _exceeds
 
@@ -28,9 +44,23 @@ __all__ = ["pochhammer_q", "qbinom", "check_gr1", "check_gr2"]
 
 # The most steps, bottom * degree, that building one Gaussian row may take.
 # On two cores with Python 3.11, [1200, 300] (8.1e7 steps) builds in 8-13 s
-# and is admitted, and ``partition_p(200)``'s [400, 200] (8e6) in about 1 s;
-# [6000, 3000] (2.7e10), for ``count partition --n 3000``, is refused.
+# and is admitted, and [400, 200] (8e6) in about 1 s; [6000, 3000]
+# (2.7e10), whose prefix ``count partition --n 3000`` would read, is refused.
 MAX_GAUSSIAN_WORK = 10**8
+
+# The longest prefix built so far of each cell [top, bottom], 2 * bottom <=
+# top, as a tuple of its first coefficients: the whole row once it is built.
+# A tuple stored here is never changed, so readers may share it; a store
+# compares lengths under the lock, so a shorter prefix never replaces it.
+_prefixes: dict[tuple[int, int], tuple[int, ...]] = {}
+_prefixes_lock = threading.Lock()
+
+
+def _keep(key: tuple[int, int], prefix: tuple[int, ...]) -> None:
+    """Store ``prefix`` as the cell's prefix unless it already holds a longer one."""
+    with _prefixes_lock:
+        if len(prefix) > len(_prefixes.get(key, ())):
+            _prefixes[key] = prefix
 
 
 def pochhammer_q(n: int) -> IntPolynomial:
@@ -66,7 +96,81 @@ def _gaussian_base(top: int, bottom: int) -> IntPolynomial:
         if any(cs[-j:]):
             raise ArithmeticError(f"[{top}, {j}]: 1 - q^{j} left a remainder")
         del cs[-j:]
-    return IntPolynomial(cs)
+    row = IntPolynomial(cs)
+    _keep((top, bottom), row.coeffs)
+    return row
+
+
+def _cell(top: int, bottom: int) -> int | None:
+    """The memo cell's bottom for [top, bottom], or None for the zero row.
+
+    [top, bottom] == [top, top - bottom], so one cell, at the smaller
+    bottom, serves both.  A row past ``MAX_DENSE_DEGREE`` in degree, or past
+    ``MAX_GAUSSIAN_WORK`` in build steps, is refused with ``ValueError``.
+    """
+    if bottom < 0 or bottom > top:
+        return None
+    bottom = min(bottom, top - bottom)
+    degree = bottom * (top - bottom)
+    _check_dense(degree)
+    if bottom * degree > MAX_GAUSSIAN_WORK:
+        subject = f"build of Gaussian [{top}, {bottom}] in {bottom * degree} steps"
+        raise _exceeds(subject, MAX_GAUSSIAN_WORK)
+    return bottom
+
+
+def _prefix(top: int, bottom: int, depth: int) -> tuple[int, ...]:
+    """Coefficients 0 through ``depth`` of [top, bottom] at least; () for the zero row.
+
+    A shorter row is returned whole, and a longer prefix held for the cell
+    is returned as it is.  A cell read deeper than it holds is rebuilt at
+    least twice as deep, so a rising run of reads, such as a table's, costs
+    a constant factor over its last read.  A prefix reaching the middle of
+    the row is the whole memoized row.  Otherwise the product is truncated
+    at q^(depth+1): step j multiplies by 1 - q^(top-bottom+j) when that
+    factor is below the truncation, which keeps each step a Gaussian
+    [top-bottom+j, j], and divides by 1 - q^j as a running sum at distance
+    j: along each of the j residue classes, or block of j by block of j,
+    whichever are fewer.
+    """
+    bottom = _cell(top, bottom)
+    if bottom is None:
+        return ()
+    key, degree = (top, bottom), bottom * (top - bottom)
+    held = _prefixes.get(key, ())
+    if len(held) > min(depth, degree):
+        return held
+    depth = max(depth, 2 * len(held))
+    if 2 * depth >= degree:
+        return _gaussian_base(top, bottom).coeffs
+    cs = [1] + [0] * depth
+    for j in range(1, min(bottom, depth) + 1):
+        m = top - bottom + j
+        if m <= depth:
+            cs[m:] = map(sub, cs[m:], cs)
+        if j * j <= depth:
+            for start in range(j):
+                cs[start::j] = accumulate(cs[start::j])
+        else:
+            for start in range(j, depth + 1, j):
+                cs[start:start + j] = map(add, cs[start:start + j], cs[start - j:start])
+    prefix = tuple(cs)
+    _keep(key, prefix)
+    return prefix
+
+
+def _coefficients(top: int, bottom: int, indices: Sequence[int]) -> list[int]:
+    """The coefficients of [top, bottom] at ``indices``, 0 outside the row.
+
+    Each index n in the row is read at min(n, degree - n), all of them from
+    one ``_prefix`` as deep as the deepest of those reads.  The row is
+    admitted even when no index falls in it.
+    """
+    degree = bottom * (top - bottom) if 0 <= bottom <= top else -1
+    inside = [n for n in indices if 0 <= n <= degree]
+    depth = min(max(inside), degree - min(inside), degree // 2) if inside else 0
+    cs = _prefix(top, bottom, depth)
+    return [cs[min(n, degree - n)] if 0 <= n <= degree else 0 for n in indices]
 
 
 def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:
@@ -83,16 +187,9 @@ def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:
         raise ValueError(f"top must be nonnegative, got {top}")
     if step < 1:
         raise ValueError(f"step must be a positive integer, got {step}")
-    if bottom < 0 or bottom > top:
+    bottom = _cell(top, bottom)
+    if bottom is None:
         return ZERO
-    if 2 * bottom > top:
-        # [top, bottom] == [top, top - bottom]: one memo entry serves both
-        bottom = top - bottom
-    degree = bottom * (top - bottom)
-    _check_dense(degree)
-    if bottom * degree > MAX_GAUSSIAN_WORK:
-        subject = f"build of Gaussian [{top}, {bottom}] in {bottom * degree} steps"
-        raise _exceeds(subject, MAX_GAUSSIAN_WORK)
     return _gaussian_base(top, bottom).inflate(step)
 
 

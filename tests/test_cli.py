@@ -568,17 +568,17 @@ class TestTable:
 
     def test_partition_range_reads_one_gaussian_row(self, capsys, monkeypatch):
         # p(n) = p(b, b, n) for n <= b, so the range 3..7 reads [14, 7] alone
-        built = set()
+        read = set()
 
-        def recording(top, bottom, step=1):
-            built.add((top, bottom, step))
-            return qbinomial.qbinom(top, bottom, step)
+        def recording(top, bottom, indices):
+            read.add((top, bottom))
+            return qbinomial._coefficients(top, bottom, indices)
 
-        monkeypatch.setattr(partitions, "qbinom", recording)
+        monkeypatch.setattr(partitions, "_coefficients", recording)
         code, out, _ = run(capsys, "table", "partition", "--n", "3..7")
         assert code == 0
         assert out == "n count\n3 3\n4 5\n5 7\n6 11\n7 15\n"
-        assert built == {(14, 7, 1)}
+        assert read == {(14, 7)}
         code, out, _ = run(
             capsys, "table", "partition", "--n", "6..7", "--format", "json"
         )

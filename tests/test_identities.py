@@ -324,14 +324,14 @@ class TestGridLimit:
     def test_corollary_cost_is_the_rows_the_memo_keeps(self, monkeypatch, n_max):
         # every distinct row the grid reads, [t, b] and [t, t-b] as one
         rows = set()
-        real = partitions.qbinom
+        real = partitions._coefficients
 
-        def recording(top, bottom, step=1):
+        def recording(top, bottom, indices):
             if 0 <= bottom <= top:
                 rows.add((top, min(bottom, top - bottom)))
-            return real(top, bottom, step)
+            return real(top, bottom, indices)
 
-        monkeypatch.setattr(partitions, "qbinom", recording)
+        monkeypatch.setattr(partitions, "_coefficients", recording)
         assert verify_cor32(n_max=n_max).passed
         held = sum(b * (t - b) + 1 for t, b in rows)
         monkeypatch.setattr(identities, "MAX_GRID_POINTS", held - 1)
@@ -1092,8 +1092,9 @@ class TestShortSumFormula:
             assert corollary_term_count(n) <= 2 + math.sqrt(n / 2), n
 
     def test_against_pentagonal_oracle(self):
-        oracle = pentagonal_partition_numbers(30)
-        for n in range(31):
+        # up to [928, 464], the largest [2n, n] that MAX_GAUSSIAN_WORK admits
+        oracle = pentagonal_partition_numbers(464)
+        for n in range(465):
             assert p_by_corollary(n) == partition_p(n) == oracle[n], n
 
     def test_default_grid_verifier(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qpartitions
-from qpartitions import identities, partitions, polynomial, qbinomial
+from qpartitions import cli, identities, partitions, polynomial, qbinomial
 from qpartitions.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +61,64 @@ def test_one_shot_process_imports_no_dataclasses_or_inspect():
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert "qpartitions.partitions" in imported
     assert {"dataclasses", "inspect"} & imported == set()
+
+
+def imports(argv):
+    """The exit code, stdout and imported modules of ``python -m qpartitions argv``."""
+    done = run_module("-X", "importtime", "-m", "qpartitions", *argv)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    return done.returncode, done.stdout, imported
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count partition --n 30",
+        "count p --N 5 --k 5 --n 12 --method all",
+        "count pbar --r 2 --n1 2 --n2 3 --k1 2 --k2 2 --n 4 --method convolution",
+        "gauss --top 6 --bottom 3 --step 2",
+        "table partition --n 0..10 --format json",
+        "enumerate pbar --r 2 --n1 2 --n2 3 --k1 2 --k2 2 --n 4",
+    ],
+)
+def test_one_shot_commands_import_no_verifiers(argv):
+    code, out, imported = imports(argv.split())
+    assert code == 0 and out
+    assert "qpartitions.partitions" in imported
+    assert "qpartitions.identities" not in imported
+
+
+def test_verify_is_unchanged_by_the_deferred_import(capsys):
+    # the parser spells out the ids, so its choices must be the registry's
+    assert cli._IDENTITY_IDS == identities.IDENTITY_IDS
+    choices = "{" + ",".join(identities.IDENTITY_IDS + ("all",)) + "}"
+    for argv, loads in (
+        (["verify", "--help"], False),
+        (["verify", "eq2", "--m-max", "2", "--n-max", "2"], True),
+        (["verify", "all", "--format", "json"], True),
+    ):
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        code, out, imported = imports(argv)
+        assert (code, out) == (0, expected)
+        assert ("qpartitions.identities" in imported) is loads
+    main(["verify", "--help"])
+    assert choices in capsys.readouterr().out
+
+
+def test_star_import_resolves_the_deferred_names_in_order():
+    script = (
+        "import sys, qpartitions\n"
+        "assert 'qpartitions.identities' not in sys.modules\n"
+        "from qpartitions import *\n"
+        "assert all(name in globals() for name in qpartitions.__all__)\n"
+        "print(*qpartitions.__all__)"
+    )
+    done = run_module("-c", script)
+    assert done.returncode == 0, done.stderr
+    joined = [name for module in MODULES for name in module.__all__]
+    assert done.stdout.split() == [*joined, "__version__"]
+    assert len(joined) + 1 == 45
 
 
 MODULES = (polynomial, qbinomial, partitions, identities)

@@ -1,9 +1,12 @@
 """Gaussian polynomials: examples, the product characterization, recurrences."""
 
+import random
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpartitions import qbinomial
 from qpartitions.polynomial import ONE, IntPolynomial
@@ -148,6 +151,63 @@ class TestStructure:
         assert witnesses
 
 
+class TestPrefix:
+    """``_prefix`` and ``_coefficients``, the truncated build the counts read.
+
+    A truncated row leaves no remainder to check, so the whole row from
+    ``qbinom`` is the reference.
+    """
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_prefix_matches_the_whole_row(self, data):
+        top = data.draw(st.integers(0, 40), label="top")
+        bottom = data.draw(st.integers(-2, top + 2), label="bottom")
+        degree = bottom * (top - bottom) if 0 <= bottom <= top else 0
+        # depths up to past the degree, two of them for a cell read again
+        depths = data.draw(st.lists(st.integers(0, degree + 3), min_size=1, max_size=2))
+        qbinomial._prefixes.clear()
+        got = [qbinomial._prefix(top, bottom, depth) for depth in depths]
+        row = qbinom(top, bottom).coeffs
+        for depth, prefix in zip(depths, got):
+            assert prefix[: depth + 1] == row[: depth + 1], (top, bottom, depth)
+            assert len(prefix) >= min(depth, degree) + 1 or not row
+        if 0 <= bottom <= top and 2 * depths[0] < degree:
+            # a first read stops at its depth
+            assert len(got[0]) == depths[0] + 1
+        mirrored = qbinomial._prefix(top, top - bottom, depths[-1])
+        assert mirrored[: depths[-1] + 1] == row[: depths[-1] + 1]
+
+    def test_reads_the_far_end_from_its_mirror(self, monkeypatch):
+        # [12, 4] has degree 32, so q^30 is read at depth 2 as q^2
+        depths = []
+        real = qbinomial._prefix
+
+        def recording(top, bottom, depth):
+            depths.append(depth)
+            return real(top, bottom, depth)
+
+        monkeypatch.setattr(qbinomial, "_prefix", recording)
+        row = qbinom(12, 4).coeffs
+        assert qbinomial._coefficients(12, 4, (30, 31, 32)) == list(row[30:])
+        assert qbinomial._coefficients(12, 8, (29,)) == [row[29]] == [row[3]]
+        assert qbinomial._coefficients(12, 4, (-1, 33, 5)) == [0, 0, row[5]]
+        # a span across the middle reads to the middle
+        assert qbinomial._coefficients(12, 4, range(10, 21)) == list(row[10:21])
+        assert qbinomial._coefficients(3, 5, (0, 1)) == [0, 0]
+        assert depths == [2, 3, 5, 16, 0]
+
+    def test_prefix_is_admitted_by_the_whole_row_rule(self, monkeypatch):
+        # [5, 2] takes 12 steps whole, so even its first coefficient is refused
+        monkeypatch.setattr(qbinomial, "MAX_GAUSSIAN_WORK", 11)
+        refusal = r"^build of Gaussian \[5, 2\] in 12 steps exceeds the limit of 11$"
+        for bottom in (2, 3):
+            with pytest.raises(ValueError, match=refusal):
+                qbinomial._coefficients(5, bottom, (0,))
+        with pytest.raises(ValueError, match="^dense degree 100000000 exceeds"):
+            qbinomial._prefix(20000, 10000, 0)
+
+
 class TestRecurrences:
     def test_gr1_examples(self):
         assert check_gr1(4, 2, 1)
@@ -216,3 +276,46 @@ class TestThreadSafety:
         assert errors == []
         for got in results:
             assert got == expected
+
+    def test_concurrent_prefix_reads_match_the_row(self):
+        # [120, 60] has degree 3,600; eight threads read its prefixes at
+        # mixed depths, racing to rebuild and store the cell.  The cell must
+        # end up holding the longest prefix any thread was handed: a shorter
+        # store that replaced a longer one would break that.
+        top, bottom = 120, 60
+        row = qbinom(top, bottom).coeffs
+        depths = list(range(0, 1900, 37))
+        qbinomial._gaussian_base.cache_clear()
+        qbinomial._prefixes.clear()
+        workers = 8
+        barrier = threading.Barrier(workers)
+        bad = []
+        errors = []
+        longest = [0] * workers
+
+        def read(index):
+            order = depths[:]
+            random.Random(index).shuffle(order)
+            try:
+                barrier.wait(timeout=30)
+                for depth in order:
+                    prefix = qbinomial._prefix(top, bottom, depth)
+                    if prefix[: depth + 1] != row[: depth + 1]:
+                        bad.append((index, depth))
+                    longest[index] = max(longest[index], len(prefix))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and bad == []
+        assert len(qbinomial._prefixes[top, bottom]) == max(longest) == len(row)
