@@ -22,9 +22,10 @@ count, enumerate, verify, table).
 
 Each submodule's ``__all__`` is the one list of the names it exports; the
 package re-exports those lists, in module order, and ``__version__``.  The
-names from ``identities``, and ``__all__`` itself, are resolved on first
-access (PEP 562), so a command that verifies nothing never compiles the
-verifiers.
+names from ``identities``, the submodule itself, and ``__all__`` are
+resolved on first access (PEP 562), so a command that verifies nothing
+never compiles the verifiers; a probe for a missing dunder name, such as
+tools make, does not compile them either.
 """
 
 from .polynomial import *
@@ -35,6 +36,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str) -> object:
+    if name.startswith("__") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .identities import __all__ as deferred
 
     if name == "__all__":
@@ -47,7 +50,15 @@ def __getattr__(name: str) -> object:
         ]
     elif name in deferred:
         value = getattr(identities, name)
+    elif name in globals():
+        # the import above bound the submodule ``identities`` itself
+        return globals()[name]
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
+
+
+def __dir__() -> list[str]:
+    exported = __getattr__("__all__")
+    return sorted({*globals(), *exported})

@@ -20,6 +20,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
+from ._ids import IDENTITY_IDS
 from .partitions import (
     TwoKindPartition,
     TwoKindQuery,
@@ -35,13 +36,6 @@ from .qbinomial import qbinom
 
 if TYPE_CHECKING:
     from .identities import VerificationReport
-
-# ``identities.IDENTITY_IDS``, spelled out so that building the parser does
-# not import the verifiers; a test holds the two equal.
-_IDENTITY_IDS = (
-    "thm2.1", "thm2.2", "thm2.3", "thm2.4", "thm2.5", "thm2.6",
-    "thm3.1", "thm3.3", "cor3.2", "eq2", "eq3",
-)
 
 # ``identities.run_identity``, bound by the first ``verify``, so that no other
 # command imports the verifiers; a test may bind a stand-in first.
@@ -197,7 +191,7 @@ def _cmd_verify(args) -> Output:
     if run_identity is None:
         from .identities import run_identity
     overrides = {name: getattr(args, name) for name in _GRID_BOUNDS}
-    ids = _IDENTITY_IDS if args.identity == "all" else (args.identity,)
+    ids = IDENTITY_IDS if args.identity == "all" else (args.identity,)
     reports = [run_identity(identity_id, **overrides) for identity_id in ids]
     passed = all(r.passed for r in reports)
     if args.identity == "all":
@@ -285,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--n", type=int, default=None)
 
     verify = command("verify", _cmd_verify, "verify an identity over a grid")
-    verify.add_argument("identity", choices=_IDENTITY_IDS + ("all",))
+    verify.add_argument("identity", choices=IDENTITY_IDS + ("all",))
     for name in _GRID_BOUNDS:
         verify.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
 

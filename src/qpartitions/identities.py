@@ -34,9 +34,10 @@ their rows through the oracle's ``_row``, enumerating each kind's list of
 pick totals once per grid through the listings' walker, in a cache made
 for the call, and still tally every pair of picks at every point.
 
-The registry at the bottom maps stable identity ids (``"thm2.1"``, ``"eq2"``,
-``"cor3.2"``, ...) to their verifiers; ``run_identity`` is the single entry
-point used by the command-line front end.
+The registry at the bottom maps the stable identity ids of ``IDENTITY_IDS``
+(``"thm2.1"``, ``"eq2"``, ``"cor3.2"``, ...), kept in the light module
+``_ids`` for the command line, to their verifiers; ``run_identity`` is the
+single entry point used by the command-line front end.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from itertools import product, zip_longest
 from math import comb, isqrt, prod
 from typing import Callable, Sequence
 
+from ._ids import IDENTITY_IDS
 from .polynomial import ONE, ZERO, IntPolynomial, Packing, _exceeds, packed_sums
 from .qbinomial import qbinom
 from .partitions import (
@@ -714,21 +716,21 @@ def verify_thm33(
 
 _Verifier = Callable[..., VerificationReport]
 
-_REGISTRY: dict[str, tuple[_Verifier, tuple[str, ...]]] = {
-    "thm2.1": (verify_thm21, ("r_max", "param_max")),
-    "thm2.2": (verify_thm22, ("r_max", "param_max")),
-    "thm2.3": (verify_thm23, ("r_max", "param_max")),
-    "thm2.4": (verify_thm24, ("r_max", "param_max")),
-    "thm2.5": (verify_thm25, ("r_max", "param_max")),
-    "thm2.6": (verify_thm26, ("r_max", "param_max")),
-    "thm3.1": (verify_thm31, ("n_max", "k_max")),
-    "thm3.3": (verify_thm33, ("n_max", "k_max")),
-    "cor3.2": (verify_cor32, ("n_max",)),
-    "eq2": (verify_guo_yang_1, ("m_max", "n_max")),
-    "eq3": (verify_guo_yang_2, ("m_max", "n_max")),
-}
-
-IDENTITY_IDS: tuple[str, ...] = tuple(_REGISTRY)
+# The verifier of each id in ``IDENTITY_IDS``, in its order, and the grid
+# bounds it accepts.
+_REGISTRY: dict[str, tuple[_Verifier, tuple[str, ...]]] = dict(zip(IDENTITY_IDS, (
+    (verify_thm21, ("r_max", "param_max")),
+    (verify_thm22, ("r_max", "param_max")),
+    (verify_thm23, ("r_max", "param_max")),
+    (verify_thm24, ("r_max", "param_max")),
+    (verify_thm25, ("r_max", "param_max")),
+    (verify_thm26, ("r_max", "param_max")),
+    (verify_thm31, ("n_max", "k_max")),
+    (verify_thm33, ("n_max", "k_max")),
+    (verify_cor32, ("n_max",)),
+    (verify_guo_yang_1, ("m_max", "n_max")),
+    (verify_guo_yang_2, ("m_max", "n_max")),
+), strict=True))
 
 
 def run_identity(identity_id: str, **grid_overrides: int | None) -> VerificationReport:

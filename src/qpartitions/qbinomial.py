@@ -5,9 +5,10 @@ coefficient with ``q`` replaced by ``q**step``.  Out-of-range ``bottom``
 (negative, or larger than ``top``) gives the zero polynomial; this is the
 convention that makes every recurrence in this package total.
 
-Each polynomial is built on its own from the product formula
+Each polynomial is built on its own from the product formula: with
+w = top - bottom,
 
-    [N, j] = [N, j-1] * (1 - q^(N-j+1)) / (1 - q^j),    j = 1..k,
+    [w + j, j] = [w + j - 1, j - 1] * (1 - q^(w+j)) / (1 - q^j),    j = 1..bottom,
 
 in plain integer arithmetic: the division is an exact running sum, and its
 zero remainder is checked.  Finished polynomials are memoized.  A row whose
@@ -19,15 +20,15 @@ q-shifted factorial are independent checks, not the construction path.
 
 A count reads a few coefficients, not a whole row, so the count routes read
 through ``_coefficients``, which builds only a prefix: coefficients 0..D of
-the same product, truncated at q^(D+1).  Only the factors 1 - q^m with
-m <= D act on it, and only the divisors 1 - q^j with j <= min(bottom, D);
-division by 1 - q^j is exact in power series, so the truncated steps give
-the row's own coefficients, and there is no remainder to check.  A row
-reads the same from both ends, so coefficient n is read at
-min(n, degree - n).  Each cell keeps its longest prefix, and a read as deep
-as the middle of the row takes the whole memoized row instead.  A prefix is
-admitted by the whole row's rule, so a read is refused exactly when
-``qbinom`` would refuse its row.
+the same product, truncated at q^(D+1), by the same builder, ``_build``.
+Only the factors 1 - q^m with m <= D act on it, and only the divisors
+1 - q^j with j <= min(bottom, D); division by 1 - q^j is exact in power
+series, so the truncated steps give the row's own coefficients, and a
+truncated step has no remainder to check.  A row reads the same from both
+ends, so coefficient n is read at min(n, degree - n).  Each cell keeps its
+longest prefix, and a read as deep as the middle of the row takes the whole
+memoized row instead.  A prefix is admitted by the whole row's rule, so a
+read is refused exactly when ``qbinom`` would refuse its row.
 """
 
 from __future__ import annotations
@@ -79,24 +80,48 @@ def pochhammer_q(n: int) -> IntPolynomial:
     return out
 
 
+def _build(top: int, bottom: int, depth: int) -> list[int]:
+    """Coefficients 0 through ``depth`` of [top, bottom], ``0 <= 2 * bottom <= top``.
+
+    With w = top - bottom, step j multiplies [w + j - 1, j - 1] by
+    1 - q^(w+j) and divides by 1 - q^j, all truncated at q^(depth+1).  Only
+    the divisors j <= depth act below the truncation, and division by
+    1 - q^j is exact in power series, so a truncated step still gives the
+    row's own coefficients.  A step whose whole product fits under the
+    truncation also checks that its top j entries, the remainder, are zero.
+    A depth at or past the degree builds the whole row: it is raised to the
+    last product's degree, so every step is whole and checked.
+    """
+    if depth >= bottom * (top - bottom):
+        depth = bottom * (top - bottom + 1)
+    cs = [1]
+    for j in range(1, min(bottom, depth) + 1):
+        m = top - bottom + j
+        whole = len(cs) + m
+        cs.extend([0] * (min(whole, depth + 1) - len(cs)))
+        # multiply by 1 - q^m
+        cs[m:] = map(sub, cs[m:], cs)
+        # divide by 1 - q^j: the quotient is the running sum at distance j,
+        # taken along each of the j residue classes or block of j by block
+        # of j, whichever are fewer; the top j entries of a whole product
+        # are the remainder
+        if j * j <= len(cs):
+            for start in range(j):
+                cs[start::j] = accumulate(cs[start::j])
+        else:
+            for start in range(j, len(cs), j):
+                cs[start:start + j] = map(add, cs[start:start + j], cs[start - j:start])
+        if len(cs) == whole:
+            if any(cs[-j:]):
+                raise ArithmeticError(f"[{m}, {j}]: 1 - q^{j} left a remainder")
+            del cs[-j:]
+    return cs
+
+
 @functools.lru_cache(maxsize=None)
 def _gaussian_base(top: int, bottom: int) -> IntPolynomial:
     """``[top, bottom]`` at step 1, for ``0 <= 2 * bottom <= top``."""
-    cs = [1]
-    for j in range(1, bottom + 1):
-        m = top - j + 1
-        cs.extend([0] * m)
-        # multiply by 1 - q^m
-        for i in range(len(cs) - 1, m - 1, -1):
-            cs[i] -= cs[i - m]
-        # divide by 1 - q^j: the quotient is the running sum along each
-        # residue class mod j, and the top j entries are the remainder
-        for i in range(j, len(cs)):
-            cs[i] += cs[i - j]
-        if any(cs[-j:]):
-            raise ArithmeticError(f"[{top}, {j}]: 1 - q^{j} left a remainder")
-        del cs[-j:]
-    row = IntPolynomial(cs)
+    row = IntPolynomial(_build(top, bottom, bottom * (top - bottom)))
     _keep((top, bottom), row.coeffs)
     return row
 
@@ -126,12 +151,7 @@ def _prefix(top: int, bottom: int, depth: int) -> tuple[int, ...]:
     is returned as it is.  A cell read deeper than it holds is rebuilt at
     least twice as deep, so a rising run of reads, such as a table's, costs
     a constant factor over its last read.  A prefix reaching the middle of
-    the row is the whole memoized row.  Otherwise the product is truncated
-    at q^(depth+1): step j multiplies by 1 - q^(top-bottom+j) when that
-    factor is below the truncation, which keeps each step a Gaussian
-    [top-bottom+j, j], and divides by 1 - q^j as a running sum at distance
-    j: along each of the j residue classes, or block of j by block of j,
-    whichever are fewer.
+    the row is the whole memoized row.
     """
     bottom = _cell(top, bottom)
     if bottom is None:
@@ -143,18 +163,7 @@ def _prefix(top: int, bottom: int, depth: int) -> tuple[int, ...]:
     depth = max(depth, 2 * len(held))
     if 2 * depth >= degree:
         return _gaussian_base(top, bottom).coeffs
-    cs = [1] + [0] * depth
-    for j in range(1, min(bottom, depth) + 1):
-        m = top - bottom + j
-        if m <= depth:
-            cs[m:] = map(sub, cs[m:], cs)
-        if j * j <= depth:
-            for start in range(j):
-                cs[start::j] = accumulate(cs[start::j])
-        else:
-            for start in range(j, depth + 1, j):
-                cs[start:start + j] = map(add, cs[start:start + j], cs[start - j:start])
-    prefix = tuple(cs)
+    prefix = tuple(_build(top, bottom, depth))
     _keep(key, prefix)
     return prefix
 

@@ -205,6 +205,7 @@ class TestReportContract:
             "thm2.3": 3 * r * top**2 * (top + 1) ** 2,
         }.get(identity_id, r * (top + 1) ** 4)
         report = run_identity(identity_id, **grid)
+        assert report.identity_id == identity_id
         assert report.passed
         assert report.checked == expected
 

@@ -89,8 +89,6 @@ def test_one_shot_commands_import_no_verifiers(argv):
 
 
 def test_verify_is_unchanged_by_the_deferred_import(capsys):
-    # the parser spells out the ids, so its choices must be the registry's
-    assert cli._IDENTITY_IDS == identities.IDENTITY_IDS
     choices = "{" + ",".join(identities.IDENTITY_IDS + ("all",)) + "}"
     for argv, loads in (
         (["verify", "--help"], False),
@@ -104,6 +102,23 @@ def test_verify_is_unchanged_by_the_deferred_import(capsys):
         assert ("qpartitions.identities" in imported) is loads
     main(["verify", "--help"])
     assert choices in capsys.readouterr().out
+
+
+def test_attribute_access_resolves_the_deferred_names_once():
+    script = (
+        "import sys, qpartitions\n"
+        "assert not hasattr(qpartitions, '__wrapped__')\n"
+        "assert 'qpartitions.identities' not in sys.modules\n"
+        "print(*qpartitions.identities.IDENTITY_IDS)\n"
+        "assert qpartitions.run_identity is qpartitions.identities.run_identity\n"
+        "assert set(qpartitions.__all__) <= set(dir(qpartitions))\n"
+        "assert 'identities' in dir(qpartitions)\n"
+        "assert not hasattr(qpartitions, 'verify_thm99')"
+    )
+    done = run_module("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == list(identities.IDENTITY_IDS)
+    assert cli.IDENTITY_IDS is identities.IDENTITY_IDS
 
 
 def test_star_import_resolves_the_deferred_names_in_order():

@@ -1,5 +1,6 @@
 """Gaussian polynomials: examples, the product characterization, recurrences."""
 
+import itertools
 import random
 import sys
 import threading
@@ -196,6 +197,25 @@ class TestPrefix:
         assert qbinomial._coefficients(12, 4, range(10, 21)) == list(row[10:21])
         assert qbinomial._coefficients(3, 5, (0, 1)) == [0, 0]
         assert depths == [2, 3, 5, 16, 0]
+
+    def test_build_at_every_depth_is_the_row_truncated(self):
+        # [30, 12] takes both division walks: along the residue classes
+        # while j * j fits the list, block by block past that
+        for top, bottom in ((30, 12), (17, 8), (9, 1), (9, 0)):
+            row = qbinom(top, bottom).coeffs
+            for depth in range(len(row) + 3):
+                assert tuple(qbinomial._build(top, bottom, depth)) == row[: depth + 1]
+
+    def test_whole_steps_check_their_remainder(self, monkeypatch):
+        # a running sum that drifts leaves a remainder; step 1 of [8, 4]
+        # is [5, 1], whole at depth 16 and truncated at depth 3
+        def drifting(values):
+            return [total + 1 for total in itertools.accumulate(values)]
+
+        monkeypatch.setattr(qbinomial, "accumulate", drifting)
+        with pytest.raises(ArithmeticError, match=r"^\[5, 1\]: 1 - q\^1 left a remainder$"):
+            qbinomial._build(8, 4, 16)
+        assert len(qbinomial._build(8, 4, 3)) == 4
 
     def test_prefix_is_admitted_by_the_whole_row_rule(self, monkeypatch):
         # [5, 2] takes 12 steps whole, so even its first coefficient is refused
