@@ -16,14 +16,14 @@ The points come first: a grid of more than ``MAX_GRID_POINTS`` points is
 refused.  A verifier's ``cost`` then sizes the whole grid in its own unit.
 A point (a, b) of Thm 3.1, Thm 3.3, eq2 or eq3 makes a*b + 1 units of work:
 comparisons for Thm 3.x (the report's ``checked``), and for eq2 and eq3 the
-coefficients of the Gaussian [a+b, b] that the memo keeps.  Point n of
-Cor 3.2 builds and keeps [2n, n], of n*n + 1 coefficients, and its terms
-keep [n+j, j] and [n+1, 2j+1]; the grid counts each distinct row once, after
-its [2n, n] rows alone have passed.  Thm 2.3, 2.4 and 2.5 count the
-coefficients of the ``pbar_gf`` and ``qbar_gf`` memo entries their grid
-reads, neighbours included: each bound pair's share summed over one kind's
-pairs, in closed form in r.  These are held to
-``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed:
+coefficients of the Gaussian [a+b, b] that the memo keeps.  Cor 3.2 counts
+whole rows, more than the prefixes its grid reads: [2n, n], of n*n + 1
+coefficients, at point n, and [n+j, j] and [n+1, 2j+1] for its terms; the
+grid counts each distinct row once, after its [2n, n] rows alone have
+passed.  Thm 2.3, 2.4 and 2.5 count the coefficients of the ``pbar_gf`` and
+``qbar_gf`` memo entries their grid reads, neighbours included: each bound
+pair's share summed over one kind's pairs, in closed form in r.  These are
+held to ``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed:
 the largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
 takes over a minute.  A grid checked against an enumeration row (Thm 2.1,
 2.2 and 2.6) is refused when its costliest row would walk past
@@ -669,10 +669,11 @@ def verify_cor32(n_max: int = 60) -> VerificationReport:
         return 1, _mismatch((n,), p_by_corollary(n), partition_p(n))
 
     def cost():
-        # point n builds and keeps [2n, n], of n*n + 1 coefficients
+        # whole rows, more than the prefixes the grid reads: point n counts
+        # [2n, n], of n*n + 1 coefficients
         coeffs = n_max * (n_max + 1) * (2 * n_max + 1) // 6 + n_max + 1
         _check_grid("cor3.2", coeffs, "Gaussian coefficients", MAX_GRID_POINTS)
-        # and term j keeps [n+j, j] and [n+1, 2j+1]; the memo holds [t, b]
+        # and term j counts [n+j, j] and [n+1, 2j+1]; the memo holds [t, b]
         # and [t, t-b] as one row of b*(t-b) + 1 coefficients
         rows = {(2 * n, n) for n in range(n_max + 1)}
         for n in range(n_max + 1):

@@ -67,6 +67,8 @@ class IntPolynomial:
     ``coeffs[i]`` is the coefficient of ``q**i``.  The representation is
     normalized: the last stored coefficient is nonzero, and the zero
     polynomial stores an empty tuple.  Instances are immutable and hashable.
+    A tuple that is already normalized is kept as it is, not copied, so
+    polynomials made from one memoized row share its tuple.
 
     >>> IntPolynomial([1, 0, 2, 0])
     IntPolynomial('1 + 2*q^2')
@@ -77,6 +79,9 @@ class IntPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        if type(coeffs) is tuple and (not coeffs or coeffs[-1]):
+            self._coeffs = coeffs
+            return
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()

@@ -11,7 +11,8 @@ w = top - bottom,
     [w + j, j] = [w + j - 1, j - 1] * (1 - q^(w+j)) / (1 - q^j),    j = 1..bottom,
 
 in plain integer arithmetic: the division is an exact running sum, and its
-zero remainder is checked.  Finished polynomials are memoized.  A row whose
+zero remainder is checked.  A finished row is memoized as its cell's prefix
+at full length, in the one store that holds the prefixes below.  A row whose
 degree bottom * (top - bottom) passes ``MAX_DENSE_DEGREE``, or whose build,
 bottom passes over up to that degree, passes ``MAX_GAUSSIAN_WORK`` steps, is
 refused with ``ValueError`` before it is built.  The Pascal recurrences
@@ -26,20 +27,20 @@ Only the factors 1 - q^m with m <= D act on it, and only the divisors
 series, so the truncated steps give the row's own coefficients, and a
 truncated step has no remainder to check.  A row reads the same from both
 ends, so coefficient n is read at min(n, degree - n).  Each cell keeps its
-longest prefix, and a read as deep as the middle of the row takes the whole
-memoized row instead.  A prefix is admitted by the whole row's rule, so a
-read is refused exactly when ``qbinom`` would refuse its row.
+longest prefix, and a read as deep as the middle of the row builds and keeps
+the whole row instead, the tuple ``qbinom`` wraps.  A prefix is admitted by
+the whole row's rule, so a read is refused exactly when ``qbinom`` would
+refuse its row.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 from itertools import accumulate
 from operator import add, sub
 from typing import Sequence
 
-from .polynomial import ONE, ZERO, IntPolynomial, _check_dense, _exceeds
+from .polynomial import ONE, IntPolynomial, _check_dense, _exceeds
 
 __all__ = ["pochhammer_q", "qbinom", "check_gr1", "check_gr2"]
 
@@ -49,19 +50,13 @@ __all__ = ["pochhammer_q", "qbinom", "check_gr1", "check_gr2"]
 # (2.7e10), whose prefix ``count partition --n 3000`` would read, is refused.
 MAX_GAUSSIAN_WORK = 10**8
 
-# The longest prefix built so far of each cell [top, bottom], 2 * bottom <=
-# top, as a tuple of its first coefficients: the whole row once it is built.
-# A tuple stored here is never changed, so readers may share it; a store
-# compares lengths under the lock, so a shorter prefix never replaces it.
+# The one memo of Gaussian rows: the longest prefix built so far of each cell
+# [top, bottom], 2 * bottom <= top, as a tuple of its first coefficients, and
+# the whole row once it is built.  A tuple stored here is never changed, so
+# readers may share it; ``_prefix`` alone stores, comparing lengths under the
+# lock, so a shorter prefix never replaces a longer one.
 _prefixes: dict[tuple[int, int], tuple[int, ...]] = {}
 _prefixes_lock = threading.Lock()
-
-
-def _keep(key: tuple[int, int], prefix: tuple[int, ...]) -> None:
-    """Store ``prefix`` as the cell's prefix unless it already holds a longer one."""
-    with _prefixes_lock:
-        if len(prefix) > len(_prefixes.get(key, ())):
-            _prefixes[key] = prefix
 
 
 def pochhammer_q(n: int) -> IntPolynomial:
@@ -118,14 +113,6 @@ def _build(top: int, bottom: int, depth: int) -> list[int]:
     return cs
 
 
-@functools.lru_cache(maxsize=None)
-def _gaussian_base(top: int, bottom: int) -> IntPolynomial:
-    """``[top, bottom]`` at step 1, for ``0 <= 2 * bottom <= top``."""
-    row = IntPolynomial(_build(top, bottom, bottom * (top - bottom)))
-    _keep((top, bottom), row.coeffs)
-    return row
-
-
 def _cell(top: int, bottom: int) -> int | None:
     """The memo cell's bottom for [top, bottom], or None for the zero row.
 
@@ -150,8 +137,9 @@ def _prefix(top: int, bottom: int, depth: int) -> tuple[int, ...]:
     A shorter row is returned whole, and a longer prefix held for the cell
     is returned as it is.  A cell read deeper than it holds is rebuilt at
     least twice as deep, so a rising run of reads, such as a table's, costs
-    a constant factor over its last read.  A prefix reaching the middle of
-    the row is the whole memoized row.
+    a constant factor over its last read.  A read reaching the middle of the
+    row builds the whole row, every step checked.  The cell's stored tuple is
+    returned, so every reader of a cell shares one tuple.
     """
     bottom = _cell(top, bottom)
     if bottom is None:
@@ -162,10 +150,12 @@ def _prefix(top: int, bottom: int, depth: int) -> tuple[int, ...]:
         return held
     depth = max(depth, 2 * len(held))
     if 2 * depth >= degree:
-        return _gaussian_base(top, bottom).coeffs
+        depth = degree
     prefix = tuple(_build(top, bottom, depth))
-    _keep(key, prefix)
-    return prefix
+    with _prefixes_lock:
+        if len(prefix) > len(_prefixes.get(key, ())):
+            _prefixes[key] = prefix
+        return _prefixes[key]
 
 
 def _coefficients(top: int, bottom: int, indices: Sequence[int]) -> list[int]:
@@ -196,10 +186,7 @@ def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:
         raise ValueError(f"top must be nonnegative, got {top}")
     if step < 1:
         raise ValueError(f"step must be a positive integer, got {step}")
-    bottom = _cell(top, bottom)
-    if bottom is None:
-        return ZERO
-    return _gaussian_base(top, bottom).inflate(step)
+    return IntPolynomial(_prefix(top, bottom, bottom * (top - bottom))).inflate(step)
 
 
 def check_gr1(top: int, bottom: int, step: int = 1) -> bool:

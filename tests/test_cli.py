@@ -81,7 +81,7 @@ class TestGauss:
         # refused as count partition --n 3000 and gauss --top 6000 --bottom
         # 1500 are at the real limit, and no row is built
         monkeypatch.setattr(qbinomial, "MAX_GAUSSIAN_WORK", 11)
-        monkeypatch.setattr(qbinomial, "_gaussian_base", None)
+        monkeypatch.setattr(qbinomial, "_build", None)
         for argv in (
             ("gauss", "--top", "6", "--bottom", "3"),
             ("count", "partition", "--n", "6"),
@@ -597,6 +597,37 @@ class TestTable:
             "error: build of Gaussian [930, 465] in 100544625 steps "
             "exceeds the limit of 100000000\n"
         )
+
+    def test_oversized_range_is_refused_before_any_row(self, capsys, monkeypatch):
+        # 10**9 + 1 rows would need about 100 GB; no route is called
+        def count(values):
+            raise AssertionError(f"row {values['n']} was counted")
+
+        for function in ("p", "pbar", "qbar"):
+            monkeypatch.setitem(cli._ROUTES[function], "genfun", count)
+        for argv in (
+            ("p", "--N", "5", "--k", "5"),
+            ("pbar", *WORKED_FLAGS),
+            ("qbar", *WORKED_FLAGS),
+            ("partition",),
+        ):
+            code, out, err = run(capsys, "table", *argv, "--n", "0..1000000000")
+            assert (code, out) == (2, "")
+            assert err == "error: table of 1000000001 rows exceeds the limit of 100000\n"
+
+    def test_range_at_the_row_limit_is_tabulated(self, capsys, monkeypatch):
+        counted = []
+        monkeypatch.setitem(
+            cli._ROUTES["p"], "genfun", lambda values: counted.append(values["n"]) or 0
+        )
+        flags = ("table", "p", "--N", "5", "--k", "5", "--quiet", "--n")
+        code, out, err = run(capsys, *flags, "1..100000")
+        assert (code, out, err) == (0, "", "")
+        assert counted == list(range(1, 100001))
+        counted.clear()
+        code, out, err = run(capsys, *flags, "1..100001")
+        assert (code, out, counted) == (2, "", [])
+        assert err == "error: table of 100001 rows exceeds the limit of 100000\n"
 
     def test_malformed_range(self, capsys):
         code, _, err = run(capsys, "table", "partition", "--n", "7")

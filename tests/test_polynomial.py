@@ -55,6 +55,16 @@ class TestConstruction:
         assert P(0, 0, 0).coeffs == ()
         assert not P()
 
+    def test_normalized_tuple_is_shared_not_copied(self):
+        cs = (1, 0, 2)
+        assert IntPolynomial(cs).coeffs is cs
+        assert IntPolynomial(()).coeffs == ()
+        # anything else is still normalized into a tuple of its own
+        assert IntPolynomial((1, 0)).coeffs == (1,)
+        assert IntPolynomial((0,)).coeffs == ()
+        assert IntPolynomial([1, 2]).coeffs == (1, 2)
+        assert IntPolynomial([1, 2, 0]).coeffs == (1, 2)
+
     def test_degree(self):
         assert P(1, 0, 5).degree == 2
         assert P(7).degree == 0

@@ -75,18 +75,18 @@ class TestGaussian:
                 assert [got.coeff(i) for i in range(len(expected))] == expected
 
     def test_symmetric_bottoms_share_one_memo_entry(self):
-        qbinomial._gaussian_base.cache_clear()
+        qbinomial._prefixes.clear()
         low, high = qbinom(10, 3), qbinom(10, 7)
-        assert qbinomial._gaussian_base.cache_info().currsize == 1
-        assert low is high
+        assert list(qbinomial._prefixes) == [(10, 3)]
+        assert low.coeffs is high.coeffs is qbinomial._prefixes[10, 3]
 
     def test_costly_build_is_refused_before_it_starts(self, monkeypatch):
         # [5, 2] and [5, 3] are one row, 2 passes over degree 6: 12 steps
-        def build(top, bottom):
+        def build(top, bottom, depth):
             raise AssertionError(f"[{top}, {bottom}] was built")
 
         monkeypatch.setattr(qbinomial, "MAX_GAUSSIAN_WORK", 11)
-        monkeypatch.setattr(qbinomial, "_gaussian_base", build)
+        monkeypatch.setattr(qbinomial, "_build", build)
         refusal = r"^build of Gaussian \[5, 2\] in 12 steps exceeds the limit of 11$"
         for bottom in (2, 3):
             with pytest.raises(ValueError, match=refusal):
@@ -181,6 +181,7 @@ class TestPrefix:
 
     def test_reads_the_far_end_from_its_mirror(self, monkeypatch):
         # [12, 4] has degree 32, so q^30 is read at depth 2 as q^2
+        row = qbinom(12, 4).coeffs
         depths = []
         real = qbinomial._prefix
 
@@ -189,7 +190,6 @@ class TestPrefix:
             return real(top, bottom, depth)
 
         monkeypatch.setattr(qbinomial, "_prefix", recording)
-        row = qbinom(12, 4).coeffs
         assert qbinomial._coefficients(12, 4, (30, 31, 32)) == list(row[30:])
         assert qbinomial._coefficients(12, 8, (29,)) == [row[29]] == [row[3]]
         assert qbinomial._coefficients(12, 4, (-1, 33, 5)) == [0, 0, row[5]]
@@ -228,6 +228,49 @@ class TestPrefix:
             qbinomial._prefix(20000, 10000, 0)
 
 
+class TestOneStore:
+    """``_prefixes`` is the one memo of Gaussian rows.
+
+    A whole row is its cell's prefix at full length, and ``qbinom`` wraps
+    the stored tuple, so prefix reads and whole-row reads share one cell.
+    """
+
+    def test_whole_row_read_extends_a_short_prefix(self):
+        qbinomial._prefixes.clear()
+        assert qbinomial._prefix(20, 5, 2) == (1, 1, 2)
+        assert list(qbinomial._prefixes) == [(20, 5)]
+        row = qbinom(20, 15)
+        assert list(qbinomial._prefixes) == [(20, 5)]
+        assert qbinomial._prefixes[20, 5] is row.coeffs
+        assert row.degree == 75 and row.is_self_reciprocal()
+
+    def test_prefix_of_a_held_row_is_the_row(self):
+        row = qbinom(14, 5).coeffs
+        assert qbinomial._prefix(14, 5, 1) is row
+        assert qbinomial._prefix(14, 9, 1) is row
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_any_read_mix_leaves_one_tuple_per_cell(self, data):
+        qbinomial._prefixes.clear()
+        cells = set()
+        for _ in range(data.draw(st.integers(1, 8), label="reads")):
+            top = data.draw(st.integers(0, 16), label="top")
+            bottom = data.draw(st.integers(0, top), label="bottom")
+            depth = data.draw(st.integers(0, 70), label="depth")
+            if data.draw(st.booleans(), label="whole"):
+                qbinom(top, bottom)
+            else:
+                qbinomial._prefix(top, bottom, depth)
+            cells.add((top, min(bottom, top - bottom)))
+        assert set(qbinomial._prefixes) == cells
+        for top, bottom in cells:
+            row = qbinom(top, bottom).coeffs
+            assert row is qbinom(top, top - bottom).coeffs
+            assert row is qbinomial._prefixes[top, bottom]
+            assert len(row) == bottom * (top - bottom) + 1
+
+
 class TestRecurrences:
     def test_gr1_examples(self):
         assert check_gr1(4, 2, 1)
@@ -257,9 +300,9 @@ class TestRecurrences:
 class TestThreadSafety:
     def test_concurrent_fills_match_serial(self):
         cells = [(top, bottom) for top in range(26) for bottom in range(-1, top + 2)]
-        qbinomial._gaussian_base.cache_clear()
+        qbinomial._prefixes.clear()
         expected = [qbinom(top, bottom) for top, bottom in cells]
-        qbinomial._gaussian_base.cache_clear()
+        qbinomial._prefixes.clear()
 
         workers = 8
         barrier = threading.Barrier(workers)
@@ -296,6 +339,16 @@ class TestThreadSafety:
         assert errors == []
         for got in results:
             assert got == expected
+        # every cell holds exactly its whole row, and every thread was
+        # handed that one stored tuple
+        rows = {(top, min(bottom, top - bottom)): row.coeffs
+                for (top, bottom), row in zip(cells, expected) if row}
+        assert qbinomial._prefixes == rows
+        for got in results:
+            for (top, bottom), row in zip(cells, got):
+                if row:
+                    key = top, min(bottom, top - bottom)
+                    assert row.coeffs is qbinomial._prefixes[key]
 
     def test_concurrent_prefix_reads_match_the_row(self):
         # [120, 60] has degree 3,600; eight threads read its prefixes at
@@ -305,7 +358,6 @@ class TestThreadSafety:
         top, bottom = 120, 60
         row = qbinom(top, bottom).coeffs
         depths = list(range(0, 1900, 37))
-        qbinomial._gaussian_base.cache_clear()
         qbinomial._prefixes.clear()
         workers = 8
         barrier = threading.Barrier(workers)
@@ -339,3 +391,4 @@ class TestThreadSafety:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and bad == []
         assert len(qbinomial._prefixes[top, bottom]) == max(longest) == len(row)
+        assert qbinomial._prefixes[top, bottom] == row
