@@ -45,15 +45,17 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import comb, isqrt, prod
+from operator import add, sub
 from typing import Callable, Sequence
 
 from ._ids import IDENTITY_IDS
-from .polynomial import ONE, ZERO, IntPolynomial, Packing, _exceeds, packed_sums
+from .polynomial import ONE, IntPolynomial, Packing, _exceeds, packed_sums
 from .qbinomial import qbinom
 from .partitions import (
     TwoKindQuery,
     _Record,
     _check_walk,
+    _convolve,
     _kind_sums,
     _row,
     _walk,
@@ -397,7 +399,12 @@ def _rows_against_oracle(
 
 
 def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
-    """Convolution route against the enumeration oracle, every target."""
+    """Convolution route against the enumeration oracle, every target.
+
+    The rows come from ``pbar_convolution_totals``, the whole-row window of
+    ``_convolve``, the one kernel that ``pbar_convolution`` and the Thm 3.x
+    expansions read as well.
+    """
     return _rows_against_oracle("thm2.1", pbar_convolution_totals, 0, r_max, param_max)
 
 
@@ -557,19 +564,21 @@ def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
 # The two partition formulas.
 
 
-def _expansion(r: int, N: int, k: int) -> IntPolynomial:
-    """The step-r expansion of Thm 3.1 (r=2) and Thm 3.3 (r=4) as a polynomial in q.
+def _expansion(r: int, N: int, k: int, low: int, high: int) -> list[int]:
+    """Entries ``low`` through ``high`` of the step-r expansion, as counts.
 
-    The sum over j up to k // r of q^C(k-rj, 2) times the two-kind row at
-    bounds (N, N+1-k+rj, j, k-rj).  A term whose second bound is negative
-    counts nothing.
+    The expansion of Thm 3.1 (r=2) and Thm 3.3 (r=4) is the sum over j up
+    to k // r of q^C(k-rj, 2) times the two-kind row at bounds
+    (N, N+1-k+rj, j, k-rj), so term j is the ``_convolve`` window shifted
+    by C(k-rj, 2), added entry by entry.  A term whose second bound is
+    negative, or whose shift passes the window, counts nothing.
     """
-    total = ZERO
+    total = [0] * (high - low + 1)
     for j in range(k // r + 1):
-        n2 = N + 1 - k + r * j
-        if n2 >= 0:
-            row = IntPolynomial(pbar_convolution_totals(r, N, n2, j, k - r * j))
-            total = total + row.shift(comb(k - r * j, 2))
+        n2, shift = N + 1 - k + r * j, comb(k - r * j, 2)
+        if n2 >= 0 and shift <= high:
+            term = _convolve(r, N, n2, j, k - r * j, low - shift, high - shift)
+            total = list(map(add, total, term))
     return total
 
 
@@ -577,19 +586,13 @@ def expand_p_thm31(N: int, k: int, n: int) -> int:
     """One-kind count p(N, k, n) expanded as a sum of two-kind counts at r=2.
 
     Sums the two-kind count at (N, N+1-k+2j, j, k-2j, n - C(k-2j, 2)) over
-    j up to k // 2; out-of-range summands contribute 0.  Each summand is one
-    clipped convolution sum at its own target, so one coefficient costs no
-    whole row (``_expansion`` is the row form).
+    j up to k // 2; out-of-range summands contribute 0.  It is the
+    one-entry window of ``_expansion``, so each summand is one clipped
+    convolution at its own target, and one coefficient costs no whole row.
     """
     if N < 0 or k < 0 or n < 0:
         raise ValueError("expand_p_thm31 needs nonnegative arguments")
-    total = 0
-    for j in range(k // 2 + 1):
-        n2 = N + 1 - k + 2 * j
-        target = n - comb(k - 2 * j, 2)
-        if n2 >= 0 and target >= 0:
-            total += pbar_convolution(TwoKindQuery(2, N, n2, j, k - 2 * j, target))
-    return total
+    return _expansion(2, N, k, n, n)[0]
 
 
 def _expansion_sweep(
@@ -612,13 +615,13 @@ def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:
 
     With the two-kind generating function substituted, Thm 3.1 at (N, k) is
     the first Guo-Yang identity (eq2) at (m, n) = (N, k).  Here it is checked
-    on rows of counts with a plain convolution loop, and ``eq2`` checks the
+    on rows of counts from the convolution kernel, and ``eq2`` checks the
     same identity through the polynomial product; their agreement is a route
     agreement.
     """
 
     def check(N: int, k: int):
-        got = _expansion(2, N, k).coeffs
+        got = _expansion(2, N, k, 0, N * k)
         return N * k + 1, _row_failures((N, k), got, qbinom(N + k, N).coeffs)
 
     return _expansion_sweep("thm3.1", n_max, k_max, check)
@@ -697,16 +700,16 @@ def verify_thm33(
 
     With the two-kind generating function substituted, Thm 3.3 at (N, k) is
     the second Guo-Yang identity (eq3) at (m, n) = (N, k): rows of counts
-    here, checked with a plain convolution loop, against the polynomial
-    product in ``eq3``.
+    from the convolution kernel here, against the polynomial product in
+    ``eq3``.
     """
 
     def check(N: int, k: int):
-        rhs = ZERO
+        rhs = [0] * (N * k + 1)
         for j in range(k // 2 + 1):
-            row = IntPolynomial(pbar_convolution_totals(2, N, N, j, k - 2 * j))
-            rhs = rhs + (-row if signed and j % 2 else row)
-        return N * k + 1, _row_failures((N, k), _expansion(4, N, k).coeffs, rhs.coeffs)
+            row = _convolve(2, N, N, j, k - 2 * j, 0, N * k)
+            rhs = list(map(sub if signed and j % 2 else add, rhs, row))
+        return N * k + 1, _row_failures((N, k), _expansion(4, N, k, 0, N * k), rhs)
 
     note = "" if signed else " (sign factor dropped)"
     return _expansion_sweep("thm3.3", n_max, k_max, check, note)

@@ -11,10 +11,11 @@ Every count is computable by two or three independent routes:
 
 * ``*_genfun``      coefficient extraction from a product of Gaussian
                     polynomials (the generating-function route);
-* ``pbar_convolution``  a convolution of one-kind counts: one clipped sum
-                        for one target, or with ``pbar_convolution_totals``
-                        the whole row, built as one scaled copy of the
-                        second-kind row per first-kind count;
+* ``pbar_convolution``  a convolution of one-kind counts by one clipped
+                        kernel, ``_convolve``, that returns any window of
+                        targets: [n, n] here, the whole row for
+                        ``pbar_convolution_totals``, and shifted windows
+                        for the Thm 3.x expansions;
 * ``*_enumerate``   explicit brute-force enumeration of the partitions
                     themselves (the oracle; it never touches polynomial
                     arithmetic), generated in canonical order: descending
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .polynomial import ZERO, IntPolynomial, _check_dense, _exceeds, product
@@ -232,7 +233,7 @@ def p(N: int, k: int, n: int) -> int:
     """
     if N < 0 or k < 0 or n < 0:
         raise ValueError("p(N, k, n) needs nonnegative arguments")
-    return _coefficients(N + k, N, (n,))[0]
+    return _coefficients(N + k, N, n, n)[0]
 
 
 def partition_p(n: int) -> int:
@@ -250,7 +251,7 @@ def Q(N: int, k: int, n: int) -> int:
     """
     if N < 0 or k < 0 or n < 0:
         raise ValueError("Q(N, k, n) needs nonnegative arguments")
-    return _coefficients(N, k, (n - comb(k + 1, 2),))[0]
+    return _coefficients(N, k, n - comb(k + 1, 2), n - comb(k + 1, 2))[0]
 
 
 @lru_cache(maxsize=None)
@@ -286,49 +287,56 @@ def pbar_genfun(query: TwoKindQuery) -> int:
     return pbar_gf(query.r, query.n1, query.n2, query.k1, query.k2).coeff(query.n)
 
 
-def pbar_convolution(query: TwoKindQuery) -> int:
-    """Two-kind count as a convolution of one-kind counts.
+def _convolve(
+    r: int, n1: int, n2: int, k1: int, k2: int, low: int, high: int
+) -> list[int]:
+    """Entries ``low`` through ``high`` of the two-kind count row, by convolution.
 
-    Sums p(N1, k1, j) * p(N2, k2, n - r*j) over j up to n // r.  Each
-    p(N, k, m) is the coefficient of q^m in [N+k, N], and j runs only where
-    both coefficients can be nonzero: at most N1*k1 and at least
-    (n - N2*k2) / r.  Each row's coefficients are read once, from one
-    prefix of the row, so the work is bounded by the rows, not by n.
+    Entry n is the sum over j of p(N1, k1, j) * p(N2, k2, n - r*j), 0
+    outside the row.  j runs only where both counts can be nonzero for some
+    n in the window, and each row is read once, as the window those j need.
+    Each first-kind count then adds itself times the slice of the
+    second-kind window that lands in the window, one list comprehension
+    per j.  No polynomial product is used, so this route stays apart from
+    the generating-function one.
     """
-    r, n = query.r, query.n
-    low = max(0, -((query.n2 * query.k2 - n) // r))
-    high = min(n // r, query.n1 * query.k1)
-    first = _coefficients(query.n1 + query.k1, query.n1, range(low, high + 1))
-    second = _coefficients(
-        query.n2 + query.k2, query.n2, range(n - r * low, n - r * high - 1, -r)
-    )
-    return sum(map(mul, first, second))
+    j_low, j_high = max(0, -((n2 * k2 - low) // r)), min(n1 * k1, high // r)
+    first = _coefficients(n1 + k1, n1, j_low, j_high)
+    m_low = max(0, low - r * j_high)
+    second = _coefficients(n2 + k2, n2, m_low, min(n2 * k2, high - r * j_low))
+    out = [0] * (high - low + 1)
+    size, width = len(out), len(second)
+    for j, a in enumerate(first, j_low):
+        # out[i] takes a * second[i - shift], clipped by comparisons and by
+        # the slices' own ends, as in ``_picks``: min and max calls cost more
+        shift = r * j + m_low - low
+        start = shift if shift > 0 else 0
+        stop = shift + width
+        lands = second[start - shift:size - shift]
+        out[start:stop] = [c + a * b for c, b in zip(out[start:stop], lands)]
+    return out
+
+
+def pbar_convolution(query: TwoKindQuery) -> int:
+    """Two-kind count as a convolution of one-kind counts: ``_convolve`` at [n, n].
+
+    The query's fields are the kernel's (r, N1, N2, k1, k2) and low = n.
+    """
+    return _convolve(*query._values, query.n)[0]
 
 
 def pbar_convolution_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
     """Two-kind counts for every target, by the convolution route.
 
     Entry ``n`` is ``pbar_convolution`` at target n, for n from 0 through
-    r*N1*k1 + N2*k2, the same span as ``pbar_enumerate_totals``.  The row is
-    built whole rather than target by target: each first-kind count
-    p(N1, k1, j) adds itself times the whole second-kind row [N2+k2, N2]
-    into the entries from r*j on, one list comprehension per j.  That is
-    N1*k1 + 1 Python steps for the row.  No polynomial product is used, so
-    this route stays apart from the generating-function one.
+    r*N1*k1 + N2*k2, the same span as ``pbar_enumerate_totals``: the
+    ``_convolve`` window over the whole row, which reads both Gaussian rows
+    whole and takes N1*k1 + 1 Python steps.
     """
     _check_bounds(r, n1, n2, k1, k2)
     top = r * n1 * k1 + n2 * k2
     _check_dense(top)
-    first = qbinom(n1 + k1, n1).coeffs
-    second = qbinom(n2 + k2, n2).coeffs
-    width = len(second)
-    out = [0] * (top + 1)
-    for j, a in enumerate(first):
-        start = r * j
-        out[start:start + width] = [
-            c + a * b for c, b in zip(out[start:start + width], second)
-        ]
-    return out
+    return _convolve(r, n1, n2, k1, k2, 0, top)
 
 
 def qbar_genfun(query: TwoKindQuery) -> int:

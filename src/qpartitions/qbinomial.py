@@ -19,18 +19,18 @@ refused with ``ValueError`` before it is built.  The Pascal recurrences
 (``check_gr1``, ``check_gr2``) and the product characterization against the
 q-shifted factorial are independent checks, not the construction path.
 
-A count reads a few coefficients, not a whole row, so the count routes read
-through ``_coefficients``, which builds only a prefix: coefficients 0..D of
-the same product, truncated at q^(D+1), by the same builder, ``_build``.
-Only the factors 1 - q^m with m <= D act on it, and only the divisors
-1 - q^j with j <= min(bottom, D); division by 1 - q^j is exact in power
-series, so the truncated steps give the row's own coefficients, and a
-truncated step has no remainder to check.  A row reads the same from both
-ends, so coefficient n is read at min(n, degree - n).  Each cell keeps its
-longest prefix, and a read as deep as the middle of the row builds and keeps
-the whole row instead, the tuple ``qbinom`` wraps.  A prefix is admitted by
-the whole row's rule, so a read is refused exactly when ``qbinom`` would
-refuse its row.
+A count reads a few coefficients, not a whole row, so every count reads one
+window of a row, coefficients low..high, through ``_coefficients``, which
+builds only a prefix: coefficients 0..D of the same product, truncated at
+q^(D+1), by the same builder, ``_build``.  Only the factors 1 - q^m with
+m <= D act on it, and only the divisors 1 - q^j with j <= min(bottom, D);
+division by 1 - q^j is exact in power series, so the truncated steps give
+the row's own coefficients, and a truncated step has no remainder to check.
+A row reads the same from both ends, so a window past the middle is read
+from its mirror's prefix.  Each cell keeps its longest prefix, and a read as
+deep as the middle of the row builds and keeps the whole row instead, the
+tuple ``qbinom`` wraps.  A prefix is admitted by the whole row's rule, so a
+read is refused exactly when ``qbinom`` would refuse its row.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import threading
 from itertools import accumulate
 from operator import add, sub
-from typing import Sequence
 
 from .polynomial import ONE, IntPolynomial, _check_dense, _exceeds
 
@@ -113,41 +112,31 @@ def _build(top: int, bottom: int, depth: int) -> list[int]:
     return cs
 
 
-def _cell(top: int, bottom: int) -> int | None:
-    """The memo cell's bottom for [top, bottom], or None for the zero row.
+def _prefix(top: int, bottom: int, depth: int) -> tuple[int, ...]:
+    """Coefficients 0 through ``depth`` of [top, bottom] at least; () for the zero row.
 
     [top, bottom] == [top, top - bottom], so one cell, at the smaller
-    bottom, serves both.  A row past ``MAX_DENSE_DEGREE`` in degree, or past
-    ``MAX_GAUSSIAN_WORK`` in build steps, is refused with ``ValueError``.
+    bottom, serves both.  A read the cell holds returns the stored tuple at
+    once: the cell passed the limits when it was stored.  Otherwise a row
+    past ``MAX_DENSE_DEGREE`` in degree, or past ``MAX_GAUSSIAN_WORK`` in
+    build steps, is refused with ``ValueError``, and the cell is rebuilt at
+    least twice as deep, so a rising run of reads, such as a table's, costs
+    a constant factor over its last read.  A read reaching the middle of the
+    row builds the whole row, every step checked.  Every reader of a cell
+    shares its one stored tuple.
     """
     if bottom < 0 or bottom > top:
-        return None
-    bottom = min(bottom, top - bottom)
-    degree = bottom * (top - bottom)
+        return ()
+    if 2 * bottom > top:
+        bottom = top - bottom
+    key, degree = (top, bottom), bottom * (top - bottom)
+    held = _prefixes.get(key, ())
+    if len(held) > depth or len(held) > degree:
+        return held
     _check_dense(degree)
     if bottom * degree > MAX_GAUSSIAN_WORK:
         subject = f"build of Gaussian [{top}, {bottom}] in {bottom * degree} steps"
         raise _exceeds(subject, MAX_GAUSSIAN_WORK)
-    return bottom
-
-
-def _prefix(top: int, bottom: int, depth: int) -> tuple[int, ...]:
-    """Coefficients 0 through ``depth`` of [top, bottom] at least; () for the zero row.
-
-    A shorter row is returned whole, and a longer prefix held for the cell
-    is returned as it is.  A cell read deeper than it holds is rebuilt at
-    least twice as deep, so a rising run of reads, such as a table's, costs
-    a constant factor over its last read.  A read reaching the middle of the
-    row builds the whole row, every step checked.  The cell's stored tuple is
-    returned, so every reader of a cell shares one tuple.
-    """
-    bottom = _cell(top, bottom)
-    if bottom is None:
-        return ()
-    key, degree = (top, bottom), bottom * (top - bottom)
-    held = _prefixes.get(key, ())
-    if len(held) > min(depth, degree):
-        return held
     depth = max(depth, 2 * len(held))
     if 2 * depth >= degree:
         depth = degree
@@ -158,18 +147,26 @@ def _prefix(top: int, bottom: int, depth: int) -> tuple[int, ...]:
         return _prefixes[key]
 
 
-def _coefficients(top: int, bottom: int, indices: Sequence[int]) -> list[int]:
-    """The coefficients of [top, bottom] at ``indices``, 0 outside the row.
+def _coefficients(top: int, bottom: int, low: int, high: int) -> tuple[int, ...]:
+    """Coefficients ``low`` through ``high`` of [top, bottom], 0 outside the row.
 
-    Each index n in the row is read at min(n, degree - n), all of them from
-    one ``_prefix`` as deep as the deepest of those reads.  The row is
-    admitted even when no index falls in it.
+    A window no deeper than the middle of the row is a slice of a prefix,
+    and one wholly past the middle the reversed slice of its mirror's
+    prefix, since coefficient n is coefficient degree - n.  Any other window
+    crosses the middle, so its prefix is the whole row, and the window of the
+    whole row is the stored tuple itself.  The row is admitted even when the
+    window misses it.
     """
     degree = bottom * (top - bottom) if 0 <= bottom <= top else -1
-    inside = [n for n in indices if 0 <= n <= degree]
-    depth = min(max(inside), degree - min(inside), degree // 2) if inside else 0
-    cs = _prefix(top, bottom, depth)
-    return [cs[min(n, degree - n)] if 0 <= n <= degree else 0 for n in indices]
+    first, last = (low if low > 0 else 0), (high if high < degree else degree)
+    if first > last:
+        _prefix(top, bottom, 0)
+        return (0,) * (high - low + 1)
+    if 2 * first >= degree:
+        cs = _prefix(top, bottom, degree - first)[degree - last:degree - first + 1][::-1]
+    else:
+        cs = _prefix(top, bottom, last)[first:last + 1]
+    return (0,) * (first - low) + cs + (0,) * (high - last)
 
 
 def qbinom(top: int, bottom: int, step: int = 1) -> IntPolynomial:

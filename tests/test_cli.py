@@ -79,8 +79,10 @@ class TestGauss:
     def test_costly_gaussian_build_is_a_usage_error(self, capsys, monkeypatch):
         # with the limit at 11 steps, [6, 3] (27 steps) and [12, 6] (216) are
         # refused as count partition --n 3000 and gauss --top 6000 --bottom
-        # 1500 are at the real limit, and no row is built
+        # 1500 are at the real limit, and no row is built; the store starts
+        # empty, since a held row is not admitted again
         monkeypatch.setattr(qbinomial, "MAX_GAUSSIAN_WORK", 11)
+        monkeypatch.setattr(qbinomial, "_prefixes", {})
         monkeypatch.setattr(qbinomial, "_build", None)
         for argv in (
             ("gauss", "--top", "6", "--bottom", "3"),
@@ -570,9 +572,9 @@ class TestTable:
         # p(n) = p(b, b, n) for n <= b, so the range 3..7 reads [14, 7] alone
         read = set()
 
-        def recording(top, bottom, indices):
+        def recording(top, bottom, low, high):
             read.add((top, bottom))
-            return qbinomial._coefficients(top, bottom, indices)
+            return qbinomial._coefficients(top, bottom, low, high)
 
         monkeypatch.setattr(partitions, "_coefficients", recording)
         code, out, _ = run(capsys, "table", "partition", "--n", "3..7")

@@ -243,6 +243,7 @@ class TestGridLimit:
         assert verify_thm21(r_max=2, param_max=1).checked == 32
         monkeypatch.setattr(identities, "MAX_GRID_POINTS", 31)
         monkeypatch.setattr(identities, "pbar_convolution_totals", None)
+        monkeypatch.setattr(partitions, "_convolve", None)
         with pytest.raises(ValueError, match="thm2.1: grid of 32 points"):
             verify_thm21(r_max=2, param_max=1)
 
@@ -288,6 +289,8 @@ class TestGridLimit:
         assert report.passed and report.checked == checked
         monkeypatch.setattr(identities, "MAX_GRID_POINTS", 29)
         monkeypatch.setattr(identities, "pbar_convolution_totals", None)
+        monkeypatch.setattr(identities, "_convolve", None)
+        monkeypatch.setattr(partitions, "_convolve", None)
         monkeypatch.setattr(identities, "qbinom", None)
         refusal = f"^{identity_id}: grid of 30 {unit} exceeds the limit of 29$"
         with pytest.raises(ValueError, match=refusal):
@@ -327,10 +330,10 @@ class TestGridLimit:
         rows = set()
         real = partitions._coefficients
 
-        def recording(top, bottom, indices):
+        def recording(top, bottom, low, high):
             if 0 <= bottom <= top:
                 rows.add((top, min(bottom, top - bottom)))
-            return real(top, bottom, indices)
+            return real(top, bottom, low, high)
 
         monkeypatch.setattr(partitions, "_coefficients", recording)
         assert verify_cor32(n_max=n_max).passed
@@ -1012,9 +1015,10 @@ class TestOneKindExpansion:
     def test_single_target_matches_the_row(self):
         for N in range(9):
             for k in range(9):
-                row = identities._expansion(2, N, k)
+                row = identities._expansion(2, N, k, 0, N * k + 2)
+                assert row[-2:] == [0, 0]
                 for n in range(N * k + 3):
-                    assert expand_p_thm31(N, k, n) == row.coeff(n) == p(N, k, n)
+                    assert expand_p_thm31(N, k, n) == row[n] == p(N, k, n)
 
     def test_small_target_at_large_bounds(self):
         assert expand_p_thm31(40, 40, 5) == p(40, 40, 5) == 7

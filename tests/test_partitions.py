@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartitions import partitions, polynomial
+from qpartitions import identities, partitions, polynomial
+from qpartitions.cli import main
 from qpartitions.identities import Counterexample
 from qpartitions.partitions import (
     DistinctTwoKindPartition,
@@ -705,6 +706,84 @@ class TestRouteAgreement:
         for n, expected in enumerate(totals):
             assert len(pbar_enumerate(TwoKindQuery(2, 2, 3, 2, 2, n))) == expected
         assert totals[4] == 6
+
+
+class TestConvolutionKernel:
+    """``_convolve``, the one kernel of every two-kind count by convolution.
+
+    The per-target ``pbar_convolution``, the row ``pbar_convolution_totals``
+    and the Thm 3.x expansions all read windows of it, so a fault in it
+    must show in every verifier that reads one of them.
+    """
+
+    @staticmethod
+    def expected(row, low, high):
+        return [row[n] if 0 <= n < len(row) else 0 for n in range(low, high + 1)]
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_windows_match_the_enumeration_row(self, data):
+        r = data.draw(st.integers(1, 4), label="r")
+        bounds = [data.draw(st.integers(0, 5)) for _ in range(4)]
+        row = pbar_enumerate_totals(r, *bounds)
+        top = len(row) - 1
+        shapes = ("single", "any", "below", "above")
+        shape = data.draw(st.sampled_from(shapes), label="shape")
+        if shape == "single":
+            low = high = data.draw(st.integers(-2, top + 2), label="n")
+        elif shape == "any":
+            low = data.draw(st.integers(-top - 3, top + 3), label="low")
+            high = data.draw(st.integers(low - 1, top + 3), label="high")
+        else:
+            # a window wholly past one end of the row: no first-kind count
+            # falls in it
+            width = data.draw(st.integers(1, 5), label="width")
+            gap = data.draw(st.integers(0, 3), label="gap")
+            low = -gap - width if shape == "below" else top + 1 + gap
+            high = low + width - 1
+        got = partitions._convolve(r, *bounds, low, high)
+        assert got == self.expected(row, low, high), (r, bounds, low, high)
+
+    def test_edge_windows(self):
+        # (r, N1, N2, k1, k2) = (2, 2, 3, 2, 2) spans targets 0..14
+        row = pbar_enumerate_totals(2, 2, 3, 2, 2)
+        windows = ((0, 14), (-3, 2), (12, 17), (15, 20), (-5, -1), (7, 7), (7, 6))
+        for low, high in windows:
+            got = partitions._convolve(2, 2, 3, 2, 2, low, high)
+            assert got == self.expected(row, low, high), (low, high)
+        # no first-kind part allowed: the row is the second kind's alone
+        assert partitions._convolve(3, 0, 2, 4, 2, -1, 5) == [0, 1, 1, 2, 1, 1, 0]
+
+    def test_a_fault_in_the_kernel_fails_every_reader(self, monkeypatch, capsys):
+        grids = {
+            "thm2.1": {"r_max": 2, "param_max": 2},
+            "thm3.1": {"n_max": 5, "k_max": 5},
+            "thm3.3": {"n_max": 4, "k_max": 6},
+            "cor3.2": {"n_max": 20},
+        }
+        argv = ["count", "pbar", "--r", "2", "--n1", "1", "--n2", "1", "--k1", "1",
+                "--k2", "1", "--n", "1", "--method", "all"]
+        for identity_id, grid in grids.items():
+            assert identities.run_identity(identity_id, **grid).passed
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        real = partitions._convolve
+
+        def faulty(r, n1, n2, k1, k2, low, high):
+            # one more at target 1, wherever a window holds it
+            out = real(r, n1, n2, k1, k2, low, high)
+            if low <= 1 <= high:
+                out[1 - low] += 1
+            return out
+
+        monkeypatch.setattr(partitions, "_convolve", faulty)
+        monkeypatch.setattr(identities, "_convolve", faulty)
+        for identity_id, grid in grids.items():
+            assert not identities.run_identity(identity_id, **grid).passed, identity_id
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "route disagreement: genfun=1, convolution=2, enumerate=1\n"
 
 
 class TestSymmetryAndReflection:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpartitions import polynomial
+from qpartitions import polynomial, qbinomial
 from qpartitions.polynomial import (
     ONE,
     ZERO,
@@ -360,8 +360,10 @@ def test_product_at_a_step_matches_schoolbook(a, b, step):
 
 class TestDenseDegreeLimit:
     def test_boundary(self, monkeypatch):
-        # every dense builder takes degree 6 and refuses degree 7 or 8
+        # every dense builder takes degree 6 and refuses degree 7 or 8; the
+        # Gaussian store starts empty, since a held row is not admitted again
         monkeypatch.setattr(polynomial, "MAX_DENSE_DEGREE", 6)
+        monkeypatch.setattr(qbinomial, "_prefixes", {})
         packing = Packing(1)
         assert P(1, 1, 1).inflate(3).degree == 6
         assert P(1, 1).shift(5).degree == 6

@@ -180,7 +180,7 @@ class TestPrefix:
         assert mirrored[: depths[-1] + 1] == row[: depths[-1] + 1]
 
     def test_reads_the_far_end_from_its_mirror(self, monkeypatch):
-        # [12, 4] has degree 32, so q^30 is read at depth 2 as q^2
+        # [12, 4] has degree 32, so q^30..q^32 is read at depth 2 as q^2..q^0
         row = qbinom(12, 4).coeffs
         depths = []
         real = qbinomial._prefix
@@ -190,13 +190,32 @@ class TestPrefix:
             return real(top, bottom, depth)
 
         monkeypatch.setattr(qbinomial, "_prefix", recording)
-        assert qbinomial._coefficients(12, 4, (30, 31, 32)) == list(row[30:])
-        assert qbinomial._coefficients(12, 8, (29,)) == [row[29]] == [row[3]]
-        assert qbinomial._coefficients(12, 4, (-1, 33, 5)) == [0, 0, row[5]]
-        # a span across the middle reads to the middle
-        assert qbinomial._coefficients(12, 4, range(10, 21)) == list(row[10:21])
-        assert qbinomial._coefficients(3, 5, (0, 1)) == [0, 0]
-        assert depths == [2, 3, 5, 16, 0]
+        assert qbinomial._coefficients(12, 4, 30, 32) == row[30:]
+        assert qbinomial._coefficients(12, 8, 29, 29) == (row[29],) == (row[3],)
+        assert qbinomial._coefficients(12, 4, -1, 5) == (0,) + row[:6]
+        assert qbinomial._coefficients(12, 4, 31, 34) == row[31:] + (0, 0)
+        # a window across the middle reads the whole row, and a full window
+        # is the stored tuple itself
+        assert qbinomial._coefficients(12, 4, 10, 20) == row[10:21]
+        assert qbinomial._coefficients(12, 4, 0, 32) is row
+        # a window that misses the row reads zeros and still admits it
+        assert qbinomial._coefficients(3, 5, 0, 1) == (0, 0)
+        assert qbinomial._coefficients(12, 4, -3, -1) == (0, 0, 0)
+        assert qbinomial._coefficients(12, 4, 33, 33) == (0,)
+        assert depths == [2, 3, 5, 1, 20, 32, 0, 0, 0]
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_cold_window_matches_the_row(self, data):
+        top = data.draw(st.integers(0, 30), label="top")
+        bottom = data.draw(st.integers(-2, top + 2), label="bottom")
+        row = qbinom(top, bottom).coeffs
+        low = data.draw(st.integers(-3, len(row) + 3), label="low")
+        high = data.draw(st.integers(low - 1, len(row) + 3), label="high")
+        inside = range(len(row))
+        expected = tuple(row[n] if n in inside else 0 for n in range(low, high + 1))
+        qbinomial._prefixes.clear()
+        assert qbinomial._coefficients(top, bottom, low, high) == expected
 
     def test_build_at_every_depth_is_the_row_truncated(self):
         # [30, 12] takes both division walks: along the residue classes
@@ -218,14 +237,35 @@ class TestPrefix:
         assert len(qbinomial._build(8, 4, 3)) == 4
 
     def test_prefix_is_admitted_by_the_whole_row_rule(self, monkeypatch):
-        # [5, 2] takes 12 steps whole, so even its first coefficient is refused
+        # [5, 2] takes 12 steps whole, so even its first coefficient is
+        # refused, and so is a window that misses the row; the store starts
+        # empty, since a held row is not admitted again
         monkeypatch.setattr(qbinomial, "MAX_GAUSSIAN_WORK", 11)
+        monkeypatch.setattr(qbinomial, "_prefixes", {})
         refusal = r"^build of Gaussian \[5, 2\] in 12 steps exceeds the limit of 11$"
-        for bottom in (2, 3):
+        for bottom, low, high in ((2, 0, 0), (3, 0, 0), (2, 7, 9), (3, -2, -1)):
             with pytest.raises(ValueError, match=refusal):
-                qbinomial._coefficients(5, bottom, (0,))
+                qbinomial._coefficients(5, bottom, low, high)
         with pytest.raises(ValueError, match="^dense degree 100000000 exceeds"):
             qbinomial._prefix(20000, 10000, 0)
+
+    def test_held_cell_is_read_before_admission(self, monkeypatch):
+        # a held cell passed the limits when it was stored, so a read it
+        # covers skips them; a deeper read is admitted again
+        monkeypatch.setattr(qbinomial, "_prefixes", {})
+        row = qbinom(9, 4).coeffs
+        prefix = qbinomial._prefix(20, 5, 2)
+
+        def unreachable(degree):
+            raise AssertionError(f"admitted degree {degree}")
+
+        monkeypatch.setattr(qbinomial, "_check_dense", unreachable)
+        assert qbinomial._prefix(9, 5, 3) is row
+        assert qbinom(9, 5).coeffs is row
+        assert qbinomial._coefficients(9, 4, 0, 20) is row
+        assert qbinomial._prefix(20, 15, 1) is prefix
+        with pytest.raises(AssertionError, match="^admitted degree 75$"):
+            qbinomial._prefix(20, 5, 10)
 
 
 class TestOneStore:
