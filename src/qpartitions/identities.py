@@ -14,13 +14,17 @@ Every verifier states the total work of its whole grid, and ``_sweep``
 refuses a grid over its limit with ``ValueError`` before the first point.
 The points come first: a grid of more than ``MAX_GRID_POINTS`` points is
 refused.  A verifier's ``cost`` then sizes the whole grid in its own unit.
-A point (a, b) of Thm 3.1, Thm 3.3, eq2 or eq3 makes a*b + 1 units of work:
-comparisons for Thm 3.x (the report's ``checked``), and for eq2 and eq3 the
-coefficients of the Gaussian [a+b, b] that the memo keeps.  Cor 3.2 counts
-whole rows, more than the prefixes its grid reads: [2n, n], of n*n + 1
-coefficients, at point n, and [n+j, j] and [n+1, 2j+1] for its terms; the
-grid counts each distinct row once, after its [2n, n] rows alone have
-passed.  Thm 2.3, 2.4 and 2.5 count the coefficients of the ``pbar_gf`` and
+Each of the two grid shapes has one sweep, which writes its axes and its
+report text once.  ``_rectangle_sweep`` runs Thm 3.1, Thm 3.3, eq2 and eq3
+at every (a, b) up to a bound pair and costs them too: a point makes
+a*b + 1 units of work, comparisons for Thm 3.x (the report's ``checked``)
+and for eq2 and eq3 the coefficients of the Gaussian [a+b, b] that the memo
+keeps.  ``_two_kind_sweep`` runs Thm 2.1, 2.2, 2.4, 2.5 and 2.6 at every
+(r, N1, N2, k1, k2), each with its own cost; Thm 2.3, whose N1 and N2
+start at 1, and Cor 3.2 build their own axes.  Cor 3.2 counts whole rows,
+more than the prefixes its grid reads: [2n, n], of n*n + 1 coefficients, at
+point n, and [n+j, j] and [n+1, 2j+1] for its terms; the grid counts each
+distinct row once, after its [2n, n] rows alone have passed.  Thm 2.3, 2.4 and 2.5 count the coefficients of the ``pbar_gf`` and
 ``qbar_gf`` memo entries their grid reads, neighbours included: each bound
 pair's share summed over one kind's pairs, in closed form in r.  These are
 held to ``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed:
@@ -42,7 +46,7 @@ single entry point used by the command-line front end.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product, zip_longest
 from math import comb, isqrt, prod
 from operator import add, sub
@@ -52,7 +56,6 @@ from ._ids import IDENTITY_IDS
 from .polynomial import ONE, IntPolynomial, Packing, _exceeds, packed_sums
 from .qbinomial import qbinom
 from .partitions import (
-    TwoKindQuery,
     _Record,
     _check_walk,
     _convolve,
@@ -60,7 +63,6 @@ from .partitions import (
     _row,
     _walk,
     partition_p,
-    pbar_convolution,
     pbar_convolution_totals,
     pbar_gf,
     qbar_gf,
@@ -82,7 +84,6 @@ __all__ = [
     "verify_thm31",
     "verify_thm33",
     "verify_cor32",
-    "expand_p_thm31",
     "corollary_lower_index",
     "corollary_term_count",
     "corollary_terms",
@@ -232,12 +233,38 @@ def _sweep(
     return VerificationReport(identity_id, grid, checked, failures)
 
 
-def _rectangle_work(a_max: int, b_max: int) -> int:
-    """The sum of a*b + 1 over 0 <= a <= ``a_max`` and 0 <= b <= ``b_max``.
+def _rectangle_sweep(
+    identity_id: str, names: str, a_max: int, b_max: int, check: Callable, unit: str,
+    note: str = "",
+) -> VerificationReport:
+    """Run ``check(a, b)`` at every point of 0 <= a <= ``a_max``, 0 <= b <= ``b_max``.
 
-    It is C(a_max+1, 2) * C(b_max+1, 2) + (a_max+1) * (b_max+1).
+    ``names`` names the two axes in the report's grid text, which ``note``
+    ends.  A point (a, b) makes a*b + 1 units of work in ``unit``, so the
+    grid costs C(a_max+1, 2) * C(b_max+1, 2) + (a_max+1) * (b_max+1) of
+    them, held to ``MAX_GRID_POINTS``.
     """
-    return comb(a_max + 1, 2) * comb(b_max + 1, 2) + (a_max + 1) * (b_max + 1)
+
+    def cost():
+        work = comb(a_max + 1, 2) * comb(b_max + 1, 2) + (a_max + 1) * (b_max + 1)
+        return work, unit, MAX_GRID_POINTS
+
+    grid = ", ".join(map("0<={}<={}".format, names.split(), (a_max, b_max))) + note
+    return _sweep(identity_id, grid, (range(a_max + 1), range(b_max + 1)), check, cost)
+
+
+def _two_kind_sweep(
+    identity_id: str, r_max: int, param_max: int, check: Callable, cost: Callable,
+    note: str = "",
+) -> VerificationReport:
+    """Run ``check(r, N1, N2, k1, k2)`` at every point of the two-kind grid.
+
+    r runs from 1 to ``r_max`` and each bound from 0 to ``param_max``;
+    ``note`` ends the report's grid text, and ``cost`` sizes the grid.
+    """
+    grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}{note}"
+    axes = (range(1, r_max + 1), *[range(param_max + 1)] * 4)
+    return _sweep(identity_id, grid, axes, check, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +294,7 @@ def _gaussian_sweep(
     their totals are.
 
     The Gaussian memo keeps every [m+j, j] the grid builds, m*j + 1
-    coefficients each, so the grid's cost is their sum over the whole grid.
+    coefficients each, so the grid is a rectangle costed in them.
     """
 
     @lru_cache(maxsize=1)
@@ -288,11 +315,8 @@ def _gaussian_sweep(
         (lhs, _), (rhs, _) = totals[2 * n], totals[2 * n + 1]
         return 1, _packed_mismatch((m, n), packing, lhs, rhs)
 
-    def cost():
-        return _rectangle_work(m_max, n_max), "Gaussian coefficients", MAX_GRID_POINTS
-
-    grid = f"0<=m<={m_max}, 0<=n<={n_max}"
-    return _sweep(identity_id, grid, (range(m_max + 1), range(n_max + 1)), check, cost)
+    unit = "Gaussian coefficients"
+    return _rectangle_sweep(identity_id, "m n", m_max, n_max, check, unit)
 
 
 def verify_guo_yang_1(m_max: int = 10, n_max: int = 10) -> VerificationReport:
@@ -322,12 +346,6 @@ def verify_guo_yang_2(m_max: int = 10, n_max: int = 10) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # Structural properties of the two-kind counting function.
-
-
-def _two_kind_grid(r_max: int, param_max: int, lower: int = 0) -> tuple[range, ...]:
-    """The axes r, N1, N2, k1, k2 of a two-kind grid; N1 and N2 start at ``lower``."""
-    bounds, parts = range(lower, param_max + 1), range(param_max + 1)
-    return range(1, r_max + 1), bounds, bounds, parts, parts
 
 
 def _generating_function_cost(r_max: int, *sets: list[int]) -> tuple[int, str, int]:
@@ -393,9 +411,7 @@ def _rows_against_oracle(
         picks = sum(comb(t, k) for k, t in walks)
         return r_max * picks**2, "pairs of picks", MAX_GRID_WORK
 
-    grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}, all n"
-    axes = _two_kind_grid(r_max, param_max)
-    return _sweep(identity_id, grid, axes, check, cost)
+    return _two_kind_sweep(identity_id, r_max, param_max, check, cost, ", all n")
 
 
 def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
@@ -477,8 +493,8 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
         f"1<=r<={r_max}, 1<=N1,N2<={param_max}, 0<=k1,k2<={param_max}, "
         "three relations, all n"
     )
-    axes = _two_kind_grid(r_max, param_max, lower=1)
-    return _sweep("thm2.3", grid, axes, check, lambda: _pbar_gf_cost(r_max, param_max))
+    axes = (range(1, r_max + 1), *[range(1, param_max + 1)] * 2, *[range(param_max + 1)] * 2)
+    return _sweep("thm2.3", grid, axes, check, partial(_pbar_gf_cost, r_max, param_max))
 
 
 def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -510,9 +526,8 @@ def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
             found += _mismatch(params, gf, IntPolynomial(tuple(reversed(gf.coeffs))))
         return 1, found
 
-    grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}"
-    axes = _two_kind_grid(r_max, param_max)
-    return _sweep("thm2.4", grid, axes, check, lambda: _pbar_gf_cost(r_max, param_max))
+    cost = partial(_pbar_gf_cost, r_max, param_max)
+    return _two_kind_sweep("thm2.4", r_max, param_max, check, cost)
 
 
 def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -549,8 +564,7 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
         qbar = [k * (n - k) + comb(k + 1, 2) for n, k in pairs]
         return _generating_function_cost(r_max, qbar, [(n - k) * k for n, k in pairs])
 
-    grid = f"1<=r<={r_max}, 0<=N1,N2,k1,k2<={param_max}"
-    return _sweep("thm2.5", grid, _two_kind_grid(r_max, param_max), check, cost)
+    return _two_kind_sweep("thm2.5", r_max, param_max, check, cost)
 
 
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -582,34 +596,6 @@ def _expansion(r: int, N: int, k: int, low: int, high: int) -> list[int]:
     return total
 
 
-def expand_p_thm31(N: int, k: int, n: int) -> int:
-    """One-kind count p(N, k, n) expanded as a sum of two-kind counts at r=2.
-
-    Sums the two-kind count at (N, N+1-k+2j, j, k-2j, n - C(k-2j, 2)) over
-    j up to k // 2; out-of-range summands contribute 0.  It is the
-    one-entry window of ``_expansion``, so each summand is one clipped
-    convolution at its own target, and one coefficient costs no whole row.
-    """
-    if N < 0 or k < 0 or n < 0:
-        raise ValueError("expand_p_thm31 needs nonnegative arguments")
-    return _expansion(2, N, k, n, n)[0]
-
-
-def _expansion_sweep(
-    identity_id: str, n_max: int, k_max: int, check: Callable, note: str = ""
-) -> VerificationReport:
-    """Run a check of Thm 3.1 or Thm 3.3 at every (N, k), costed in comparisons.
-
-    A point (N, k) compares rows of N*k + 1 counts.
-    """
-
-    def cost():
-        return _rectangle_work(n_max, k_max), "comparisons", MAX_GRID_POINTS
-
-    grid = f"0<=N<={n_max}, 0<=k<={k_max}, 0<=n<=N*k{note}"
-    return _sweep(identity_id, grid, (range(n_max + 1), range(k_max + 1)), check, cost)
-
-
 def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:
     """The r=2 expansion against the one-kind count, over a full grid.
 
@@ -624,7 +610,8 @@ def verify_thm31(n_max: int = 8, k_max: int = 8) -> VerificationReport:
         got = _expansion(2, N, k, 0, N * k)
         return N * k + 1, _row_failures((N, k), got, qbinom(N + k, N).coeffs)
 
-    return _expansion_sweep("thm3.1", n_max, k_max, check)
+    note = ", 0<=n<=N*k"
+    return _rectangle_sweep("thm3.1", "N k", n_max, k_max, check, "comparisons", note)
 
 
 def corollary_lower_index(n: int) -> int:
@@ -650,12 +637,11 @@ def corollary_terms(n: int) -> list[int]:
     """The summand values of the partition formula for n, in index order.
 
     Term j is the two-kind count at r=2 with bounds
-    (n, n-2j, j, 2j+1) and target n - C(n-2j, 2).
+    (n, n-2j, j, 2j+1) and target t = n - C(n-2j, 2): the one-entry window
+    [t, t] of ``_convolve``, as ``_expansion`` reads it.
     """
     return [
-        pbar_convolution(
-            TwoKindQuery(2, n, n - 2 * j, j, 2 * j + 1, n - comb(n - 2 * j, 2))
-        )
+        _convolve(2, n, n - 2 * j, j, 2 * j + 1, t := n - comb(n - 2 * j, 2), t)[0]
         for j in range(corollary_lower_index(n), n // 2 + 1)
     ]
 
@@ -711,8 +697,8 @@ def verify_thm33(
             rhs = list(map(sub if signed and j % 2 else add, rhs, row))
         return N * k + 1, _row_failures((N, k), _expansion(4, N, k, 0, N * k), rhs)
 
-    note = "" if signed else " (sign factor dropped)"
-    return _expansion_sweep("thm3.3", n_max, k_max, check, note)
+    note = ", 0<=n<=N*k" + ("" if signed else " (sign factor dropped)")
+    return _rectangle_sweep("thm3.3", "N k", n_max, k_max, check, "comparisons", note)
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,15 @@ class TwoKindQuery(_Record):
         super().__init__(r, n1, n2, k1, k2, n)
 
 
-def _check_bounds(r: int, n1: int, n2: int, k1: int, k2: int) -> None:
-    """Reject a step below 1 and negative bounds, naming the first offender."""
+def _check_step(r: int) -> None:
+    """Reject a divisibility step below 1."""
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
+
+
+def _check_bounds(r: int, n1: int, n2: int, k1: int, k2: int) -> None:
+    """Reject a step below 1 and negative bounds, naming the first offender."""
+    _check_step(r)
     for name, value in (("n1", n1), ("n2", n2), ("k1", k1), ("k2", k2)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -258,11 +263,13 @@ def Q(N: int, k: int, n: int) -> int:
 def pbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
     """Generating function of the two-kind counts: [N1+k1, N1] at q^r times [N2+k2, N2].
 
-    Negative bounds yield the zero polynomial, the convention under which the
-    recurrence and bijection identities are total.  The step-1 row
-    [N1+k1, N1] goes to ``product`` with step r, which pads it as it packs,
-    so no copy at q^r is built.
+    A step r below 1 is refused with ``ValueError``.  Negative bounds yield
+    the zero polynomial, the convention under which the recurrence and
+    bijection identities are total.  The step-1 row [N1+k1, N1] goes to
+    ``product`` with step r, which pads it as it packs, so no copy at q^r is
+    built.
     """
+    _check_step(r)
     if n1 < 0 or n2 < 0 or k1 < 0 or k2 < 0:
         return ZERO
     return product(qbinom(n1 + k1, n1).coeffs, qbinom(n2 + k2, n2).coeffs, r)
@@ -274,8 +281,9 @@ def qbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
 
     This is q^(r*C(k1+1, 2) + C(k2+1, 2)) * [N1, k1] at q^r * [N2, k2],
     with the step-1 row [N1, k1] taken to q^r by ``product`` as in
-    ``pbar_gf``.
+    ``pbar_gf``, and the same refusal of a step below 1.
     """
+    _check_step(r)
     if n1 < 0 or n2 < 0 or k1 < 0 or k2 < 0:
         return ZERO
     gf = product(qbinom(n1, k1).coeffs, qbinom(n2, k2).coeffs, r)

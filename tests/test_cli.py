@@ -370,9 +370,38 @@ class TestVerify:
             "--n-max", "3", "--k-max", "3",
         )
         assert code == 0
-        lines = [line for line in out.splitlines() if line]
-        assert len(lines) == 11
-        assert all("PASS" in line for line in lines)
+        assert out.splitlines() == [
+            "thm2.1: PASS (checked=162, grid 1<=r<=2, 0<=N1,N2,k1,k2<=2, all n)",
+            "thm2.2: PASS (checked=162, grid 1<=r<=2, 0<=N1,N2,k1,k2<=2, all n)",
+            "thm2.3: PASS (checked=216, grid 1<=r<=2, 1<=N1,N2<=2, 0<=k1,k2<=2, "
+            "three relations, all n)",
+            "thm2.4: PASS (checked=162, grid 1<=r<=2, 0<=N1,N2,k1,k2<=2)",
+            "thm2.5: PASS (checked=162, grid 1<=r<=2, 0<=N1,N2,k1,k2<=2)",
+            "thm2.6: PASS (checked=162, grid 1<=r<=2, 0<=N1,N2,k1,k2<=2, all n)",
+            "thm3.1: PASS (checked=52, grid 0<=N<=3, 0<=k<=3, 0<=n<=N*k)",
+            "thm3.3: PASS (checked=52, grid 0<=N<=3, 0<=k<=3, 0<=n<=N*k)",
+            "cor3.2: PASS (checked=4, grid 0<=n<=3)",
+            "eq2: PASS (checked=16, grid 0<=m<=3, 0<=n<=3)",
+            "eq3: PASS (checked=16, grid 0<=m<=3, 0<=n<=3)",
+        ]
+
+    def test_all_at_the_default_grids(self, capsys):
+        code, out, err = run(capsys, "verify", "all")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "thm2.1: PASS (checked=1875, grid 1<=r<=3, 0<=N1,N2,k1,k2<=4, all n)",
+            "thm2.2: PASS (checked=1875, grid 1<=r<=3, 0<=N1,N2,k1,k2<=4, all n)",
+            "thm2.3: PASS (checked=8100, grid 1<=r<=3, 1<=N1,N2<=5, 0<=k1,k2<=5, "
+            "three relations, all n)",
+            "thm2.4: PASS (checked=3888, grid 1<=r<=3, 0<=N1,N2,k1,k2<=5)",
+            "thm2.5: PASS (checked=3888, grid 1<=r<=3, 0<=N1,N2,k1,k2<=5)",
+            "thm2.6: PASS (checked=3888, grid 1<=r<=3, 0<=N1,N2,k1,k2<=5, all n)",
+            "thm3.1: PASS (checked=1377, grid 0<=N<=8, 0<=k<=8, 0<=n<=N*k)",
+            "thm3.3: PASS (checked=357, grid 0<=N<=5, 0<=k<=6, 0<=n<=N*k)",
+            "cor3.2: PASS (checked=61, grid 0<=n<=60)",
+            "eq2: PASS (checked=121, grid 0<=m<=10, 0<=n<=10)",
+            "eq3: PASS (checked=121, grid 0<=m<=10, 0<=n<=10)",
+        ]
 
     def test_quiet_still_signals_by_exit_code(self, capsys):
         code, out, _ = run(
@@ -537,10 +566,24 @@ class TestVerify:
             "--n-max", "1", "--k-max", "1", "--format", "json",
         )
         assert code == 0
-        payload = json.loads(out)
-        assert payload["pass"] is True
-        assert len(payload["reports"]) == 11
-        assert canonical(payload) == out.strip()
+        reports = [
+            ("thm2.1", 16, "1<=r<=1, 0<=N1,N2,k1,k2<=1, all n"),
+            ("thm2.2", 16, "1<=r<=1, 0<=N1,N2,k1,k2<=1, all n"),
+            ("thm2.3", 12, "1<=r<=1, 1<=N1,N2<=1, 0<=k1,k2<=1, three relations, all n"),
+            ("thm2.4", 16, "1<=r<=1, 0<=N1,N2,k1,k2<=1"),
+            ("thm2.5", 16, "1<=r<=1, 0<=N1,N2,k1,k2<=1"),
+            ("thm2.6", 16, "1<=r<=1, 0<=N1,N2,k1,k2<=1, all n"),
+            ("thm3.1", 5, "0<=N<=1, 0<=k<=1, 0<=n<=N*k"),
+            ("thm3.3", 5, "0<=N<=1, 0<=k<=1, 0<=n<=N*k"),
+            ("cor3.2", 2, "0<=n<=1"),
+            ("eq2", 4, "0<=m<=1, 0<=n<=1"),
+            ("eq3", 4, "0<=m<=1, 0<=n<=1"),
+        ]
+        payload = {"pass": True, "reports": [
+            {"checked": checked, "failures": [], "grid": grid, "identity_id": identity_id}
+            for identity_id, checked, grid in reports
+        ]}
+        assert out == canonical(payload) + "\n"
 
 
 class TestTable:

@@ -19,7 +19,6 @@ from qpartitions.identities import (
     corollary_lower_index,
     corollary_term_count,
     corollary_terms,
-    expand_p_thm31,
     p_by_corollary,
     run_identity,
     verify_cor32,
@@ -296,11 +295,24 @@ class TestGridLimit:
         with pytest.raises(ValueError, match=refusal):
             verifier(2, 3)
 
-    def test_rectangle_work_sums_every_point(self):
-        for a_max, b_max in itertools.product(range(8), repeat=2):
-            assert identities._rectangle_work(a_max, b_max) == sum(
-                a * b + 1 for a in range(a_max + 1) for b in range(b_max + 1)
+    def test_rectangle_sweep_costs_every_point(self, monkeypatch):
+        # a point (a, b) costs a*b + 1 units, summed over the whole rectangle;
+        # from 1 up, each rectangle costs more units than it has points
+        def sweep(a_max, b_max):
+            return identities._rectangle_sweep(
+                "x", "a b", a_max, b_max, lambda a, b: (1, []), "units", ", note"
             )
+
+        for a_max, b_max in itertools.product(range(1, 8), repeat=2):
+            work = sum(a * b + 1 for a in range(a_max + 1) for b in range(b_max + 1))
+            monkeypatch.setattr(identities, "MAX_GRID_POINTS", work)
+            report = sweep(a_max, b_max)
+            assert report.checked == (a_max + 1) * (b_max + 1)
+            assert report.grid == f"0<=a<={a_max}, 0<=b<={b_max}, note"
+            monkeypatch.setattr(identities, "MAX_GRID_POINTS", work - 1)
+            refusal = f"^x: grid of {work} units exceeds the limit of {work - 1}$"
+            with pytest.raises(ValueError, match=refusal):
+                sweep(a_max, b_max)
 
     def test_corollary_grid_counts_its_gaussian_rows(self, monkeypatch):
         # n <= 3 builds [2n, n] of n*n + 1 coefficients, 1 + 2 + 5 + 10 = 18,
@@ -939,7 +951,7 @@ class TestOracleRows:
         rows = {
             gap: {
                 bounds: list(gf(*bounds).coeffs)
-                for bounds in itertools.product(*identities._two_kind_grid(*grid))
+                for bounds in itertools.product(range(1, 3), *[range(4)] * 4)
             }
             for gap, gf in ((0, pbar_gf), (1, qbar_gf))
         }
@@ -1002,15 +1014,17 @@ class TestOracleRows:
 
 
 class TestOneKindExpansion:
+    """p(N, k, n) by the r=2 expansion of Thm 3.1, one window of ``_expansion``."""
+
     def test_trivial_cases(self):
         for N in range(4):
-            assert expand_p_thm31(N, 0, 0) == 1
+            assert identities._expansion(2, N, 0, 0, 0)[0] == 1
 
     def test_small_case(self):
-        assert expand_p_thm31(2, 2, 2) == 2 == p(2, 2, 2)
+        assert identities._expansion(2, 2, 2, 2, 2)[0] == 2 == p(2, 2, 2)
 
     def test_partition_number_case(self):
-        assert expand_p_thm31(6, 6, 6) == 11 == p(6, 6, 6)
+        assert identities._expansion(2, 6, 6, 6, 6)[0] == 11 == p(6, 6, 6)
 
     def test_single_target_matches_the_row(self):
         for N in range(9):
@@ -1018,15 +1032,10 @@ class TestOneKindExpansion:
                 row = identities._expansion(2, N, k, 0, N * k + 2)
                 assert row[-2:] == [0, 0]
                 for n in range(N * k + 3):
-                    assert expand_p_thm31(N, k, n) == row[n] == p(N, k, n)
+                    assert identities._expansion(2, N, k, n, n)[0] == row[n] == p(N, k, n)
 
     def test_small_target_at_large_bounds(self):
-        assert expand_p_thm31(40, 40, 5) == p(40, 40, 5) == 7
-
-    @pytest.mark.parametrize("args", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
-    def test_negative_rejected(self, args):
-        with pytest.raises(ValueError, match="^expand_p_thm31 needs nonnegative"):
-            expand_p_thm31(*args)
+        assert identities._expansion(2, 40, 40, 5, 5)[0] == p(40, 40, 5) == 7
 
     def test_default_grid(self):
         report = verify_thm31()

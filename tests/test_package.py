@@ -133,7 +133,7 @@ def test_star_import_resolves_the_deferred_names_in_order():
     assert done.returncode == 0, done.stderr
     joined = [name for module in MODULES for name in module.__all__]
     assert done.stdout.split() == [*joined, "__version__"]
-    assert len(joined) + 1 == 45
+    assert len(joined) + 1 == 44
 
 
 MODULES = (polynomial, qbinomial, partitions, identities)

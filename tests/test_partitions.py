@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartitions import identities, partitions, polynomial
+from qpartitions import identities, partitions, polynomial, qbinomial
 from qpartitions.cli import main
 from qpartitions.identities import Counterexample
 from qpartitions.partitions import (
@@ -31,7 +31,7 @@ from qpartitions.partitions import (
     qbar_genfun,
     qbar_gf,
 )
-from qpartitions.polynomial import ZERO, product
+from qpartitions.polynomial import ZERO, IntPolynomial, product
 
 WORKED_SIX = TwoKindQuery(r=2, n1=2, n2=3, k1=2, k2=2, n=4)
 
@@ -135,19 +135,31 @@ class TestQueryValidation:
     def test_generating_functions_vanish_at_a_negative_bound(self, gf, bounds):
         assert gf(2, *bounds) is ZERO
 
-    def test_generating_functions_reject_a_step_below_one(self):
+    @pytest.mark.parametrize("gf", [pbar_gf, qbar_gf])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0, 0, 1, 0, 1),
+            (0, 1, 1, 1, 1),
+            (0, 2, 2, 1, 1),
+            (0, -1, 0, 0, 0),
+            (-5, 1, 1, -1, 1),
+        ],
+    )
+    def test_generating_functions_reject_a_step_below_one(self, gf, args):
+        # the step is checked first, in the words of the bounds check, so a
+        # negative bound does not turn a bad step into the zero polynomial
+        with pytest.raises(ValueError, match="^r must be a positive integer, got (0|-5)$"):
+            gf(*args)
+
+    def test_product_rejects_a_step_below_one(self):
         # a one-coefficient first operand needs no gap, but its step is
         # still checked where the step reaches the packing
-        for build in (
-            lambda: pbar_gf(0, 0, 1, 0, 1),
-            lambda: qbar_gf(0, 1, 2, 1, 1),
-            lambda: product([1], [1, 1], -5),
-            lambda: product([1, 1], [1, 1], 0),
-        ):
+        for args in (([1], [1, 1], -5), ([1, 1], [1, 1], 0)):
             with pytest.raises(
                 ValueError, match="^step must be a positive integer, got (0|-5)$"
             ):
-                build()
+                product(*args)
 
     @pytest.mark.parametrize(
         "totals, bounds, pairs, parts",
@@ -708,12 +720,103 @@ class TestRouteAgreement:
         assert totals[4] == 6
 
 
+def _gaussian_fault(monkeypatch):
+    """Every Gaussian row's q^1 coefficient, where it is built, one more."""
+    real = qbinomial._build
+
+    def faulty(top, bottom, depth):
+        cs = real(top, bottom, depth)
+        if len(cs) > 1:
+            cs[1] += 1
+        return cs
+
+    monkeypatch.setattr(qbinomial, "_build", faulty)
+
+
+def _product_fault(monkeypatch):
+    """The constant term of every nonzero generating-function product one more."""
+    real = partitions.product
+
+    def faulty(a, b, step=1):
+        gf = real(a, b, step)
+        return IntPolynomial((gf.coeffs[0] + 1, *gf.coeffs[1:])) if gf.coeffs else gf
+
+    monkeypatch.setattr(partitions, "product", faulty)
+
+
+def _packed_sums_fault(monkeypatch):
+    """The first total of every ``packed_sums`` call in the verifiers one more."""
+    real = identities.packed_sums
+
+    def faulty(sides):
+        packing, ((total, length), *rest) = real(sides)
+        return packing, [(total + 1, length), *rest]
+
+    monkeypatch.setattr(identities, "packed_sums", faulty)
+
+
+def _convolve_fault(monkeypatch):
+    """One more at target 1 in every convolution window that holds it."""
+    real = partitions._convolve
+
+    def faulty(r, n1, n2, k1, k2, low, high):
+        out = real(r, n1, n2, k1, k2, low, high)
+        if low <= 1 <= high:
+            out[1 - low] += 1
+        return out
+
+    monkeypatch.setattr(partitions, "_convolve", faulty)
+    monkeypatch.setattr(identities, "_convolve", faulty)
+
+
+def _kind_sums_fault(monkeypatch):
+    """The oracle grids' pick totals of one kind lose their last total."""
+    real = identities._kind_sums
+    monkeypatch.setattr(identities, "_kind_sums", lambda n, k, gap: real(n, k, gap)[:-1])
+
+
+# Every id on a small grid, in registry order.
+FAULT_GRIDS = {
+    **{i: {"r_max": 2, "param_max": 3} for i in identities.IDENTITY_IDS[:6]},
+    "thm3.1": {"n_max": 5, "k_max": 5},
+    "thm3.3": {"n_max": 4, "k_max": 6},
+    "cor3.2": {"n_max": 20},
+    "eq2": {"m_max": 6, "n_max": 6},
+    "eq3": {"m_max": 6, "n_max": 6},
+}
+
+# The fault-detection matrix: each fault, the ids it fails and the route
+# disagreement of ``count pbar --method all`` it causes.  thm2.5 fails on
+# none: its two sides read the same Gaussian cells, [N, k] = [N, N-k].
+FAULTS = [
+    pytest.param(
+        _gaussian_fault,
+        [i for i in FAULT_GRIDS if i != "thm2.5"],
+        "route disagreement: genfun=2, convolution=1, enumerate=1\n",
+        id="gaussian",
+    ),
+    pytest.param(
+        _product_fault, ["thm2.2", "thm2.3", "thm2.4", "thm2.6"], "", id="product"
+    ),
+    pytest.param(_packed_sums_fault, ["eq2", "eq3"], "", id="packed_sums"),
+    pytest.param(
+        _convolve_fault,
+        ["thm2.1", "thm3.1", "thm3.3", "cor3.2"],
+        "route disagreement: genfun=1, convolution=2, enumerate=1\n",
+        id="convolve",
+    ),
+    pytest.param(_kind_sums_fault, ["thm2.1", "thm2.2", "thm2.6"], "", id="kind_sums"),
+]
+
+
 class TestConvolutionKernel:
     """``_convolve``, the one kernel of every two-kind count by convolution.
 
     The per-target ``pbar_convolution``, the row ``pbar_convolution_totals``
     and the Thm 3.x expansions all read windows of it, so a fault in it
-    must show in every verifier that reads one of them.
+    must show in every verifier that reads one of them.  The fault test
+    asserts this, and the same for the other kernels the verifiers read:
+    the whole fault-detection matrix.
     """
 
     @staticmethod
@@ -754,36 +857,34 @@ class TestConvolutionKernel:
         # no first-kind part allowed: the row is the second kind's alone
         assert partitions._convolve(3, 0, 2, 4, 2, -1, 5) == [0, 1, 1, 2, 1, 1, 0]
 
-    def test_a_fault_in_the_kernel_fails_every_reader(self, monkeypatch, capsys):
-        grids = {
-            "thm2.1": {"r_max": 2, "param_max": 2},
-            "thm3.1": {"n_max": 5, "k_max": 5},
-            "thm3.3": {"n_max": 4, "k_max": 6},
-            "cor3.2": {"n_max": 20},
-        }
+    @pytest.mark.parametrize("fault, failing, disagreement", FAULTS)
+    def test_a_fault_in_the_kernel_fails_every_reader(
+        self, monkeypatch, capsys, fault, failing, disagreement
+    ):
+        # each fault must fail exactly its readers among the ids, and the
+        # three count routes must disagree exactly when it moves their count
         argv = ["count", "pbar", "--r", "2", "--n1", "1", "--n2", "1", "--k1", "1",
                 "--k2", "1", "--n", "1", "--method", "all"]
-        for identity_id, grid in grids.items():
-            assert identities.run_identity(identity_id, **grid).passed
-        assert main(argv) == 0
-        capsys.readouterr()
 
-        real = partitions._convolve
+        def run():
+            # a fresh Gaussian store and generating-function memos, so no
+            # row built on one side of the fault is read on the other
+            monkeypatch.setattr(qbinomial, "_prefixes", {})
+            partitions.pbar_gf.cache_clear()
+            partitions.qbar_gf.cache_clear()
+            ids = [i for i, grid in FAULT_GRIDS.items()
+                   if not identities.run_identity(i, **grid).passed]
+            code = main(argv)
+            return ids, code, capsys.readouterr().err
 
-        def faulty(r, n1, n2, k1, k2, low, high):
-            # one more at target 1, wherever a window holds it
-            out = real(r, n1, n2, k1, k2, low, high)
-            if low <= 1 <= high:
-                out[1 - low] += 1
-            return out
-
-        monkeypatch.setattr(partitions, "_convolve", faulty)
-        monkeypatch.setattr(identities, "_convolve", faulty)
-        for identity_id, grid in grids.items():
-            assert not identities.run_identity(identity_id, **grid).passed, identity_id
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == "route disagreement: genfun=1, convolution=2, enumerate=1\n"
+        try:
+            assert run() == ([], 0, "")
+            fault(monkeypatch)
+            code = 1 if disagreement else 0
+            assert run() == (failing, code, disagreement)
+        finally:
+            partitions.pbar_gf.cache_clear()
+            partitions.qbar_gf.cache_clear()
 
 
 class TestSymmetryAndReflection:
