@@ -24,19 +24,22 @@ keeps.  ``_two_kind_sweep`` runs Thm 2.1, 2.2, 2.4, 2.5 and 2.6 at every
 start at 1, and Cor 3.2 build their own axes.  Cor 3.2 counts whole rows,
 more than the prefixes its grid reads: [2n, n], of n*n + 1 coefficients, at
 point n, and [n+j, j] and [n+1, 2j+1] for its terms; the grid counts each
-distinct row once, after its [2n, n] rows alone have passed.  Thm 2.3, 2.4 and 2.5 count the coefficients of the ``pbar_gf`` and
-``qbar_gf`` memo entries their grid reads, neighbours included: each bound
-pair's share summed over one kind's pairs, in closed form in r.  These are
-held to ``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed:
-the largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
+distinct row once, after its [2n, n] rows alone have passed.  Thm 2.3, 2.4
+and 2.5 count the coefficients of the ``pbar_gf`` and ``qbar_gf`` memo
+entries their grid reads, neighbours included: each bound pair's share
+summed over one kind's pairs, in closed form in r.  These are held to
+``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed: the
+largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
 takes over a minute.  A grid checked against an enumeration row (Thm 2.1,
 2.2 and 2.6) is refused when its costliest row would walk past
 ``MAX_ENUMERATION_WORK``, with the error that row would raise, or when its
 rows would walk more than ``MAX_GRID_WORK`` pairs of picks in all; both are
-counted by the oracle's own pick-count rule, ``_walk``.  These three build
-their rows through the oracle's ``_row``, enumerating each kind's list of
-pick totals once per grid through the listings' walker, in a cache made
-for the call, and still tally every pair of picks at every point.
+counted by the oracle's own pick-count rule, ``_walk``.  That sizing is the
+oracle's admission of every row of the grid, done once before the first
+point, so each point is a bare ``_tally`` of the oracle: each kind's list
+of pick totals is enumerated once per grid through the listings' walker,
+in caches made for the call, and every pair of picks is still tallied one
+by one at every point.
 
 The registry at the bottom maps the stable identity ids of ``IDENTITY_IDS``
 (``"thm2.1"``, ``"eq2"``, ``"cor3.2"``, ...), kept in the light module
@@ -47,7 +50,7 @@ single entry point used by the command-line front end.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product, zip_longest
+from itertools import product
 from math import comb, isqrt, prod
 from operator import add, sub
 from typing import Callable, Sequence
@@ -60,7 +63,7 @@ from .partitions import (
     _check_walk,
     _convolve,
     _kind_sums,
-    _row,
+    _tally,
     _walk,
     partition_p,
     pbar_convolution_totals,
@@ -163,13 +166,21 @@ def _row_failures(
     Entry n of a row is the count at target n; a row that ends early reads
     as 0 past its end.  Equal rows, the usual case, are found equal in one
     comparison of lists, so that a tuple and a list with the same entries
-    match; only rows that differ, or differ in length, are walked.
+    match.  Rows of different lengths are padded with zeros to one length
+    and compared again, so that rows that differ only in trailing zeros,
+    such as an empty row and [0], are found equal without a walk; only
+    rows that still differ are walked.
     """
-    if list(got) == list(expected):
+    got, expected = list(got), list(expected)
+    if got == expected:
+        return []
+    got += [0] * (len(expected) - len(got))
+    expected += [0] * (len(got) - len(expected))
+    if got == expected:
         return []
     return [
         Counterexample(params + (n,), str(lhs), str(rhs))
-        for n, (lhs, rhs) in enumerate(zip_longest(got, expected, fillvalue=0))
+        for n, (lhs, rhs) in enumerate(zip(got, expected))
         if lhs != rhs
     ]
 
@@ -378,13 +389,16 @@ def _pbar_gf_cost(r_max: int, param_max: int) -> tuple[int, str, int]:
 def _rows_against_oracle(
     identity_id: str, route: Callable, gap: int, r_max: int, param_max: int
 ) -> VerificationReport:
-    """Compare a route's row of counts with the oracle's ``_row`` at ``gap``.
+    """Compare a route's row of counts with the oracle's ``_tally`` at ``gap``.
 
+    The grid is admitted once, by ``cost``, and each point is a bare tally.
     A kind's pick totals depend only on its own (N, k), so the oracle reads
-    them from a cache of ``_kind_sums`` made for this call alone: each list
-    is enumerated once per grid, not once per point, and is gone when the
-    call returns.  Every row still runs the oracle's own checks, and its
-    pairs of picks are still counted one by one.
+    them from caches of ``_kind_sums`` made for this call alone: each list
+    is enumerated once per grid, not once per point, the first kind's is
+    multiplied by each r once, and all are gone when the call returns.  A
+    kind with no pick, k > N at gap 1, is not enumerated: its list is
+    empty, and the tally gives [0].  Every pair of picks is still counted
+    one by one at every point.
 
     The cost applies ``_walk`` to each bound pair (N, k) of one kind, at
     most 31**2 of them once ``_sweep`` has held the grid to
@@ -395,12 +409,25 @@ def _rows_against_oracle(
     Each r pairs every pick of one kind with every pick of the other, S**2
     pairs for S picks over the bound pairs; past ``MAX_GRID_WORK`` pairs in
     all, r_max * S**2, the grid is refused before its first point too.  The
-    cache holds S totals, so that limit also holds it to 10**4.
+    caches hold S totals per r, so that limit also holds them to 10**4
+    each.
     """
-    sums = lru_cache(maxsize=None)(_kind_sums)
+    @lru_cache(maxsize=None)
+    def totals(n: int, k: int) -> Sequence[int]:
+        return () if gap and k > n else _kind_sums(n, k, gap)
 
-    def check(*bounds: int):
-        return 1, _row_failures(bounds, route(*bounds), _row(sums, gap, *bounds))
+    @lru_cache(maxsize=None)
+    def scaled(r: int, n: int, k: int) -> list[int]:
+        return [r * s for s in totals(n, k)]
+
+    def check(r: int, n1: int, n2: int, k1: int, k2: int):
+        # No per-row checks run here.  ``cost`` has refused the grid unless
+        # every row passes ``_check_walk``, and a grid of at most
+        # ``MAX_GRID_POINTS`` points, with r >= 1 and every bound >= 0, has
+        # no row past ``MAX_DENSE_DEGREE``, so nothing that ``_row`` would
+        # refuse reaches this tally.
+        oracle = _tally(scaled(r, n1, k1), totals(n2, k2))
+        return 1, _row_failures((r, n1, n2, k1, k2), route(r, n1, n2, k1, k2), oracle)
 
     def cost():
         bounds = range(param_max + 1)

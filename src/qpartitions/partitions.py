@@ -34,13 +34,16 @@ a span past it raises ``ValueError`` before the row is built.  The
 enumeration rows are also sized by their walk, in pairs of picks and in
 parts drawn; past ``MAX_ENUMERATION_WORK`` of either they raise
 ``ValueError`` before the first pick.  That sizing is ``_check_walk`` of
-each kind's pick count ``_walk``, which the oracle verifiers also apply to a
-grid's costliest row.  A row, ``_row``, is two steps: ``_kind_sums`` lists
-one kind's pick totals, which depend only on that kind's (N, k), and the
-row tallies every pair of picks one by one.  The public rows list both
-kinds afresh; the oracle verifiers build the same rows from a cache of the
-lists that lasts one call, so each list is enumerated once per grid.
-``TwoKindQuery``, ``pbar_convolution`` and the listings still take any r.
+each kind's pick count ``_walk``.  A public row, ``_row``, is its
+admission (the bounds, the span and that sizing) and then its tally:
+``_kind_sums`` lists one kind's pick totals, which depend only on that
+kind's (N, k), and ``_tally`` counts every pair of picks one by one, with
+no check of its own.  The public rows are admitted one by one and list
+both kinds afresh.  The oracle verifiers admit a whole grid at once, by
+applying ``_check_walk`` to its costliest row, and then tally each point
+from caches of the lists that last one call, so each list is enumerated
+once per grid.  ``TwoKindQuery``, ``pbar_convolution`` and the listings
+still take any r.
 
 The records ``TwoKindQuery``, ``TwoKindPartition`` and
 ``DistinctTwoKindPartition`` are frozen, slotted classes on one private
@@ -59,7 +62,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .polynomial import ZERO, IntPolynomial, _check_dense, _exceeds, product
 from .qbinomial import _coefficients, qbinom
@@ -164,7 +167,13 @@ def _check_step(r: int) -> None:
 
 
 def _check_bounds(r: int, n1: int, n2: int, k1: int, k2: int) -> None:
-    """Reject a step below 1 and negative bounds, naming the first offender."""
+    """Reject a step below 1 and negative bounds, naming the first offender.
+
+    The usual, valid bounds pass one chained comparison; the offender is
+    looked for only when it fails.
+    """
+    if r >= 1 and n1 >= 0 <= n2 and k1 >= 0 <= k2:
+        return
     _check_step(r)
     for name, value in (("n1", n1), ("n2", n2), ("k1", k1), ("k2", k2)):
         if value < 0:
@@ -305,8 +314,9 @@ def _convolve(
     n in the window, and each row is read once, as the window those j need.
     Each first-kind count then adds itself times the slice of the
     second-kind window that lands in the window, one list comprehension
-    per j.  No polynomial product is used, so this route stays apart from
-    the generating-function one.
+    per j; a slice that lands wholly inside needs no clipping.  No
+    polynomial product is used, so this route stays apart from the
+    generating-function one.
     """
     j_low, j_high = max(0, -((n2 * k2 - low) // r)), min(n1 * k1, high // r)
     first = _coefficients(n1 + k1, n1, j_low, j_high)
@@ -318,9 +328,12 @@ def _convolve(
         # out[i] takes a * second[i - shift], clipped by comparisons and by
         # the slices' own ends, as in ``_picks``: min and max calls cost more
         shift = r * j + m_low - low
-        start = shift if shift > 0 else 0
         stop = shift + width
-        lands = second[start - shift:size - shift]
+        if shift >= 0 and stop <= size:
+            start, lands = shift, second
+        else:
+            start = shift if shift > 0 else 0
+            lands = second[start - shift:size - shift]
         out[start:stop] = [c + a * b for c, b in zip(out[start:stop], lands)]
     return out
 
@@ -514,19 +527,35 @@ def _kind_sums(n: int, k: int, gap: int) -> list[int]:
     return [sum(parts) for parts in _picks(n, k, 0, n * k, gap)]
 
 
-def _row(
-    sums: Callable, gap: int, r: int, n1: int, n2: int, k1: int, k2: int
-) -> list[int]:
-    """The enumeration row at ``gap``, with each kind's pick totals from ``sums``.
+def _tally(first: Sequence[int], second: Sequence[int]) -> list[int]:
+    """The enumeration row of two kinds' pick totals, unchecked.
 
-    Gap 0 gives ``pbar_enumerate_totals`` and gap 1 ``qbar_enumerate_totals``;
-    ``sums`` is ``_kind_sums`` or a cache of it, and its lists are only
-    read, so they may be shared between rows.  At gap 1 a kind with k > N
-    has no pick, and the row is [0].  Otherwise the row's span is checked
-    against ``MAX_DENSE_DEGREE`` and its walk sized by ``_check_walk``
-    before ``sums`` is called, so an oversized row is refused before its
-    first pick.  Then every pair of picks is counted on its own, by
-    r*(first total) + (second total), one increment each.
+    ``first`` lists the first kind's totals already multiplied by r, and
+    ``second`` the second kind's.  Every pair of picks is counted on its
+    own, at first + second, one increment each, into a row that runs up to
+    the greatest pair.  A kind with no pick, an empty list, gives the row
+    [0].  Nothing is checked here, and the lists are only read, so they may
+    be shared between rows: ``_row`` admits each public row before its
+    tally, and the oracle verifiers admit a whole grid at once.
+    """
+    if not (first and second):
+        return [0]
+    counts = [0] * (max(first) + max(second) + 1)
+    for a in first:
+        for b in second:
+            counts[a + b] += 1
+    return counts
+
+
+def _row(gap: int, r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
+    """The enumeration row at ``gap``: its admission, then its ``_tally``.
+
+    Gap 0 gives ``pbar_enumerate_totals`` and gap 1 ``qbar_enumerate_totals``.
+    At gap 1 a kind with k > N has no pick, and the row is [0].  Otherwise
+    the row's span is checked against ``MAX_DENSE_DEGREE`` and its walk
+    sized by ``_check_walk`` before either kind is listed, so an oversized
+    row is refused before its first pick.  Then ``_kind_sums`` lists both
+    kinds, and the tally counts every pair of picks.
     """
     _check_bounds(r, n1, n2, k1, k2)
     if gap and (k1 > n1 or k2 > n2):
@@ -535,12 +564,8 @@ def _row(
     top = r * (n1 * k1 - gap * comb(k1, 2)) + n2 * k2 - gap * comb(k2, 2)
     _check_dense(top)
     _check_walk(_walk(n1, k1, gap), _walk(n2, k2, gap))
-    first, second = sums(n1, k1, gap), sums(n2, k2, gap)
-    counts = [0] * (top + 1)
-    for a in (r * s for s in first):
-        for b in second:
-            counts[a + b] += 1
-    return counts
+    first = [r * s for s in _kind_sums(n1, k1, gap)]
+    return _tally(first, _kind_sums(n2, k2, gap))
 
 
 def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -552,7 +577,7 @@ def pbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     pair and tallies by total, with no polynomial arithmetic.  ``_picks``
     walks the multisets of at most k parts from 1..N, C(N+k, k) per kind.
     """
-    return _row(_kind_sums, 0, r, n1, n2, k1, k2)
+    return _row(0, r, n1, n2, k1, k2)
 
 
 def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[int]:
@@ -563,4 +588,4 @@ def qbar_enumerate_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[in
     exists.  ``_picks`` walks the sets of exactly k distinct parts from 1..N,
     C(N, k) per kind.
     """
-    return _row(_kind_sums, 1, r, n1, n2, k1, k2)
+    return _row(1, r, n1, n2, k1, k2)

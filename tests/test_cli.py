@@ -532,7 +532,7 @@ class TestVerify:
     def test_costly_oracle_grid_is_a_usage_error(self, capsys, monkeypatch):
         # 12,288 points; the enumeration row at (7, 7, 7, 7) walks 3,432**2
         # pairs, and no row is walked before the refusal
-        monkeypatch.setattr(identities, "_row", None)
+        monkeypatch.setattr(identities, "_tally", None)
         code, out, err = run(capsys, "verify", "thm2.1", "--param-max", "7")
         assert code == 2
         assert out == ""
@@ -544,7 +544,7 @@ class TestVerify:
     def test_long_oracle_grid_is_a_usage_error(self, capsys, monkeypatch):
         # every row of param-max 6 is within the walk limit, but 416 r walk
         # 416 * 3,431**2 pairs of picks in all
-        monkeypatch.setattr(identities, "_row", None)
+        monkeypatch.setattr(identities, "_tally", None)
         code, out, err = run(
             capsys, "verify", "thm2.1", "--r-max", "416", "--param-max", "6"
         )

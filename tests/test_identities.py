@@ -431,7 +431,7 @@ class TestGridLimit:
         def unreachable(*bounds):
             raise AssertionError(f"walked {bounds}")
 
-        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", "_row"):
+        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", "_tally"):
             monkeypatch.setattr(identities, name, unreachable)
         refusal = (
             f"^enumeration of {pairs} pairs of picks drawing {parts} parts "
@@ -479,23 +479,23 @@ class TestGridLimit:
         self, monkeypatch, identity_id, pairs
     ):
         walked = []
-        real = partitions._check_walk
+        real = identities._tally
 
         def counted(first, second):
-            walked.append(math.comb(first[1], first[0]) * math.comb(second[1], second[0]))
-            real(first, second)
+            walked.append(len(first) * len(second))
+            return real(first, second)
 
-        monkeypatch.setattr(partitions, "_check_walk", counted)
+        monkeypatch.setattr(identities, "_tally", counted)
         monkeypatch.setattr(identities, "MAX_GRID_WORK", pairs)
         assert run_identity(identity_id, r_max=2, param_max=2).passed
-        # the sizing is exact: it counts the pairs the rows then walk
+        # the sizing is exact: it counts the pairs the tallies then walk
         assert sum(walked) == pairs
         monkeypatch.setattr(identities, "MAX_GRID_WORK", pairs - 1)
 
         def unreachable(*bounds):
             raise AssertionError(f"walked {bounds}")
 
-        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", "_row"):
+        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", "_tally"):
             monkeypatch.setattr(identities, name, unreachable)
         refusal = (
             f"^{identity_id}: grid of {pairs} pairs of picks exceeds the limit of {pairs - 1}$"
@@ -506,7 +506,7 @@ class TestGridLimit:
     def test_unpatched_work_limit_refuses_long_grids(self, monkeypatch):
         # 2,401 points per r, each row within the walk limit, but 416 r walk
         # 416 * 3,431**2 pairs
-        monkeypatch.setattr(identities, "_row", None)
+        monkeypatch.setattr(identities, "_tally", None)
         with pytest.raises(ValueError, match=f"^thm2.1: grid of {416 * 3431**2} pairs"):
             verify_thm21(r_max=416, param_max=6)
 
@@ -524,6 +524,18 @@ class TestRowFailures:
     def test_trailing_zeros_read_as_zero(self):
         assert identities._row_failures((1,), [1, 2, 0, 0], (1, 2)) == []
         assert identities._row_failures((1,), (1, 2), [1, 2, 0]) == []
+
+    def test_empty_row_reads_as_zero(self):
+        # the generating function of a kind with no pick against the oracle
+        assert identities._row_failures((1,), (), [0]) == []
+        assert identities._row_failures((1,), (), [0, 1]) == [
+            Counterexample((1, 1), "0", "1")
+        ]
+
+    def test_padding_leaves_the_callers_rows(self):
+        got, expected = [1], [1, 0, 2]
+        identities._row_failures((1,), got, expected)
+        assert (got, expected) == ([1], [1, 0, 2])
 
     def test_changed_entry(self):
         assert identities._row_failures((4, 5), [1, 7, 1], (1, 2, 1)) == [
@@ -887,23 +899,31 @@ class TestOracleRows:
 
     @settings(deadline=None)
     @given(st.data())
-    def test_cached_rows_match_the_public_rows_and_the_generating_functions(
+    def test_cached_tallies_match_the_public_rows_and_the_generating_functions(
         self, data
     ):
         r = data.draw(st.integers(1, 4))
         n1, n2, k1, k2 = (data.draw(st.integers(0, 5)) for _ in range(4))
-        row = identities._row
         for gap, public, gf in (
             (0, pbar_enumerate_totals, pbar_gf),
             (1, qbar_enumerate_totals, qbar_gf),
         ):
             sums = lru_cache(maxsize=None)(partitions._kind_sums)
-            # the swapped row draws both kinds' lists first, so the row
+
+            def picks(n, k):
+                # as in the oracle grids, a kind with no pick is not listed
+                return () if gap and k > n else sums(n, k, gap)
+
+            def tally(n1, n2, k1, k2):
+                return identities._tally([r * s for s in picks(n1, k1)], picks(n2, k2))
+
+            # the swapped bounds draw both kinds' lists first, so the tally
             # below reads every list it needs back from the cache
-            row(sums, gap, r, n2, n1, k2, k1)
-            drawn = sums.cache_info().misses
-            cached = row(sums, gap, r, n1, n2, k1, k2)
-            assert sums.cache_info().misses == drawn
+            tally(n2, n1, k2, k1)
+            listed = {(n, k) for n, k in ((n1, k1), (n2, k2)) if not (gap and k > n)}
+            assert sums.cache_info().misses == len(listed)
+            cached = tally(n1, n2, k1, k2)
+            assert sums.cache_info().misses == len(listed)
             assert cached == public(r, n1, n2, k1, k2)
             coeffs = list(gf(r, n1, n2, k1, k2).coeffs)
             assert cached == coeffs + [0] * (len(cached) - len(coeffs))
@@ -944,6 +964,15 @@ class TestOracleRows:
         assert failures(report) == [
             {"params": [2, 2, 1, 1, 1, 3], "lhs": "2", "rhs": "1"},
             {"params": [2, 2, 1, 1, 1, 7], "lhs": "1", "rhs": "0"},
+        ]
+
+    def test_distinct_failure_where_a_kind_has_no_pick(self, monkeypatch):
+        # k1 = 2 > N1 = 1: the oracle enumerates nothing and its row is [0],
+        # against the empty generating function the route reads
+        perturb(monkeypatch, "qbar_gf", {(1, 1, 2, 2, 1): IntPolynomial((0, 1))})
+        report = verify_thm26(r_max=1, param_max=2)
+        assert failures(report) == [
+            {"params": [1, 1, 2, 2, 1, 1], "lhs": "1", "rhs": "0"},
         ]
 
     def test_oracle_rows_need_no_polynomial_arithmetic(self, monkeypatch):
