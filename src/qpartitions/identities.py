@@ -25,21 +25,24 @@ start at 1, and Cor 3.2 build their own axes.  Cor 3.2 counts whole rows,
 more than the prefixes its grid reads: [2n, n], of n*n + 1 coefficients, at
 point n, and [n+j, j] and [n+1, 2j+1] for its terms; the grid counts each
 distinct row once, after its [2n, n] rows alone have passed.  Thm 2.3, 2.4
-and 2.5 count the coefficients of the ``pbar_gf`` and ``qbar_gf`` memo
-entries their grid reads, neighbours included: each bound pair's share
-summed over one kind's pairs, in closed form in r.  These are held to
-``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed: the
-largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
-takes over a minute.  A grid checked against an enumeration row (Thm 2.1,
-2.2 and 2.6) is refused when its costliest row would walk past
-``MAX_ENUMERATION_WORK``, with the error that row would raise, or when its
-rows would walk more than ``MAX_GRID_WORK`` pairs of picks in all; both are
-counted by the oracle's own pick-count rule, ``_walk``.  That sizing is the
-oracle's admission of every row of the grid, done once before the first
-point, so each point is a bare ``_tally`` of the oracle: each kind's list
-of pick totals is enumerated once per grid through the listings' walker,
-in caches made for the call, and every pair of picks is still tallied one
-by one at every point.
+and 2.5 count the coefficients of the ``pbar_gf`` and ``qbar_gf`` products
+their grid reads, neighbours included, one per bound tuple: each bound
+pair's share summed over one kind's pairs, in closed form in r.  The memos
+hold fewer, since ``pbar_gf`` keeps one product per pair of Gaussian cells
+and neither keeps a zero, so this is an upper bound on what they hold; what
+is refused is unchanged.  These are held to ``MAX_GRID_POINTS`` as well.
+The limit bounds the run, not its speed: the largest square Thm 3.x grid it
+allows, 44 by 44 (982,125 comparisons), takes over a minute.  A grid
+checked against an enumeration row (Thm 2.1, 2.2 and 2.6) is refused when
+its costliest row would walk past ``MAX_ENUMERATION_WORK``, with the error
+that row would raise, or when its rows would walk more than
+``MAX_GRID_WORK`` pairs of picks in all; both are counted by the oracle's
+own pick-count rule, ``_walk``.  That sizing is the oracle's admission of
+every row of the grid, done once before the first point, so each point is a
+bare ``_tally`` of the oracle: each kind's list of pick totals is
+enumerated once per grid through the listings' walker, in caches made for
+the call, and every pair of picks is still tallied one by one at every
+point.
 
 The registry at the bottom maps the stable identity ids of ``IDENTITY_IDS``
 (``"thm2.1"``, ``"eq2"``, ``"cor3.2"``, ...), kept in the light module
@@ -165,15 +168,16 @@ def _row_failures(
 
     Entry n of a row is the count at target n; a row that ends early reads
     as 0 past its end.  Equal rows, the usual case, are found equal in one
-    comparison of lists, so that a tuple and a list with the same entries
-    match.  Rows of different lengths are padded with zeros to one length
-    and compared again, so that rows that differ only in trailing zeros,
-    such as an empty row and [0], are found equal without a walk; only
-    rows that still differ are walked.
+    comparison of tuples, so that a tuple and a list with the same entries
+    match; a row that is a tuple already, such as a generating function's
+    coefficients, is not copied for it.  Rows of different lengths are
+    padded with zeros to one length, in copies, and compared again, so that
+    rows that differ only in trailing zeros, such as an empty row and [0],
+    are found equal without a walk; only rows that still differ are walked.
     """
-    got, expected = list(got), list(expected)
-    if got == expected:
+    if tuple(got) == tuple(expected):
         return []
+    got, expected = list(got), list(expected)
     got += [0] * (len(expected) - len(got))
     expected += [0] * (len(got) - len(expected))
     if got == expected:
@@ -186,8 +190,15 @@ def _row_failures(
 
 
 def _mismatch(params: tuple, lhs: object, rhs: object) -> list[Counterexample]:
-    """The counterexample at ``params`` when the two sides differ, else none."""
-    return [] if lhs == rhs else [Counterexample(params, str(lhs), str(rhs))]
+    """The counterexample at ``params`` when the two sides differ, else none.
+
+    A side that is the other's very object is equal without a walk of its
+    coefficients, as each of thm2.4's swaps is: it reads the product that
+    ``pbar_gf`` stored for the point.
+    """
+    if lhs is rhs or lhs == rhs:
+        return []
+    return [Counterexample(params, str(lhs), str(rhs))]
 
 
 def _packed_mismatch(
@@ -367,7 +378,9 @@ def _generating_function_cost(r_max: int, *sets: list[int]) -> tuple[int, str, i
     of ``sets`` lists one kind's shares, one per bound pair (N, k), and
     stands for every r up to ``r_max`` with any two of those pairs.  For P
     pairs whose shares add up to S, that is (C(r_max+1, 2) + r_max) * S * P
-    + r_max * P**2 coefficients.
+    + r_max * P**2 coefficients.  Each bound tuple counts once, so this is
+    an upper bound on what the memos hold: ``pbar_gf`` keeps the tuples that
+    swap N and k within a kind as one product.
     """
     work = sum(
         (comb(r_max + 1, 2) + r_max) * sum(shares) * len(shares)
@@ -381,6 +394,9 @@ def _pbar_gf_cost(r_max: int, param_max: int) -> tuple[int, str, int]:
     """The coefficients of ``pbar_gf`` at every bound tuple up to p = ``param_max``.
 
     Its share per kind is N*k, summed over the (p+1)**2 pairs of one kind.
+    The memo keeps one product per pair of Gaussian cells, and a kind's
+    (p+1)**2 pairs are (p+1)(p+2)/2 cells, so the count is an upper bound on
+    what it holds.
     """
     bounds = range(param_max + 1)
     return _generating_function_cost(r_max, [n * k for n in bounds for k in bounds])
@@ -453,9 +469,12 @@ def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
 
 def verify_thm22(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Generating-function coefficients against the enumeration oracle."""
-    return _rows_against_oracle(
-        "thm2.2", lambda *b: pbar_gf(*b).coeffs, 0, r_max, param_max
-    )
+
+    def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
+        # named arguments, not *args: a star call costs more than the memo read
+        return pbar_gf(r, n1, n2, k1, k2).coeffs
+
+    return _rows_against_oracle("thm2.2", route, 0, r_max, param_max)
 
 
 def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -470,7 +489,8 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     each r, ``pbar_gf`` is read once at every bound tuple the relations can
     read, N1 and N2 in 0..p and k1 and k2 in -1..p for p = ``param_max``,
     and the largest coefficient M found, in size, sizes one ``Packing`` for
-    4M.  Each generating function is then packed once, and a right side is
+    4M.  Each generating function is then packed once, the bound tuples that
+    read one stored product sharing its packed value, and a right side is
     the sum of its four operands shifted by whole digits.  Every
     coefficient of either side is at most 4M in size, below half a digit,
     so the two sides are equal exactly when their packed integers are,
@@ -479,20 +499,23 @@ def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     module, so a replacement there is what gets checked.
 
     The grid's cost counts the ``pbar_gf`` coefficients at every bound tuple
-    up to p, which are the nonzero ones the grid reads.
+    up to p, which are the nonzero ones the grid reads; the memo keeps fewer
+    (see ``_pbar_gf_cost``).
     """
 
     @lru_cache(maxsize=1)
     def packed_at(r: int) -> tuple[dict[tuple[int, ...], int], Packing]:
         # product() walks r outermost, so only one r's table is held
         tuples = product(*[range(param_max + 1)] * 2, *[range(-1, param_max + 1)] * 2)
-        table = {b: pbar_gf(r, *b).coeffs for b in tuples}
-        largest = max(max(map(abs, coeffs), default=0) for coeffs in table.values())
+        gfs = {b: pbar_gf(r, *b) for b in tuples}
+        # the tuples that swap N and k read one stored product, and every
+        # zero one ZERO: each object is sized and packed once, and held here
+        # while its id keys it
+        distinct = {id(gf): gf for gf in gfs.values()}
+        largest = max(max(map(abs, gf.coeffs), default=0) for gf in distinct.values())
         packing = Packing(4 * largest)
-        # packed in place, so no second table is held beside this one
-        for b, coeffs in table.items():
-            table[b] = packing.pack(coeffs)
-        return table, packing
+        packed = {key: packing.pack(gf.coeffs) for key, gf in distinct.items()}
+        return {b: packed[id(gf)] for b, gf in gfs.items()}, packing
 
     def check(r: int, n1: int, n2: int, k1: int, k2: int):
         table, packing = packed_at(r)
@@ -531,14 +554,16 @@ def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     coincide, and the coefficient sequence must read the same both ways
     (which is the reflection identity for every target n).
 
-    The swap comparisons check almost nothing: ``qbinom`` keeps [t, b] and
-    [t, t-b] in one memo entry, so ``pbar_gf(r, k1, n2, n1, k2)`` multiplies
-    the very same row objects as ``pbar_gf(r, n1, n2, k1, k2)`` and can
-    differ only if ``product`` is not deterministic.  Per-kind conjugation
-    of the enumerated partitions would make them a real check.
+    The swap comparisons cannot fail: ``pbar_gf`` keys its memo by the two
+    Gaussian cells it multiplies, and [t, b] and [t, t-b] are one cell, so
+    ``pbar_gf(r, k1, n2, n1, k2)`` returns the very object that
+    ``pbar_gf(r, n1, n2, k1, k2)`` stored.  Self-reciprocity is the real
+    check here.  Per-kind conjugation of the enumerated partitions would
+    make the swaps one too.
 
     The swaps stay inside the grid, so its cost counts the ``pbar_gf``
-    coefficients at the grid's own points.
+    coefficients at the grid's own points, one per bound tuple: an upper
+    bound, since the memo keeps the swapped tuples as one product.
     """
 
     def check(*params: int):
@@ -572,9 +597,12 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     grid, while all ten other identities fail.  A staircase map on the
     enumerated partitions would make it a real check.
 
-    The grid's cost counts the coefficients of both sides' memo entries:
-    ``qbar_gf`` at each point, its shift included, and ``pbar_gf`` at the
-    reduced bounds.  Each is nonzero only where k <= N for both kinds.
+    The grid's cost counts the coefficients of both sides' products, one
+    per bound tuple: ``qbar_gf`` at each point, its shift included, and
+    ``pbar_gf`` at the reduced bounds.  Each is nonzero only where k <= N
+    for both kinds.  ``qbar_gf`` keeps a product per bound tuple, but
+    ``pbar_gf`` one per pair of Gaussian cells, so the count is an upper
+    bound on what the memos hold.
     """
 
     def check(*params: int):
@@ -596,9 +624,12 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
 
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     """Distinct-part generating function against the enumeration oracle."""
-    return _rows_against_oracle(
-        "thm2.6", lambda *b: qbar_gf(*b).coeffs, 1, r_max, param_max
-    )
+
+    def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
+        # named arguments, as in thm2.2
+        return qbar_gf(r, n1, n2, k1, k2).coeffs
+
+    return _rows_against_oracle("thm2.6", route, 1, r_max, param_max)
 
 
 # ---------------------------------------------------------------------------

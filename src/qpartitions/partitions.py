@@ -59,10 +59,10 @@ by the test suite and the identity verifiers.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
 from math import comb
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .polynomial import ZERO, IntPolynomial, _check_dense, _exceeds, product
 from .qbinomial import _coefficients, qbinom
@@ -268,35 +268,128 @@ def Q(N: int, k: int, n: int) -> int:
     return _coefficients(N, k, n - comb(k + 1, 2), n - comb(k + 1, 2))[0]
 
 
-@lru_cache(maxsize=None)
+class _MemoInfo(_Record):
+    """What ``cache_info`` reports of a generating-function memo."""
+
+    _fields = ("hits", "misses", "currsize")
+    __slots__ = _fields
+
+
+class _Memo(dict):
+    """The memo of one generating function: its non-zero products by key.
+
+    The function counts a read and subscripts the dict, inline; a key not
+    held reaches ``__missing__``, which builds the product from the key with
+    ``build`` and stores it under the lock unless another thread stored one
+    first, and returns the stored one, so every reader of a key is handed
+    one object.
+    A zero product is never stored: the generating functions answer it with
+    the shared ``ZERO`` before they read.
+
+    A miss is a read that stored an entry, and a hit any other read; a zero
+    read is neither.  Misses are counted under the lock, so they are exact
+    under threads and equal the entries stored since the last ``clear``.
+    Reads are counted outside it, to keep the read path to comparisons and
+    one lookup, so the hits are exact in one thread but may lose an
+    increment when threads read at once.
+    """
+
+    __slots__ = ("reads", "misses", "_build", "_lock")
+
+    def __init__(self, build: Callable[..., IntPolynomial]) -> None:
+        super().__init__()
+        self.reads = self.misses = 0
+        self._build = build
+        self._lock = threading.Lock()
+
+    def __missing__(self, key: tuple[int, ...]) -> IntPolynomial:
+        gf = self._build(*key)
+        with self._lock:
+            held = self.setdefault(key, gf)
+            if held is gf:
+                self.misses += 1
+            return held
+
+    def info(self) -> _MemoInfo:
+        """The hits, the misses and the entries held, as ``cache_info``."""
+        return _MemoInfo(self.reads - self.misses, self.misses, len(self))
+
+    def clear(self) -> None:
+        """Drop every entry and zero both counts, as ``cache_clear``."""
+        with self._lock:
+            super().clear()
+            self.reads = self.misses = 0
+
+
+def _pbar_product(r: int, t1: int, b1: int, t2: int, b2: int) -> IntPolynomial:
+    """[t1, b1] at q^r times [t2, b2]: the product behind ``pbar_gf``."""
+    return product(qbinom(t1, b1).coeffs, qbinom(t2, b2).coeffs, r)
+
+
+def _qbar_product(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
+    """The shifted product behind ``qbar_gf``."""
+    gf = product(qbinom(n1, k1).coeffs, qbinom(n2, k2).coeffs, r)
+    return gf.shift(r * comb(k1 + 1, 2) + comb(k2 + 1, 2))
+
+
+_pbar_memo = _Memo(_pbar_product)
+_qbar_memo = _Memo(_qbar_product)
+
+
 def pbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
     """Generating function of the two-kind counts: [N1+k1, N1] at q^r times [N2+k2, N2].
 
     A step r below 1 is refused with ``ValueError``.  Negative bounds yield
-    the zero polynomial, the convention under which the recurrence and
-    bijection identities are total.  The step-1 row [N1+k1, N1] goes to
-    ``product`` with step r, which pads it as it packs, so no copy at q^r is
-    built.
+    the shared ``ZERO``, the convention under which the recurrence and
+    bijection identities are total, and no memo entry.  The step-1 row
+    [N1+k1, N1] goes to ``product`` with step r, which pads it as it packs,
+    so no copy at q^r is built.
+
+    [N+k, N] == [N+k, k], so the memo keys a product by the two Gaussian
+    cells it multiplies, (r, N1+k1, min(N1, k1), N2+k2, min(N2, k2)), the
+    cells ``qbinomial`` keeps, and every bound tuple that swaps N and k
+    within a kind reads that one stored object.  ``cache_info()`` gives the
+    memo's hits, misses and entries: the misses are exact under threads,
+    the hits only in one thread (see ``_Memo``).  ``cache_clear()`` empties
+    this memo and ``qbar_gf``'s together, so a cold start is one call and
+    neither memo keeps a product built before it.
     """
-    _check_step(r)
-    if n1 < 0 or n2 < 0 or k1 < 0 or k2 < 0:
-        return ZERO
-    return product(qbinom(n1 + k1, n1).coeffs, qbinom(n2 + k2, n2).coeffs, r)
+    if r < 1:
+        _check_step(r)
+    if n1 >= 0 <= n2 and k1 >= 0 <= k2:
+        _pbar_memo.reads += 1
+        return _pbar_memo[r, n1 + k1, n1 if n1 < k1 else k1, n2 + k2, n2 if n2 < k2 else k2]
+    return ZERO
 
 
-@lru_cache(maxsize=None)
 def qbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
     """Generating function of the distinct-part counts.
 
     This is q^(r*C(k1+1, 2) + C(k2+1, 2)) * [N1, k1] at q^r * [N2, k2],
     with the step-1 row [N1, k1] taken to q^r by ``product`` as in
-    ``pbar_gf``, and the same refusal of a step below 1.
+    ``pbar_gf``, and the same refusal of a step below 1.  It is zero, the
+    shared ``ZERO`` with no memo entry, unless 0 <= k <= N for both kinds.
+    The shift depends on k, so the memo keys a product by its bound tuple,
+    and builds it apart from ``pbar_gf``'s, so Thm 2.5 compares two
+    products built on their own.  ``cache_info()`` and ``cache_clear()``
+    work as there.
     """
-    _check_step(r)
-    if n1 < 0 or n2 < 0 or k1 < 0 or k2 < 0:
-        return ZERO
-    gf = product(qbinom(n1, k1).coeffs, qbinom(n2, k2).coeffs, r)
-    return gf.shift(r * comb(k1 + 1, 2) + comb(k2 + 1, 2))
+    if r < 1:
+        _check_step(r)
+    if 0 <= k1 <= n1 and 0 <= k2 <= n2:
+        _qbar_memo.reads += 1
+        return _qbar_memo[r, n1, n2, k1, k2]
+    return ZERO
+
+
+def _clear_memos() -> None:
+    """Empty both generating-function memos and zero their counts."""
+    _pbar_memo.clear()
+    _qbar_memo.clear()
+
+
+pbar_gf.cache_info, qbar_gf.cache_info = _pbar_memo.info, _qbar_memo.info
+pbar_gf.cache_clear = qbar_gf.cache_clear = _clear_memos
 
 
 def pbar_genfun(query: TwoKindQuery) -> int:

@@ -4,6 +4,7 @@ import copy
 import pickle
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from itertools import product as product_of
 from math import comb
 
 import pytest
@@ -908,6 +909,75 @@ class TestSymmetryAndReflection:
                         lhs = pbar_genfun(TwoKindQuery(r, n1, 3, k1, 2, n))
                         rhs = pbar_genfun(TwoKindQuery(r, n1, 3, k1, 2, top - n))
                         assert lhs == rhs
+
+
+class TestGeneratingFunctionMemos:
+    """``pbar_gf`` keeps one product per pair of Gaussian cells, and no zeros."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memos(self):
+        pbar_gf.cache_clear()
+        yield
+        pbar_gf.cache_clear()
+
+    @staticmethod
+    def cells(r, n1, n2, k1, k2):
+        return r, n1 + k1, min(n1, k1), n2 + k2, min(n2, k2)
+
+    def test_swapped_tuples_read_one_product(self):
+        for r, n1, n2, k1, k2 in product_of(range(1, 4), *[range(5)] * 4):
+            gf = pbar_gf(r, n1, n2, k1, k2)
+            assert pbar_gf(r, k1, n2, n1, k2) is gf
+            assert pbar_gf(r, n1, k2, k1, n2) is gf
+            assert pbar_gf(r, k1, k2, n1, n2) is gf
+        assert pbar_gf.cache_info().currsize == len(
+            {self.cells(*bounds) for bounds in product_of(range(1, 4), *[range(5)] * 4)}
+        )
+
+    @pytest.mark.parametrize(
+        "gf, bounds",
+        [
+            (pbar_gf, (2, -1, 1, 1, 1)),
+            (pbar_gf, (1, 3, 2, 1, -1)),
+            (qbar_gf, (2, 1, 1, -1, 1)),
+            (qbar_gf, (1, -2, 3, -3, 1)),
+            # k > N in one kind: no k distinct parts at most N
+            (qbar_gf, (1, 1, 3, 2, 1)),
+            (qbar_gf, (3, 4, 0, 2, 1)),
+        ],
+    )
+    def test_zero_reads_store_nothing(self, gf, bounds):
+        pbar_gf(1, 2, 2, 1, 1)
+        qbar_gf(1, 2, 2, 1, 1)
+        before = [pbar_gf.cache_info(), qbar_gf.cache_info()]
+        assert before[0].currsize == before[1].currsize == 1
+        for _ in range(2):
+            assert gf(*bounds) is ZERO
+        assert [pbar_gf.cache_info(), qbar_gf.cache_info()] == before
+
+    def test_a_symmetry_grid_holds_one_entry_per_cell_pair(self):
+        assert identities.verify_thm24(2, 7).passed
+        keys = {self.cells(*bounds) for bounds in product_of(range(1, 3), *[range(8)] * 4)}
+        info = pbar_gf.cache_info()
+        assert info.currsize == info.misses == len(keys) == 2 * 36**2
+        assert set(partitions._pbar_memo) == keys
+        # each of the grid's 2 * 8**4 points reads four bound tuples
+        assert info.hits + info.misses == 4 * 2 * 8**4
+        assert qbar_gf.cache_info().currsize == 0
+
+    def test_cache_clear_empties_both_memos(self):
+        # either function's cache_clear empties both memos and their counts
+        def counts(gf):
+            info = gf.cache_info()
+            return info.hits, info.misses, info.currsize
+
+        for clear in (pbar_gf.cache_clear, qbar_gf.cache_clear):
+            for _ in range(2):
+                pbar_gf(2, 3, 1, 1, 2)
+                qbar_gf(2, 3, 1, 1, 1)
+            assert counts(pbar_gf) == counts(qbar_gf) == (1, 1, 1)
+            clear()
+            assert counts(pbar_gf) == counts(qbar_gf) == (0, 0, 0)
 
 
 class TestStaircaseBijection:

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpartitions import qbinomial
-from qpartitions.polynomial import ONE, IntPolynomial
+from qpartitions.partitions import pbar_gf, qbar_gf
+from qpartitions.polynomial import ONE, ZERO, IntPolynomial
 from qpartitions.qbinomial import check_gr1, check_gr2, pochhammer_q, qbinom
 
 
@@ -432,3 +433,73 @@ class TestThreadSafety:
         assert errors == [] and bad == []
         assert len(qbinomial._prefixes[top, bottom]) == max(longest) == len(row)
         assert qbinomial._prefixes[top, bottom] == row
+
+    def test_concurrent_generating_function_reads_share_one_product(self):
+        # eight threads read every bound tuple and its three N<->k swaps,
+        # each from a different start and direction, on cold memos, so the
+        # threads race to build and store the same products.  Every read of
+        # one pair of Gaussian cells must be handed one object, equal to a
+        # serial run's, and each qbar_gf tuple one object of its own.
+        tuples = list(itertools.product(range(1, 3), *[range(-1, 5)] * 4))
+
+        def cells(r, n1, n2, k1, k2):
+            return r, n1 + k1, min(n1, k1), n2 + k2, min(n2, k2)
+
+        def read(r, n1, n2, k1, k2):
+            swaps = ((n1, n2, k1, k2), (k1, n2, n1, k2), (n1, k2, k1, n2), (k1, k2, n1, n2))
+            return [pbar_gf(r, *bounds) for bounds in swaps] + [qbar_gf(r, n1, n2, k1, k2)]
+
+        pbar_gf.cache_clear()
+        expected = [read(*bounds) for bounds in tuples]
+        pbar_gf.cache_clear()
+
+        workers = 8
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+        errors = []
+
+        def run(index):
+            start = index * len(tuples) // workers
+            order = list(range(start, len(tuples))) + list(range(start))
+            if index % 2:
+                order.reverse()
+            got = [None] * len(tuples)
+            try:
+                barrier.wait(timeout=30)
+                for i in order:
+                    got[i] = read(*tuples[i])
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+            results[index] = got
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        held = {}
+        for got in results:
+            assert got == expected
+            for bounds, (*swaps, distinct) in zip(tuples, got):
+                for gf in swaps:
+                    if gf:
+                        assert held.setdefault(cells(*bounds), gf) is gf
+                    else:
+                        assert gf is ZERO
+                if distinct:
+                    assert held.setdefault(("qbar",) + bounds, distinct) is distinct
+                else:
+                    assert distinct is ZERO
+        # the misses are exact under threads: one per entry stored
+        for gf in (pbar_gf, qbar_gf):
+            info = gf.cache_info()
+            assert info.misses == info.currsize
+        assert pbar_gf.cache_info().currsize + qbar_gf.cache_info().currsize == len(held)
+        pbar_gf.cache_clear()
