@@ -24,25 +24,28 @@ keeps.  ``_two_kind_sweep`` runs Thm 2.1, 2.2, 2.4, 2.5 and 2.6 at every
 start at 1, and Cor 3.2 build their own axes.  Cor 3.2 counts whole rows,
 more than the prefixes its grid reads: [2n, n], of n*n + 1 coefficients, at
 point n, and [n+j, j] and [n+1, 2j+1] for its terms; the grid counts each
-distinct row once, after its [2n, n] rows alone have passed.  Thm 2.3, 2.4
-and 2.5 count the coefficients of the ``pbar_gf`` and ``qbar_gf`` products
-their grid reads, neighbours included, one per bound tuple: each bound
-pair's share summed over one kind's pairs, in closed form in r.  The memos
-hold fewer, since ``pbar_gf`` keeps one product per pair of Gaussian cells
-and neither keeps a zero, so this is an upper bound on what they hold; what
-is refused is unchanged.  These are held to ``MAX_GRID_POINTS`` as well.
-The limit bounds the run, not its speed: the largest square Thm 3.x grid it
-allows, 44 by 44 (982,125 comparisons), takes over a minute.  A grid
-checked against an enumeration row (Thm 2.1, 2.2 and 2.6) is refused when
-its costliest row would walk past ``MAX_ENUMERATION_WORK``, with the error
-that row would raise, or when its rows would walk more than
+distinct row once, after its [2n, n] rows alone have passed.  Thm 2.3 and
+2.4 count the coefficients of the ``pbar_gf`` products their grid reads,
+neighbours included, one per bound tuple, in closed form.  The memo holds
+fewer, since it keeps one product per pair of Gaussian cells and no zero,
+so this is an upper bound on what it holds.  These are held to
+``MAX_GRID_POINTS`` as well.  The limit bounds the run, not its speed: the
+largest square Thm 3.x grid it allows, 44 by 44 (982,125 comparisons),
+takes over a minute.  Thm 2.5 reads no generating function: it checks the
+staircase map on each kind's picks, and its cost is the picks it walks,
+held to ``MAX_ENUMERATION_WORK``.  A grid checked against an enumeration
+row (Thm 2.1, 2.2 and 2.6) is refused when its costliest row would walk
+past ``MAX_ENUMERATION_WORK``, with the error that row would raise, or
+when its rows would walk more than
 ``MAX_GRID_WORK`` pairs of picks in all; both are counted by the oracle's
 own pick-count rule, ``_walk``.  That sizing is the oracle's admission of
 every row of the grid, done once before the first point, so each point is a
 bare ``_tally`` of the oracle: each kind's list of pick totals is
 enumerated once per grid through the listings' walker, in caches made for
 the call, and every pair of picks is still tallied one by one at every
-point.
+point.  Thm 2.6 reads the distinct-part row from ``pbar_gf`` at the
+lowered bounds, from the staircase up, and its lists are lowered to match
+once per grid, so no point builds a shifted copy.
 
 The registry at the bottom maps the stable identity ids of ``IDENTITY_IDS``
 (``"thm2.1"``, ``"eq2"``, ``"cor3.2"``, ...), kept in the light module
@@ -53,7 +56,7 @@ single entry point used by the command-line front end.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product
+from itertools import product, zip_longest
 from math import comb, isqrt, prod
 from operator import add, sub
 from typing import Callable, Sequence
@@ -61,17 +64,18 @@ from typing import Callable, Sequence
 from ._ids import IDENTITY_IDS
 from .polynomial import ONE, IntPolynomial, Packing, _exceeds, packed_sums
 from .qbinomial import qbinom
+from . import partitions
 from .partitions import (
     _Record,
     _check_walk,
     _convolve,
     _kind_sums,
+    _picks,
     _tally,
     _walk,
     partition_p,
     pbar_convolution_totals,
     pbar_gf,
-    qbar_gf,
 )
 
 __all__ = [
@@ -162,7 +166,7 @@ class VerificationReport(_Record):
 
 
 def _row_failures(
-    params: tuple[int, ...], got: Sequence[int], expected: Sequence[int]
+    params: tuple[int, ...], got: Sequence[int], expected: Sequence[int], origin: int = 0
 ) -> list[Counterexample]:
     """One counterexample per target n where two rows of counts differ.
 
@@ -174,6 +178,8 @@ def _row_failures(
     padded with zeros to one length, in copies, and compared again, so that
     rows that differ only in trailing zeros, such as an empty row and [0],
     are found equal without a walk; only rows that still differ are walked.
+    Entry n of the rows counts the target n + ``origin``, which the
+    counterexamples name.
     """
     if tuple(got) == tuple(expected):
         return []
@@ -183,7 +189,7 @@ def _row_failures(
     if got == expected:
         return []
     return [
-        Counterexample(params + (n,), str(lhs), str(rhs))
+        Counterexample(params + (n + origin,), str(lhs), str(rhs))
         for n, (lhs, rhs) in enumerate(zip(got, expected))
         if lhs != rhs
     ]
@@ -370,36 +376,20 @@ def verify_guo_yang_2(m_max: int = 10, n_max: int = 10) -> VerificationReport:
 # Structural properties of the two-kind counting function.
 
 
-def _generating_function_cost(r_max: int, *sets: list[int]) -> tuple[int, str, int]:
-    """The coefficients of sets of two-kind generating functions, as a cost.
-
-    A generating function at (r, N1, N2, k1, k2) holds r*s1 + s2 + 1
-    coefficients, where s1 and s2 are each kind's share of its length.  Each
-    of ``sets`` lists one kind's shares, one per bound pair (N, k), and
-    stands for every r up to ``r_max`` with any two of those pairs.  For P
-    pairs whose shares add up to S, that is (C(r_max+1, 2) + r_max) * S * P
-    + r_max * P**2 coefficients.  Each bound tuple counts once, so this is
-    an upper bound on what the memos hold: ``pbar_gf`` keeps the tuples that
-    swap N and k within a kind as one product.
-    """
-    work = sum(
-        (comb(r_max + 1, 2) + r_max) * sum(shares) * len(shares)
-        + r_max * len(shares) ** 2
-        for shares in sets
-    )
-    return work, "generating-function coefficients", MAX_GRID_POINTS
-
-
 def _pbar_gf_cost(r_max: int, param_max: int) -> tuple[int, str, int]:
     """The coefficients of ``pbar_gf`` at every bound tuple up to p = ``param_max``.
 
-    Its share per kind is N*k, summed over the (p+1)**2 pairs of one kind.
-    The memo keeps one product per pair of Gaussian cells, and a kind's
-    (p+1)**2 pairs are (p+1)(p+2)/2 cells, so the count is an upper bound on
-    what it holds.
+    A product at (r, N1, N2, k1, k2) holds r*N1*k1 + N2*k2 + 1 coefficients.
+    Each kind has P = (p+1)**2 bound pairs (N, k), whose shares N*k add up
+    to S = C(p+1, 2)**2, so every r up to ``r_max`` with any two pairs makes
+    (C(r_max+1, 2) + r_max) * S * P + r_max * P**2 coefficients.  The memo
+    keeps one product per pair of Gaussian cells, and a kind's (p+1)**2
+    pairs are (p+1)(p+2)/2 cells, so the count is an upper bound on what it
+    holds.
     """
-    bounds = range(param_max + 1)
-    return _generating_function_cost(r_max, [n * k for n in bounds for k in bounds])
+    pairs, shares = (param_max + 1) ** 2, comb(param_max + 1, 2) ** 2
+    work = (comb(r_max + 1, 2) + r_max) * shares * pairs + r_max * pairs**2
+    return work, "generating-function coefficients", MAX_GRID_POINTS
 
 
 def _rows_against_oracle(
@@ -416,6 +406,19 @@ def _rows_against_oracle(
     empty, and the tally gives [0].  Every pair of picks is still counted
     one by one at every point.
 
+    Entry m of a row counts the target m + s.  At gap 0, s is 0.  At gap 1
+    the route's row starts at the staircase s = r*C(k1+1, 2) + C(k2+1, 2),
+    the least total of k1 and k2 distinct parts, so that it can read a
+    stored product unshifted; each list is lowered to match in its cache,
+    by its kind's C(k+1, 2), once per grid.  So a passing point compares two
+    rows in one frame with no shifted copy and no arithmetic on s, and only
+    a failing one lifts its counterexamples back to the real target n.  A
+    list's least total is checked once per grid as well: one below its
+    staircase, which no k distinct positive parts reach, or below 0 at gap
+    0, lowers it by that least total instead, and at every point that reads
+    it the route's row is padded to the same frame, so the stray total is a
+    counterexample at its real target, not an index out of the row.
+
     The cost applies ``_walk`` to each bound pair (N, k) of one kind, at
     most 31**2 of them once ``_sweep`` has held the grid to
     ``MAX_GRID_POINTS`` points.  The costliest, the most picks C with ties
@@ -428,9 +431,16 @@ def _rows_against_oracle(
     caches hold S totals per r, so that limit also holds them to 10**4
     each.
     """
+    # the lists with a total below their staircase, by how far below
+    deficits: dict[tuple[int, int], int] = {}
+
     @lru_cache(maxsize=None)
     def totals(n: int, k: int) -> Sequence[int]:
-        return () if gap and k > n else _kind_sums(n, k, gap)
+        sums = () if gap and k > n else _kind_sums(n, k, gap)
+        least = gap * k * (k + 1) // 2
+        if min(sums, default=least) < least:
+            deficits[n, k], least = least - min(sums), min(sums)
+        return [s - least for s in sums]
 
     @lru_cache(maxsize=None)
     def scaled(r: int, n: int, k: int) -> list[int]:
@@ -443,7 +453,15 @@ def _rows_against_oracle(
         # no row past ``MAX_DENSE_DEGREE``, so nothing that ``_row`` would
         # refuse reaches this tally.
         oracle = _tally(scaled(r, n1, k1), totals(n2, k2))
-        return 1, _row_failures((r, n1, n2, k1, k2), route(r, n1, n2, k1, k2), oracle)
+        found = _row_failures((r, n1, n2, k1, k2), route(r, n1, n2, k1, k2), oracle)
+        if found or deficits:
+            # again in the oracle's frame, which a list lowered short of its
+            # staircase starts lower, and at the real targets
+            pad = r * deficits.get((n1, k1), 0) + deficits.get((n2, k2), 0)
+            got = (0,) * pad + tuple(route(r, n1, n2, k1, k2))
+            origin = gap * (r * comb(k1 + 1, 2) + comb(k2 + 1, 2)) - pad
+            found = _row_failures((r, n1, n2, k1, k2), got, oracle, origin)
+        return 1, found
 
     def cost():
         bounds = range(param_max + 1)
@@ -582,52 +600,75 @@ def verify_thm24(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     return _two_kind_sweep("thm2.4", r_max, param_max, check, cost)
 
 
+def _staircase(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """A set of k distinct parts, descending, less (k, k-1, ..., 1), zeros dropped."""
+    return tuple(filter(None, map(sub, parts, range(len(parts), 0, -1))))
+
+
 def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
-    """The staircase bijection between distinct-part and unrestricted counts.
+    """The staircase bijection between distinct-part and unrestricted picks.
 
-    The distinct-part generating function must equal the two-kind generating
-    function at (N1-k1, N2-k2) shifted by r*C(k1+1, 2) + C(k2+1, 2); when a
-    reduced bound is negative, both sides vanish.
+    The distinct-part generating function is the two-kind one at
+    (N1-k1, N2-k2) shifted by r*C(k1+1, 2) + C(k2+1, 2), and it is so kind
+    by kind, with step r on the first kind, through the staircase map
+    (Andrews, ch. 3; Pak, 2006): ``_staircase`` takes (k, k-1, ..., 1) off a
+    set of k distinct parts at most N, which leaves a multiset of at most k
+    parts at most N - k, its total lowered by C(k+1, 2).  This checks the
+    map itself, on the walks the oracle lists, and reads no generating
+    function.  For each kind's (N, k), once per grid, the images of the
+    sets ``_picks`` walks at gap 1 must be exactly the multisets it walks
+    at (N - k, k) and gap 0, in order, so each is hit once.  The map keeps
+    the walker's order: subtracting one vector keeps the lexicographic order
+    of k-tuples, and a multiset with trailing zeros dropped comes after its
+    extensions, as the walker yields a prefix after them.  When k > N both
+    walks are empty.
 
-    Like thm2.4's swaps, this checks almost nothing: ``qbinom`` keeps [N, k]
-    and [N, N-k] in one memo entry, so both sides multiply the very same
-    rows and shift by the same r*C(k1+1, 2) + C(k2+1, 2).  It can catch a
-    fault in that memo's sharing, but not a wrong Gaussian row: with every
-    row's q^1 coefficient raised by 1000 it still passes at the default
-    grid, while all ten other identities fail.  A staircase map on the
-    enumerated partitions would make it a real check.
+    Each point (r, N1, N2, k1, k2) is one comparison.  Where a kind's two
+    walks part, the point has a counterexample whose parameters end with
+    the kind, 1 or 2, and whose sides are the first image and the multiset
+    walked with it, as tuples of the walked parts (the first kind's
+    multipliers), ``None`` where a walk has ended.
 
-    The grid's cost counts the coefficients of both sides' products, one
-    per bound tuple: ``qbar_gf`` at each point, its shift included, and
-    ``pbar_gf`` at the reduced bounds.  Each is nonzero only where k <= N
-    for both kinds.  ``qbar_gf`` keeps a product per bound tuple, but
-    ``pbar_gf`` one per pair of Gaussian cells, so the count is an upper
-    bound on what the memos hold.
+    The cost is the picks walked: C(N, k) sets and as many multisets for
+    each pair (N, k) of one kind, 2 * (2**(p+1) - 1) in all for
+    p = ``param_max`` and any r, held to ``MAX_ENUMERATION_WORK``.
     """
 
-    def check(*params: int):
-        r, n1, n2, k1, k2 = params
-        lhs = qbar_gf(*params)
-        offset = r * comb(k1 + 1, 2) + comb(k2 + 1, 2)
-        rhs = pbar_gf(r, n1 - k1, n2 - k2, k1, k2).shift(offset)
-        return 1, _mismatch(params, lhs, rhs)
+    @lru_cache(maxsize=None)
+    def parting(n: int, k: int) -> tuple | None:
+        # the first image that is not the multiset walked with it, if any
+        images = map(_staircase, _picks(n, k, 0, n * k, 1))
+        pairs = zip_longest(images, _picks(n - k, k, 0, (n - k) * k, 0))
+        return next((pair for pair in pairs if pair[0] != pair[1]), None)
+
+    def check(r: int, n1: int, n2: int, k1: int, k2: int):
+        pairs = enumerate((parting(n1, k1), parting(n2, k2)), 1)
+        return 1, [
+            Counterexample((r, n1, n2, k1, k2, kind), *map(str, pair))
+            for kind, pair in pairs if pair
+        ]
 
     def cost():
-        # one kind's pairs with k <= N: a qbar_gf share is k*(N-k) + C(k+1, 2),
-        # and the share of its pbar_gf at (N-k, k) is (N-k)*k
-        pairs = [(n, k) for n in range(param_max + 1) for k in range(n + 1)]
-        qbar = [k * (n - k) + comb(k + 1, 2) for n, k in pairs]
-        return _generating_function_cost(r_max, qbar, [(n - k) * k for n, k in pairs])
+        # C(N, k) summed over k <= N <= p is the sum of 2**N, 2**(p+1) - 1
+        return 2 * (2 ** (param_max + 1) - 1), "picks", partitions.MAX_ENUMERATION_WORK
 
     return _two_kind_sweep("thm2.5", r_max, param_max, check, cost)
 
 
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
-    """Distinct-part generating function against the enumeration oracle."""
+    """Distinct-part generating function against the enumeration oracle.
+
+    The route reads the product that ``qbar_gf`` is a view of, ``pbar_gf``
+    at (N1-k1, N2-k2, k1, k2), with no shifted copy built: its row starts at
+    the staircase, and the oracle's lists are lowered to match (see
+    ``_rows_against_oracle``).  Counterexamples name the real target n.  A
+    point where a kind has no pick, k > N, reads no generating function: its
+    row is empty, as ``qbar_gf`` is there.
+    """
 
     def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
         # named arguments, as in thm2.2
-        return qbar_gf(r, n1, n2, k1, k2).coeffs
+        return () if k1 > n1 or k2 > n2 else pbar_gf(r, n1 - k1, n2 - k2, k1, k2).coeffs
 
     return _rows_against_oracle("thm2.6", route, 1, r_max, param_max)
 

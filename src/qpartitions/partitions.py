@@ -62,7 +62,7 @@ from __future__ import annotations
 import threading
 from math import comb
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .polynomial import ZERO, IntPolynomial, _check_dense, _exceeds, product
 from .qbinomial import _coefficients, qbinom
@@ -269,22 +269,23 @@ def Q(N: int, k: int, n: int) -> int:
 
 
 class _MemoInfo(_Record):
-    """What ``cache_info`` reports of a generating-function memo."""
+    """What ``cache_info`` reports of the generating-function memo."""
 
     _fields = ("hits", "misses", "currsize")
     __slots__ = _fields
 
 
 class _Memo(dict):
-    """The memo of one generating function: its non-zero products by key.
+    """The memo of ``pbar_gf``: its non-zero products by pair of Gaussian cells.
 
-    The function counts a read and subscripts the dict, inline; a key not
-    held reaches ``__missing__``, which builds the product from the key with
-    ``build`` and stores it under the lock unless another thread stored one
-    first, and returns the stored one, so every reader of a key is handed
-    one object.
-    A zero product is never stored: the generating functions answer it with
-    the shared ``ZERO`` before they read.
+    A key (r, t1, b1, t2, b2) stands for [t1, b1] at q^r times [t2, b2].
+    ``pbar_gf`` counts a read and subscripts the dict, inline; a key not
+    held reaches ``__missing__``, which builds the product from the key
+    and stores it under the lock unless another thread stored one first,
+    and returns the stored one, so every reader of a key is handed one
+    object.
+    A zero product is never stored: ``pbar_gf`` answers it with the shared
+    ``ZERO`` before it reads.
 
     A miss is a read that stored an entry, and a hit any other read; a zero
     read is neither.  Misses are counted under the lock, so they are exact
@@ -294,16 +295,16 @@ class _Memo(dict):
     increment when threads read at once.
     """
 
-    __slots__ = ("reads", "misses", "_build", "_lock")
+    __slots__ = ("reads", "misses", "_lock")
 
-    def __init__(self, build: Callable[..., IntPolynomial]) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.reads = self.misses = 0
-        self._build = build
         self._lock = threading.Lock()
 
     def __missing__(self, key: tuple[int, ...]) -> IntPolynomial:
-        gf = self._build(*key)
+        r, t1, b1, t2, b2 = key
+        gf = product(qbinom(t1, b1).coeffs, qbinom(t2, b2).coeffs, r)
         with self._lock:
             held = self.setdefault(key, gf)
             if held is gf:
@@ -321,19 +322,7 @@ class _Memo(dict):
             self.reads = self.misses = 0
 
 
-def _pbar_product(r: int, t1: int, b1: int, t2: int, b2: int) -> IntPolynomial:
-    """[t1, b1] at q^r times [t2, b2]: the product behind ``pbar_gf``."""
-    return product(qbinom(t1, b1).coeffs, qbinom(t2, b2).coeffs, r)
-
-
-def _qbar_product(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
-    """The shifted product behind ``qbar_gf``."""
-    gf = product(qbinom(n1, k1).coeffs, qbinom(n2, k2).coeffs, r)
-    return gf.shift(r * comb(k1 + 1, 2) + comb(k2 + 1, 2))
-
-
-_pbar_memo = _Memo(_pbar_product)
-_qbar_memo = _Memo(_qbar_product)
+_pbar_memo = _Memo()
 
 
 def pbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
@@ -348,11 +337,11 @@ def pbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
     [N+k, N] == [N+k, k], so the memo keys a product by the two Gaussian
     cells it multiplies, (r, N1+k1, min(N1, k1), N2+k2, min(N2, k2)), the
     cells ``qbinomial`` keeps, and every bound tuple that swaps N and k
-    within a kind reads that one stored object.  ``cache_info()`` gives the
-    memo's hits, misses and entries: the misses are exact under threads,
-    the hits only in one thread (see ``_Memo``).  ``cache_clear()`` empties
-    this memo and ``qbar_gf``'s together, so a cold start is one call and
-    neither memo keeps a product built before it.
+    within a kind reads that one stored object.  It is the package's one
+    generating-function memo: ``qbar_gf`` and ``qbar_genfun`` read it too.
+    ``cache_info()`` gives its hits, misses and entries: the misses are
+    exact under threads, the hits only in one thread (see ``_Memo``).
+    ``cache_clear()`` empties it, so a cold start is one call.
     """
     if r < 1:
         _check_step(r)
@@ -362,34 +351,25 @@ def pbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
     return ZERO
 
 
+pbar_gf.cache_info, pbar_gf.cache_clear = _pbar_memo.info, _pbar_memo.clear
+
+
 def qbar_gf(r: int, n1: int, n2: int, k1: int, k2: int) -> IntPolynomial:
     """Generating function of the distinct-part counts.
 
-    This is q^(r*C(k1+1, 2) + C(k2+1, 2)) * [N1, k1] at q^r * [N2, k2],
-    with the step-1 row [N1, k1] taken to q^r by ``product`` as in
-    ``pbar_gf``, and the same refusal of a step below 1.  It is zero, the
-    shared ``ZERO`` with no memo entry, unless 0 <= k <= N for both kinds.
-    The shift depends on k, so the memo keys a product by its bound tuple,
-    and builds it apart from ``pbar_gf``'s, so Thm 2.5 compares two
-    products built on their own.  ``cache_info()`` and ``cache_clear()``
-    work as there.
+    This is q^(r*C(k1+1, 2) + C(k2+1, 2)) * [N1, k1] at q^r * [N2, k2].  By
+    the staircase map (Andrews, ch. 3), k distinct parts at most N less
+    (k, k-1, ..., 1) are at most k parts at most N - k, the total lowered
+    by C(k+1, 2); as products, [N, k] = [(N-k)+k, N-k].  So it is the
+    product ``pbar_gf`` stores at (N1-k1, N2-k2, k1, k2), shifted: a view
+    of the one memo, with no memo of its own.  The shifted copy is built at
+    each call and kept nowhere; ``qbar_genfun`` reads a count without it.
+    ``pbar_gf`` refuses a step below 1, and where k < 0 or k > N in some
+    kind, a negative bound, it gives the shared ``ZERO``, which every shift
+    leaves as it is.
     """
-    if r < 1:
-        _check_step(r)
-    if 0 <= k1 <= n1 and 0 <= k2 <= n2:
-        _qbar_memo.reads += 1
-        return _qbar_memo[r, n1, n2, k1, k2]
-    return ZERO
-
-
-def _clear_memos() -> None:
-    """Empty both generating-function memos and zero their counts."""
-    _pbar_memo.clear()
-    _qbar_memo.clear()
-
-
-pbar_gf.cache_info, qbar_gf.cache_info = _pbar_memo.info, _qbar_memo.info
-pbar_gf.cache_clear = qbar_gf.cache_clear = _clear_memos
+    shift = r * comb(k1 + 1, 2) + comb(k2 + 1, 2) if k1 >= 0 <= k2 else 0
+    return pbar_gf(r, n1 - k1, n2 - k2, k1, k2).shift(shift)
 
 
 def pbar_genfun(query: TwoKindQuery) -> int:
@@ -454,8 +434,15 @@ def pbar_convolution_totals(r: int, n1: int, n2: int, k1: int, k2: int) -> list[
 
 
 def qbar_genfun(query: TwoKindQuery) -> int:
-    """Distinct-part two-kind count via the generating-function route."""
-    return qbar_gf(query.r, query.n1, query.n2, query.k1, query.k2).coeff(query.n)
+    """Distinct-part two-kind count via the generating-function route.
+
+    The coefficient of q^(n - s) in ``pbar_gf`` at (N1-k1, N2-k2, k1, k2),
+    with s = r*C(k1+1, 2) + C(k2+1, 2), as ``qbar_gf`` says, but with no
+    shifted copy built, whatever s is.  A kind with k > N lowers its bound
+    below 0, where ``pbar_gf`` is ``ZERO``.
+    """
+    r, n1, n2, k1, k2, n = query._values
+    return pbar_gf(r, n1 - k1, n2 - k2, k1, k2).coeff(n - r * comb(k1 + 1, 2) - comb(k2 + 1, 2))
 
 
 def _picks(

@@ -227,11 +227,17 @@ class TestCount:
             assert run(capsys, *argv, "--method", method)[:2] == (0, "1\n")
         code, out, _ = run(capsys, "enumerate", "pbar", "--r", str(10**18), *bounds)
         assert (code, out) == (0, "2'+1'\n")
-        # a distinct-part shift of r * C(k1 + 1, 2) is refused the same way
-        argv = ["count", "qbar", "--r", str(10**18), "--n1", "1", "--n2", "1",
-                "--k1", "1", "--k2", "1", "--n", "3"]
-        assert run(capsys, *argv)[:2] == (2, "")
+        # a distinct-part count reads pbar_gf at the lowered bounds, here the
+        # product 1, at n - s for the shift s = r * C(k1 + 1, 2) + 1, and
+        # builds no shifted copy of degree s, so genfun answers too
+        bounds = ["--r", str(10**18), "--n1", "1", "--n2", "1", "--k1", "1", "--k2", "1"]
+        argv = ["count", "qbar", *bounds, "--n", "3"]
+        assert run(capsys, *argv) == (0, "0\n", "")
         assert run(capsys, *argv, "--method", "enumerate")[:2] == (0, "0\n")
+        assert run(capsys, *argv, "--method", "all") == (0, "genfun: 0\nenumerate: 0\n", "")
+        # the one partition r + 1'
+        argv = ["count", "qbar", *bounds, "--n", str(10**18 + 1), "--method", "all"]
+        assert run(capsys, *argv) == (0, "genfun: 1\nenumerate: 1\n", "")
         # with no first-kind part the step costs nothing and genfun answers
         argv = ["count", "qbar", "--r", str(10**18), "--n1", "2", "--n2", "2",
                 "--k1", "0", "--k2", "1", "--n", "1"]
@@ -515,6 +521,19 @@ class TestVerify:
         assert err == (
             "error: thm2.4: grid of 2084953 generating-function coefficients "
             "exceeds the limit of 1000000\n"
+        )
+
+    def test_costly_staircase_grid_is_a_usage_error(self, capsys, monkeypatch):
+        # 130,321 points, but the staircase check would walk 2 * (2**19 - 1)
+        # picks, whatever r_max is; no pick is walked before the refusal
+        monkeypatch.setattr(identities, "_picks", None)
+        code, out, err = run(
+            capsys, "verify", "thm2.5", "--r-max", "1", "--param-max", "18"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: thm2.5: grid of 1048574 picks exceeds the limit of 1000000\n"
         )
 
     def test_costly_corollary_rows_are_a_usage_error(self, capsys, monkeypatch):

@@ -362,38 +362,36 @@ class TestGridLimit:
             verify_cor32(n_max=n_max)
 
     @pytest.mark.parametrize("r_max, param_max", [(1, 3), (2, 2), (3, 4)])
-    @pytest.mark.parametrize("identity_id", ("thm2.3", "thm2.4", "thm2.5"))
+    @pytest.mark.parametrize("identity_id", ("thm2.3", "thm2.4"))
     def test_generating_function_grids_count_their_memo(
         self, monkeypatch, identity_id, r_max, param_max
     ):
-        # the coefficients of every distinct pbar_gf and qbar_gf the grid
-        # reads, neighbours included; thm2.3 reads every bound tuple up to
+        # the coefficients of every distinct pbar_gf the grid reads,
+        # neighbours included; thm2.3 reads every bound tuple up to
         # param_max, and those at a part-count bound of -1, which are zero
         held = {}
-        for name in ("pbar_gf", "qbar_gf"):
-            real = getattr(identities, name)
+        real = identities.pbar_gf
 
-            def recording(*bounds, real=real, name=name):
-                gf = real(*bounds)
-                held[name, bounds] = len(gf.coeffs)
-                return gf
+        def recording(*bounds):
+            gf = real(*bounds)
+            held[bounds] = len(gf.coeffs)
+            return gf
 
-            monkeypatch.setattr(identities, name, recording)
+        monkeypatch.setattr(identities, "pbar_gf", recording)
         assert run_identity(identity_id, r_max=r_max, param_max=param_max).passed
         size = sum(held.values())
         if identity_id == "thm2.3":
             tuples = itertools.product(
                 range(1, r_max + 1), *[range(param_max + 1)] * 4
             )
-            everything = {("pbar_gf", bounds) for bounds in tuples}
+            everything = set(tuples)
             assert {key for key, length in held.items() if length} == everything
-            size = sum(r * n1 * k1 + n2 * k2 + 1 for _, (r, n1, n2, k1, k2) in everything)
+            size = sum(r * n1 * k1 + n2 * k2 + 1 for r, n1, n2, k1, k2 in everything)
         unit = "generating-function coefficients"
         monkeypatch.setattr(identities, "MAX_GRID_POINTS", size)
         assert run_identity(identity_id, r_max=r_max, param_max=param_max).passed
         monkeypatch.setattr(identities, "MAX_GRID_POINTS", size - 1)
         monkeypatch.setattr(identities, "pbar_gf", None)
-        monkeypatch.setattr(identities, "qbar_gf", None)
         refusal = f"^{identity_id}: grid of {size} {unit} exceeds the limit of {size - 1}$"
         with pytest.raises(ValueError, match=refusal):
             run_identity(identity_id, r_max=r_max, param_max=param_max)
@@ -409,6 +407,41 @@ class TestGridLimit:
         refusal = f"^thm2.4: grid of {coeffs} generating-function coefficients"
         with pytest.raises(ValueError, match=refusal):
             verify_thm24(r_max=r_max, param_max=param_max)
+
+    @pytest.mark.parametrize("r_max, param_max", [(1, 0), (1, 3), (3, 4), (2, 6)])
+    def test_staircase_grid_counts_its_picks(self, monkeypatch, r_max, param_max):
+        # the sets and multisets the staircase check walks, once per grid
+        walked = []
+        real = identities._picks
+
+        def counted(*args):
+            picks = list(real(*args))
+            walked.append(len(picks))
+            return iter(picks)
+
+        monkeypatch.setattr(identities, "_picks", counted)
+        assert verify_thm25(r_max=r_max, param_max=param_max).passed
+        picks = 2 * (2 ** (param_max + 1) - 1)
+        assert sum(walked) == picks
+        monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", picks)
+        assert verify_thm25(r_max=r_max, param_max=param_max).passed
+        monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", picks - 1)
+        monkeypatch.setattr(identities, "_picks", None)
+        refusal = f"^thm2.5: grid of {picks} picks exceeds the limit of {picks - 1}$"
+        with pytest.raises(ValueError, match=refusal):
+            verify_thm25(r_max=r_max, param_max=param_max)
+
+    @pytest.mark.parametrize("r_max", [1, 3])
+    def test_staircase_limit_falls_between_17_and_18(self, monkeypatch, r_max):
+        # 524,286 picks at param-max 17, within 10**6, and 1,048,574 at 18,
+        # refused before the first pick whatever r_max is; at 17 the limit
+        # is lowered to show the count without walking it
+        monkeypatch.setattr(identities, "_picks", None)
+        with pytest.raises(ValueError, match="^thm2.5: grid of 1048574 picks .* 1000000$"):
+            verify_thm25(r_max=r_max, param_max=18)
+        monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", 524285)
+        with pytest.raises(ValueError, match="^thm2.5: grid of 524286 picks"):
+            verify_thm25(r_max=r_max, param_max=17)
 
     @pytest.mark.parametrize(
         "identity_id, bound, pairs, parts",
@@ -431,7 +464,7 @@ class TestGridLimit:
         def unreachable(*bounds):
             raise AssertionError(f"walked {bounds}")
 
-        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", "_tally"):
+        for name in ("pbar_convolution_totals", "pbar_gf", "_tally"):
             monkeypatch.setattr(identities, name, unreachable)
         refusal = (
             f"^enumeration of {pairs} pairs of picks drawing {parts} parts "
@@ -495,7 +528,7 @@ class TestGridLimit:
         def unreachable(*bounds):
             raise AssertionError(f"walked {bounds}")
 
-        for name in ("pbar_convolution_totals", "pbar_gf", "qbar_gf", "_tally"):
+        for name in ("pbar_convolution_totals", "pbar_gf", "_tally"):
             monkeypatch.setattr(identities, name, unreachable)
         refusal = (
             f"^{identity_id}: grid of {pairs} pairs of picks exceeds the limit of {pairs - 1}$"
@@ -854,14 +887,56 @@ class TestStructuralVerifiers:
         ]
 
     def test_staircase_counterexamples_on_either_side(self, monkeypatch):
-        perturb(monkeypatch, "pbar_gf", {(1, 0, 1, 1, 0): IntPolynomial((0, 0, 0, 0, 5))})
-        perturb(monkeypatch, "qbar_gf", {(1, 1, 1, 1, 1): IntPolynomial((-1,))})
+        # a map that leaves the set {1} as it is: the one set of one part at
+        # most 1 must go to the empty multiset, so every point with
+        # (N, k) = (1, 1) in either kind fails, and the kind ends its
+        # parameters
+        real = identities._staircase
+        monkeypatch.setattr(
+            identities, "_staircase", lambda parts: parts if parts == (1,) else real(parts)
+        )
         report = verify_thm25(r_max=1, param_max=1)
         assert report.checked == 16
-        assert failures(report) == [
-            {"params": [1, 1, 1, 1, 0], "lhs": "q", "rhs": "q + 5*q^5"},
-            {"params": [1, 1, 1, 1, 1], "lhs": "-1 + q^2", "rhs": "q^2"},
+        points = [
+            (1, 0, 1, 0, 1, 2),
+            (1, 0, 1, 1, 1, 2),
+            (1, 1, 0, 1, 0, 1),
+            (1, 1, 0, 1, 1, 1),
+            (1, 1, 1, 0, 1, 2),
+            (1, 1, 1, 1, 0, 1),
+            (1, 1, 1, 1, 1, 1),
+            (1, 1, 1, 1, 1, 2),
         ]
+        assert failures(report) == [
+            {"params": list(point), "lhs": "(1,)", "rhs": "()"} for point in points
+        ]
+
+    def test_staircase_names_a_walk_that_ends_early(self, monkeypatch):
+        # each walk of sets loses its last set, {k, ..., 2, 1} (the empty set
+        # at k = 0), which the map sends to the empty multiset, the last one
+        # walked at (N - k, k): every kind with k <= N ends its images early
+        real = identities._picks
+
+        def short(max_value, count, low, high, gap):
+            picks = list(real(max_value, count, low, high, gap))
+            return iter(picks[:-1] if gap else picks)
+
+        monkeypatch.setattr(identities, "_picks", short)
+        report = verify_thm25(r_max=2, param_max=2)
+        assert not report.passed
+        assert failures(report)[0] == {"params": [1, 0, 0, 0, 0, 1], "lhs": "None", "rhs": "()"}
+        assert {c.lhs for c in report.failures} == {"None"}
+        assert {c.rhs for c in report.failures} == {"()"}
+
+    def test_staircase_reads_no_generating_function(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a generating function read by thm2.5")
+
+        monkeypatch.setattr(identities, "pbar_gf", forbidden)
+        monkeypatch.setattr(partitions, "pbar_gf", forbidden)
+        monkeypatch.setattr(identities, "qbinom", forbidden)
+        monkeypatch.setattr(partitions, "qbinom", forbidden)
+        assert verify_thm25(r_max=3, param_max=6).passed
 
     def test_count_verifiers_multiply_no_polynomials(self, monkeypatch):
         # the convolution route and the row sums stay independent of pbar_gf
@@ -877,8 +952,8 @@ class TestStructuralVerifiers:
         assert verify_thm33(n_max=4, k_max=8).passed
 
     def test_generating_functions_build_no_inflated_copy(self, monkeypatch):
-        # pbar_gf and qbar_gf pad the step-1 row as they pack it; no Gaussian
-        # at q^r is built on the way, cold memos included
+        # pbar_gf pads the step-1 row as it packs it, and qbar_gf reads it;
+        # no Gaussian at q^r is built on the way, cold memo included
         steps = []
         inflate = IntPolynomial.inflate
 
@@ -888,8 +963,7 @@ class TestStructuralVerifiers:
 
         monkeypatch.setattr(IntPolynomial, "inflate", recording)
         partitions.pbar_gf.cache_clear()
-        partitions.qbar_gf.cache_clear()
-        for verify in (verify_thm22, verify_thm23, verify_thm24, verify_thm25, verify_thm26):
+        for verify in (verify_thm22, verify_thm23, verify_thm24, verify_thm26):
             assert verify(r_max=3, param_max=2).passed
         assert steps and set(steps) == {1}
 
@@ -956,9 +1030,12 @@ class TestOracleRows:
         assert len(calls) == 2 * lists
 
     def test_distinct_failure_is_reported_at_its_point(self, monkeypatch):
-        # the row at (2, 2, 1, 1, 1) is q^3 + q^5: one part 2 or 4, one part 1
-        extra = IntPolynomial((0, 0, 0, 1, 0, 0, 0, 1))
-        perturb(monkeypatch, "qbar_gf", {(2, 2, 1, 1, 1): extra})
+        # the row at (2, 2, 1, 1, 1) is q^3 + q^5: one part 2 or 4, one part
+        # 1.  The route reads it as 1 + q^2, pbar_gf at the lowered bounds
+        # (2, 1, 0, 1, 1), from the staircase s = 2 * 1 + 1 up, so a fault
+        # at q^0 and q^4 there is reported at the targets 3 and 7
+        extra = IntPolynomial((1, 0, 0, 0, 1))
+        perturb(monkeypatch, "pbar_gf", {(2, 1, 0, 1, 1): extra})
         report = verify_thm26(r_max=2, param_max=3)
         assert report.checked == 2 * 4**4
         assert failures(report) == [
@@ -966,23 +1043,92 @@ class TestOracleRows:
             {"params": [2, 2, 1, 1, 1, 7], "lhs": "1", "rhs": "0"},
         ]
 
-    def test_distinct_failure_where_a_kind_has_no_pick(self, monkeypatch):
-        # k1 = 2 > N1 = 1: the oracle enumerates nothing and its row is [0],
-        # against the empty generating function the route reads
-        perturb(monkeypatch, "qbar_gf", {(1, 1, 2, 2, 1): IntPolynomial((0, 1))})
-        report = verify_thm26(r_max=1, param_max=2)
-        assert failures(report) == [
-            {"params": [1, 1, 2, 2, 1, 1], "lhs": "1", "rhs": "0"},
+    def test_no_generating_function_is_read_where_a_kind_has_no_pick(self, monkeypatch):
+        # where k > N in a kind, the oracle enumerates nothing and its row
+        # is [0], against an empty route row: pbar_gf is read only at the
+        # points with k <= N in both kinds, at their lowered bounds
+        read = []
+        real = identities.pbar_gf
+
+        def recording(*bounds):
+            read.append(bounds)
+            return real(*bounds)
+
+        monkeypatch.setattr(identities, "pbar_gf", recording)
+        assert verify_thm26(r_max=2, param_max=3).passed
+        points = itertools.product(range(1, 3), *[range(4)] * 4)
+        assert sorted(read) == sorted(
+            (r, n1 - k1, n2 - k2, k1, k2)
+            for r, n1, n2, k1, k2 in points
+            if k1 <= n1 and k2 <= n2
+        )
+
+    def test_a_total_below_its_staircase_is_a_failure(self, monkeypatch):
+        # each distinct-part list with k >= 1 has its least total, that of
+        # {k, ..., 2, 1}, moved one below C(k+1, 2), where no k distinct
+        # parts reach: the lowered frame cannot hold it, so the lists are
+        # lowered by their least totals instead and the route's rows padded
+        # to match, and every stray pick is a counterexample at its real n
+        real = identities._kind_sums
+
+        def below(n, k, gap):
+            sums = real(n, k, gap)
+            return sums[:-1] + [sums[-1] - 1] if gap and k else sums
+
+        monkeypatch.setattr(identities, "_kind_sums", below)
+        report = verify_thm26(r_max=2, param_max=3)
+        assert report.checked == 2 * 4**4
+        assert len(report.failures) == 421
+        # (1, 0, 1, 0, 1): the one part 1' moved to 0'
+        assert failures(report)[:2] == [
+            {"params": [1, 0, 1, 0, 1, 0], "lhs": "0", "rhs": "1"},
+            {"params": [1, 0, 1, 0, 1, 1], "lhs": "1", "rhs": "0"},
         ]
+        # the same counterexamples as comparing the rows at their real targets
+        expected = []
+        for r, n1, n2, k1, k2 in itertools.product(range(1, 3), *[range(4)] * 4):
+            lists = [() if k > n else below(n, k, 1) for n, k in ((n1, k1), (n2, k2))]
+            row = [0] * 20
+            for a, b in itertools.product(*lists):
+                row[r * a + b] += 1
+            gf = qbar_gf(r, n1, n2, k1, k2)
+            expected += [
+                {"params": [r, n1, n2, k1, k2, n], "lhs": str(gf.coeff(n)), "rhs": str(count)}
+                for n, count in enumerate(row)
+                if gf.coeff(n) != count
+            ]
+        assert failures(report) == expected
+
+    def test_an_oracle_total_below_zero_is_a_failure(self, monkeypatch):
+        # at gap 0 the frame starts at target 0: a list whose last total,
+        # the empty pick's 0, is moved to -1 is lowered by -1 instead, and
+        # its stray picks are reported at negative targets, not indexed
+        real = identities._kind_sums
+        monkeypatch.setattr(
+            identities, "_kind_sums", lambda n, k, gap: real(n, k, gap)[:-1] + [-1]
+        )
+        for verify in (verify_thm21, verify_thm22):
+            report = verify(r_max=1, param_max=1)
+            assert report.checked == 16
+            # (1, 0, 0, 0, 0): the empty pair at -2 instead of 0
+            assert failures(report)[:2] == [
+                {"params": [1, 0, 0, 0, 0, -2], "lhs": "0", "rhs": "1"},
+                {"params": [1, 0, 0, 0, 0, 0], "lhs": "1", "rhs": "0"},
+            ]
 
     def test_oracle_rows_need_no_polynomial_arithmetic(self, monkeypatch):
         grid = (2, 3)
+
+        def lowered(r, n1, n2, k1, k2):
+            # the gap-1 route's rows start at the staircase, as thm2.6's do
+            return pbar_gf(r, n1 - k1, n2 - k2, k1, k2)
+
         rows = {
             gap: {
                 bounds: list(gf(*bounds).coeffs)
                 for bounds in itertools.product(range(1, 3), *[range(4)] * 4)
             }
-            for gap, gf in ((0, pbar_gf), (1, qbar_gf))
+            for gap, gf in ((0, pbar_gf), (1, lowered))
         }
 
         def public_rows():
@@ -993,10 +1139,9 @@ class TestOracleRows:
         def forbidden(*args):
             raise AssertionError("polynomial arithmetic in the oracle")
 
-        # with the memos cleared, a generating function read anywhere would
+        # with the memo cleared, a generating function read anywhere would
         # reach the patched product and Gaussian
         partitions.pbar_gf.cache_clear()
-        partitions.qbar_gf.cache_clear()
         monkeypatch.setattr(partitions, "qbinom", forbidden)
         monkeypatch.setattr(partitions, "product", forbidden)
         assert public_rows() == before

@@ -776,6 +776,18 @@ def _kind_sums_fault(monkeypatch):
     monkeypatch.setattr(identities, "_kind_sums", lambda n, k, gap: real(n, k, gap)[:-1])
 
 
+def _picks_fault(monkeypatch):
+    """The walker drops its last pick at gap 1, wherever it walks."""
+    real = partitions._picks
+
+    def faulty(max_value, count, low, high, gap):
+        picks = list(real(max_value, count, low, high, gap))
+        return iter(picks[:-1] if gap else picks)
+
+    monkeypatch.setattr(partitions, "_picks", faulty)
+    monkeypatch.setattr(identities, "_picks", faulty)
+
+
 # Every id on a small grid, in registry order.
 FAULT_GRIDS = {
     **{i: {"r_max": 2, "param_max": 3} for i in identities.IDENTITY_IDS[:6]},
@@ -787,8 +799,9 @@ FAULT_GRIDS = {
 }
 
 # The fault-detection matrix: each fault, the ids it fails and the route
-# disagreement of ``count pbar --method all`` it causes.  thm2.5 fails on
-# none: its two sides read the same Gaussian cells, [N, k] = [N, N-k].
+# disagreement of ``count pbar --method all`` it causes.  thm2.5 reads no
+# generating function and no pick totals: it checks the staircase map on the
+# walker's picks, so of these faults only the walker's makes it fail.
 FAULTS = [
     pytest.param(
         _gaussian_fault,
@@ -807,6 +820,7 @@ FAULTS = [
         id="convolve",
     ),
     pytest.param(_kind_sums_fault, ["thm2.1", "thm2.2", "thm2.6"], "", id="kind_sums"),
+    pytest.param(_picks_fault, ["thm2.5", "thm2.6"], "", id="picks"),
 ]
 
 
@@ -868,11 +882,10 @@ class TestConvolutionKernel:
                 "--k2", "1", "--n", "1", "--method", "all"]
 
         def run():
-            # a fresh Gaussian store and generating-function memos, so no
+            # a fresh Gaussian store and generating-function memo, so no
             # row built on one side of the fault is read on the other
             monkeypatch.setattr(qbinomial, "_prefixes", {})
             partitions.pbar_gf.cache_clear()
-            partitions.qbar_gf.cache_clear()
             ids = [i for i, grid in FAULT_GRIDS.items()
                    if not identities.run_identity(i, **grid).passed]
             code = main(argv)
@@ -885,7 +898,6 @@ class TestConvolutionKernel:
             assert run() == (failing, code, disagreement)
         finally:
             partitions.pbar_gf.cache_clear()
-            partitions.qbar_gf.cache_clear()
 
 
 class TestSymmetryAndReflection:
@@ -912,7 +924,11 @@ class TestSymmetryAndReflection:
 
 
 class TestGeneratingFunctionMemos:
-    """``pbar_gf`` keeps one product per pair of Gaussian cells, and no zeros."""
+    """``pbar_gf`` keeps one product per pair of Gaussian cells, and no zeros.
+
+    It is the one generating-function memo: ``qbar_gf`` reads it and keeps
+    nothing of its own.
+    """
 
     @pytest.fixture(autouse=True)
     def cold_memos(self):
@@ -947,13 +963,14 @@ class TestGeneratingFunctionMemos:
         ],
     )
     def test_zero_reads_store_nothing(self, gf, bounds):
+        # qbar_gf(1, 2, 2, 1, 1) reads pbar_gf at (1, 1, 1, 1, 1), a second cell
         pbar_gf(1, 2, 2, 1, 1)
         qbar_gf(1, 2, 2, 1, 1)
-        before = [pbar_gf.cache_info(), qbar_gf.cache_info()]
-        assert before[0].currsize == before[1].currsize == 1
+        before = pbar_gf.cache_info()
+        assert (before.misses, before.currsize) == (2, 2)
         for _ in range(2):
             assert gf(*bounds) is ZERO
-        assert [pbar_gf.cache_info(), qbar_gf.cache_info()] == before
+        assert pbar_gf.cache_info() == before
 
     def test_a_symmetry_grid_holds_one_entry_per_cell_pair(self):
         assert identities.verify_thm24(2, 7).passed
@@ -963,21 +980,25 @@ class TestGeneratingFunctionMemos:
         assert set(partitions._pbar_memo) == keys
         # each of the grid's 2 * 8**4 points reads four bound tuples
         assert info.hits + info.misses == 4 * 2 * 8**4
-        assert qbar_gf.cache_info().currsize == 0
 
-    def test_cache_clear_empties_both_memos(self):
-        # either function's cache_clear empties both memos and their counts
-        def counts(gf):
-            info = gf.cache_info()
+    def test_qbar_reads_count_in_the_one_memo(self):
+        # qbar_gf has no memo, counts or cache_clear of its own: each read is
+        # a pbar_gf read at the lowered bounds, and pbar_gf.cache_clear
+        # empties the one memo and zeroes its counts
+        def counts():
+            info = pbar_gf.cache_info()
             return info.hits, info.misses, info.currsize
 
-        for clear in (pbar_gf.cache_clear, qbar_gf.cache_clear):
-            for _ in range(2):
-                pbar_gf(2, 3, 1, 1, 2)
-                qbar_gf(2, 3, 1, 1, 1)
-            assert counts(pbar_gf) == counts(qbar_gf) == (1, 1, 1)
-            clear()
-            assert counts(pbar_gf) == counts(qbar_gf) == (0, 0, 0)
+        assert not hasattr(qbar_gf, "cache_info") and not hasattr(qbar_gf, "cache_clear")
+        for _ in range(2):
+            # [3, 1] at q^2 times [1, 1], shifted by 2 * 1 + 1
+            assert qbar_gf(2, 3, 1, 1, 1) == pbar_gf(2, 2, 0, 1, 1).shift(3)
+        assert counts() == (3, 1, 1)
+        # the N <-> k swap of the lowered bounds reads the same product
+        assert pbar_gf(2, 1, 0, 2, 1) is partitions._pbar_memo[2, 3, 1, 1, 0]
+        assert counts() == (4, 1, 1)
+        pbar_gf.cache_clear()
+        assert counts() == (0, 0, 0)
 
 
 class TestStaircaseBijection:
@@ -991,6 +1012,27 @@ class TestStaircaseBijection:
                             lhs = qbar_gf(r, n1, n2, k1, k2)
                             rhs = pbar_gf(r, n1 - k1, n2 - k2, k1, k2).shift(offset)
                             assert lhs == rhs, (r, n1, n2, k1, k2)
+
+    def test_the_map_carries_each_listing_onto_the_lowered_one(self):
+        # thm2.5's map, on the public listings: each distinct-part partition
+        # of n, less (k, ..., 1) per kind (in multiples of r for the first
+        # kind), is the partition at the same place in the listing at the
+        # lowered bounds and n - s, s = r * C(k1 + 1, 2) + C(k2 + 1, 2)
+        staircase = identities._staircase
+        for r, n1, n2, k1, k2 in product_of((1, 2), *[range(4)] * 4):
+            if k1 > n1 or k2 > n2:
+                continue
+            offset = r * comb(k1 + 1, 2) + comb(k2 + 1, 2)
+            for n in range(offset, offset + r * (n1 - k1) * k1 + (n2 - k2) * k2 + 1):
+                images = []
+                for item in qbar_enumerate(TwoKindQuery(r, n1, n2, k1, k2, n)):
+                    multipliers = tuple(part // r for part in item.first_kind)
+                    first = tuple(r * m for m in staircase(multipliers))
+                    images.append((first, staircase(item.second_kind)))
+                lowered = TwoKindQuery(r, n1 - k1, n2 - k2, k1, k2, n - offset)
+                listing = pbar_enumerate(lowered)
+                assert images == [(item.first_kind, item.second_kind) for item in listing]
+                assert len(images) == qbar_genfun(TwoKindQuery(r, n1, n2, k1, k2, n))
 
 
 class TestFirstKindBoundReading:

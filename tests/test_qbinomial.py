@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartitions import qbinomial
+from qpartitions import partitions, qbinomial
 from qpartitions.partitions import pbar_gf, qbar_gf
 from qpartitions.polynomial import ONE, ZERO, IntPolynomial
 from qpartitions.qbinomial import check_gr1, check_gr2, pochhammer_q, qbinom
@@ -434,12 +434,13 @@ class TestThreadSafety:
         assert len(qbinomial._prefixes[top, bottom]) == max(longest) == len(row)
         assert qbinomial._prefixes[top, bottom] == row
 
-    def test_concurrent_generating_function_reads_share_one_product(self):
+    def test_concurrent_generating_function_reads_share_one_product(self, monkeypatch):
         # eight threads read every bound tuple and its three N<->k swaps,
-        # each from a different start and direction, on cold memos, so the
-        # threads race to build and store the same products.  Every read of
-        # one pair of Gaussian cells must be handed one object, equal to a
-        # serial run's, and each qbar_gf tuple one object of its own.
+        # and qbar_gf at it, each from a different start and direction, on a
+        # cold memo, so the threads race to build and store the same
+        # products.  Every read of one pair of Gaussian cells must be handed
+        # one object, equal to a serial run's, and every qbar_gf read must
+        # shift a product that the one memo holds, at a cell it stored.
         tuples = list(itertools.product(range(1, 3), *[range(-1, 5)] * 4))
 
         def cells(r, n1, n2, k1, k2):
@@ -452,6 +453,15 @@ class TestThreadSafety:
         pbar_gf.cache_clear()
         expected = [read(*bounds) for bounds in tuples]
         pbar_gf.cache_clear()
+        # the products qbar_gf shifts; list.append is atomic
+        shifted = []
+        shift = IntPolynomial.shift
+
+        def recording(self, e):
+            shifted.append(self)
+            return shift(self, e)
+
+        monkeypatch.setattr(IntPolynomial, "shift", recording)
 
         workers = 8
         barrier = threading.Barrier(workers)
@@ -484,7 +494,7 @@ class TestThreadSafety:
             sys.setswitchinterval(old_interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        held = {}
+        held, lowered = {}, set()
         for got in results:
             assert got == expected
             for bounds, (*swaps, distinct) in zip(tuples, got):
@@ -493,13 +503,21 @@ class TestThreadSafety:
                         assert held.setdefault(cells(*bounds), gf) is gf
                     else:
                         assert gf is ZERO
+                r, n1, n2, k1, k2 = bounds
                 if distinct:
-                    assert held.setdefault(("qbar",) + bounds, distinct) is distinct
+                    # the cells qbar_gf read, which the memo must hold
+                    lowered.add(cells(r, n1 - k1, n2 - k2, k1, k2))
                 else:
                     assert distinct is ZERO
-        # the misses are exact under threads: one per entry stored
-        for gf in (pbar_gf, qbar_gf):
-            info = gf.cache_info()
-            assert info.misses == info.currsize
-        assert pbar_gf.cache_info().currsize + qbar_gf.cache_info().currsize == len(held)
+        # one shift of a product per non-zero qbar_gf read, each of the very
+        # object the memo holds
+        products = [gf for gf in shifted if gf]
+        assert len(products) == workers * sum(1 for *_, distinct in expected if distinct)
+        stored = {id(gf) for gf in partitions._pbar_memo.values()}
+        assert all(id(gf) in stored for gf in products)
+        # the misses are exact under threads: one per entry stored, and the
+        # qbar_gf reads stored nothing of their own
+        info = pbar_gf.cache_info()
+        assert set(partitions._pbar_memo) == set(held) | lowered
+        assert info.misses == info.currsize == len(partitions._pbar_memo)
         pbar_gf.cache_clear()
