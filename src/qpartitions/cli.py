@@ -38,10 +38,6 @@ from .qbinomial import qbinom
 if TYPE_CHECKING:
     from .identities import VerificationReport
 
-# ``identities.run_identity``, bound by the first ``verify``, so that no other
-# command imports the verifiers; a test may bind a stand-in first.
-run_identity: Callable[..., VerificationReport] | None = None
-
 
 class Output(NamedTuple):
     """A handler's answer: its exit code and the two ways to render it.
@@ -193,9 +189,9 @@ def _report_lines(reports: list[VerificationReport]) -> Iterable[str]:
 
 
 def _cmd_verify(args) -> Output:
-    global run_identity
-    if run_identity is None:
-        from .identities import run_identity
+    # imported here, so that no other command loads the verifiers
+    from .identities import run_identity
+
     overrides = {name: getattr(args, name) for name in _GRID_BOUNDS}
     ids = IDENTITY_IDS if args.identity == "all" else (args.identity,)
     reports = [run_identity(identity_id, **overrides) for identity_id in ids]

@@ -45,7 +45,10 @@ enumerated once per grid through the listings' walker, in caches made for
 the call, and every pair of picks is still tallied one by one at every
 point.  Thm 2.6 reads the distinct-part row from ``pbar_gf`` at the
 lowered bounds, from the staircase up, and its lists are lowered to match
-once per grid, so no point builds a shifted copy.
+once per grid, so no point builds a shifted copy.  Where a kind has no
+pick, k > N, a Thm 2.6 point is counted as checked and not compared: both
+sides are the zero row there, so one test decides it before anything is
+read.
 
 The registry at the bottom maps the stable identity ids of ``IDENTITY_IDS``
 (``"thm2.1"``, ``"eq2"``, ``"cor3.2"``, ...), kept in the light module
@@ -174,23 +177,17 @@ def _row_failures(
     as 0 past its end.  Equal rows, the usual case, are found equal in one
     comparison of tuples, so that a tuple and a list with the same entries
     match; a row that is a tuple already, such as a generating function's
-    coefficients, is not copied for it.  Rows of different lengths are
-    padded with zeros to one length, in copies, and compared again, so that
-    rows that differ only in trailing zeros, such as an empty row and [0],
-    are found equal without a walk; only rows that still differ are walked.
-    Entry n of the rows counts the target n + ``origin``, which the
-    counterexamples name.
+    coefficients, is not copied for it.  Rows that still differ are walked
+    once, the shorter read as zeros past its end, so rows that differ only
+    in trailing zeros give no counterexample, and the caller's rows are
+    left as they are.  Entry n of the rows counts the target n + ``origin``,
+    which the counterexamples name.
     """
     if tuple(got) == tuple(expected):
         return []
-    got, expected = list(got), list(expected)
-    got += [0] * (len(expected) - len(got))
-    expected += [0] * (len(got) - len(expected))
-    if got == expected:
-        return []
     return [
         Counterexample(params + (n + origin,), str(lhs), str(rhs))
-        for n, (lhs, rhs) in enumerate(zip(got, expected))
+        for n, (lhs, rhs) in enumerate(zip_longest(got, expected, fillvalue=0))
         if lhs != rhs
     ]
 
@@ -401,10 +398,12 @@ def _rows_against_oracle(
     A kind's pick totals depend only on its own (N, k), so the oracle reads
     them from caches of ``_kind_sums`` made for this call alone: each list
     is enumerated once per grid, not once per point, the first kind's is
-    multiplied by each r once, and all are gone when the call returns.  A
-    kind with no pick, k > N at gap 1, is not enumerated: its list is
-    empty, and the tally gives [0].  Every pair of picks is still counted
-    one by one at every point.
+    multiplied by each r once, and all are gone when the call returns.
+    Every pair of picks is still counted one by one at every point.  A
+    point where a kind has no pick, k > N at gap 1, is decided by that one
+    test before anything is read: both sides are the zero row there, so it
+    counts as checked and is not compared, and neither the route nor a
+    list is asked for it.
 
     Entry m of a row counts the target m + s.  At gap 0, s is 0.  At gap 1
     the route's row starts at the staircase s = r*C(k1+1, 2) + C(k2+1, 2),
@@ -436,7 +435,7 @@ def _rows_against_oracle(
 
     @lru_cache(maxsize=None)
     def totals(n: int, k: int) -> Sequence[int]:
-        sums = () if gap and k > n else _kind_sums(n, k, gap)
+        sums = _kind_sums(n, k, gap)
         least = gap * k * (k + 1) // 2
         if min(sums, default=least) < least:
             deficits[n, k], least = least - min(sums), min(sums)
@@ -447,6 +446,9 @@ def _rows_against_oracle(
         return [r * s for s in totals(n, k)]
 
     def check(r: int, n1: int, n2: int, k1: int, k2: int):
+        if gap and (k1 > n1 or k2 > n2):
+            # no pick in a kind: both sides are the zero row
+            return 1, []
         # No per-row checks run here.  ``cost`` has refused the grid unless
         # every row passes ``_check_walk``, and a grid of at most
         # ``MAX_GRID_POINTS`` points, with r >= 1 and every bound >= 0, has
@@ -662,13 +664,14 @@ def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     at (N1-k1, N2-k2, k1, k2), with no shifted copy built: its row starts at
     the staircase, and the oracle's lists are lowered to match (see
     ``_rows_against_oracle``).  Counterexamples name the real target n.  A
-    point where a kind has no pick, k > N, reads no generating function: its
-    row is empty, as ``qbar_gf`` is there.
+    point where a kind has no pick, k > N, never reaches the route: both
+    sides are the zero row there, so the oracle check counts it as checked
+    and compares nothing.
     """
 
     def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
         # named arguments, as in thm2.2
-        return () if k1 > n1 or k2 > n2 else pbar_gf(r, n1 - k1, n2 - k2, k1, k2).coeffs
+        return pbar_gf(r, n1 - k1, n2 - k2, k1, k2).coeffs
 
     return _rows_against_oracle("thm2.6", route, 1, r_max, param_max)
 

@@ -423,7 +423,7 @@ class TestVerify:
             "eq2", "stub", checked=1,
             failures=[Counterexample((3, 4), "1 + q", "1")],
         )
-        monkeypatch.setattr(cli, "run_identity", lambda *a, **k: failing)
+        monkeypatch.setattr(identities, "run_identity", lambda *a, **k: failing)
         code, out, _ = run(capsys, "verify", "eq2")
         assert code == 1
         assert "FAIL" in out
@@ -434,7 +434,7 @@ class TestVerify:
 
         failures = [Counterexample((n,), "1", "0") for n in range(13)]
         failing = VerificationReport("eq2", "stub", checked=13, failures=failures)
-        monkeypatch.setattr(cli, "run_identity", lambda *a, **k: failing)
+        monkeypatch.setattr(identities, "run_identity", lambda *a, **k: failing)
         code, out, _ = run(capsys, "verify", "eq2")
         assert code == 1
         assert out.splitlines() == [

@@ -559,7 +559,7 @@ class TestRowFailures:
         assert identities._row_failures((1,), (1, 2), [1, 2, 0]) == []
 
     def test_empty_row_reads_as_zero(self):
-        # the generating function of a kind with no pick against the oracle
+        # an empty row against a row of zeros
         assert identities._row_failures((1,), (), [0]) == []
         assert identities._row_failures((1,), (), [0, 1]) == [
             Counterexample((1, 1), "0", "1")
@@ -1044,24 +1044,35 @@ class TestOracleRows:
         ]
 
     def test_no_generating_function_is_read_where_a_kind_has_no_pick(self, monkeypatch):
-        # where k > N in a kind, the oracle enumerates nothing and its row
-        # is [0], against an empty route row: pbar_gf is read only at the
-        # points with k <= N in both kinds, at their lowered bounds
-        read = []
-        real = identities.pbar_gf
+        # where k > N in a kind, both sides are the zero row: the point is
+        # counted as checked and decided before any read, so pbar_gf is
+        # read and the oracle tallied only at the points with k <= N in
+        # both kinds, pbar_gf at their lowered bounds
+        read, tallied = [], []
+        real_gf, real_tally = identities.pbar_gf, identities._tally
 
         def recording(*bounds):
             read.append(bounds)
-            return real(*bounds)
+            return real_gf(*bounds)
+
+        def tallying(first, second):
+            tallied.append((first, second))
+            return real_tally(first, second)
 
         monkeypatch.setattr(identities, "pbar_gf", recording)
-        assert verify_thm26(r_max=2, param_max=3).passed
+        monkeypatch.setattr(identities, "_tally", tallying)
+        report = verify_thm26(r_max=2, param_max=3)
+        assert report.passed
+        assert report.checked == 2 * 4**4
         points = itertools.product(range(1, 3), *[range(4)] * 4)
-        assert sorted(read) == sorted(
+        picked = [
             (r, n1 - k1, n2 - k2, k1, k2)
             for r, n1, n2, k1, k2 in points
             if k1 <= n1 and k2 <= n2
-        )
+        ]
+        assert len(picked) == len(tallied) == 2 * 10**2
+        assert sorted(read) == sorted(picked)
+        assert all(first and second for first, second in tallied)
 
     def test_a_total_below_its_staircase_is_a_failure(self, monkeypatch):
         # each distinct-part list with k >= 1 has its least total, that of
