@@ -43,12 +43,14 @@ every row of the grid, done once before the first point, so each point is a
 bare ``_tally`` of the oracle: each kind's list of pick totals is
 enumerated once per grid through the listings' walker, in caches made for
 the call, and every pair of picks is still tallied one by one at every
-point.  Thm 2.6 reads the distinct-part row from ``pbar_gf`` at the
-lowered bounds, from the staircase up, and its lists are lowered to match
-once per grid, so no point builds a shifted copy.  Where a kind has no
-pick, k > N, a Thm 2.6 point is counted as checked and not compared: both
-sides are the zero row there, so one test decides it before anything is
-read.
+point.  Thm 2.1's route row depends only on r and its two Gaussian cells,
+so it is read once per pair of cells per grid, in a cache made for the
+call, as ``pbar_gf`` keeps one product per pair of cells.  Thm 2.6 reads
+the distinct-part row from ``pbar_gf`` at the lowered bounds, from the
+staircase up, and its lists are lowered to match once per grid, so no
+point builds a shifted copy.  Where a kind has no pick, k > N, a Thm 2.6
+point is counted as checked and not compared: both sides are the zero row
+there, so one test decides it before anything is read.
 
 The registry at the bottom maps the stable identity ids of ``IDENTITY_IDS``
 (``"thm2.1"``, ``"eq2"``, ``"cor3.2"``, ...), kept in the light module
@@ -399,11 +401,14 @@ def _rows_against_oracle(
     them from caches of ``_kind_sums`` made for this call alone: each list
     is enumerated once per grid, not once per point, the first kind's is
     multiplied by each r once, and all are gone when the call returns.
-    Every pair of picks is still counted one by one at every point.  A
-    point where a kind has no pick, k > N at gap 1, is decided by that one
-    test before anything is read: both sides are the zero row there, so it
-    counts as checked and is not compared, and neither the route nor a
-    list is asked for it.
+    Every pair of picks is still counted one by one at every point.  The
+    route is read as it is given: Thm 2.1 hands in one that reads its row
+    once per pair of Gaussian cells per grid, from a cache of its own call,
+    so a point that swaps N and k in a kind tallies that kind's conjugate
+    multisets against the row its cells share.  A point where a kind has
+    no pick, k > N at gap 1, is decided by that one test before anything
+    is read: both sides are the zero row there, so it counts as checked
+    and is not compared, and neither the route nor a list is asked for it.
 
     Entry m of a row counts the target m + s.  At gap 0, s is 0.  At gap 1
     the route's row starts at the staircase s = r*C(k1+1, 2) + C(k2+1, 2),
@@ -482,16 +487,35 @@ def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
 
     The rows come from ``pbar_convolution_totals``, the whole-row window of
     ``_convolve``, the one kernel that ``pbar_convolution`` and the Thm 3.x
-    expansions read as well.
+    expansions read as well.  Each kind's row p(N, k, .) is the Gaussian
+    [N+k, N] == [N+k, k], so a route row depends only on r and its two
+    Gaussian cells, and it is read once per pair of cells per grid, in a
+    cache made for this call: keyed as ``pbar_gf`` keys its products,
+    (r, N1+k1, min(N1, k1), N2+k2, min(N2, k2)), and computed at the cells'
+    own orientation, N <= k in each kind.  The oracle still tallies every
+    point's own picks, the conjugate multisets where a point swaps N and k,
+    so each point is still a route-against-oracle comparison.  Both orders
+    of each kind are compared with the oracle in the tests of
+    ``pbar_convolution_totals`` instead.
     """
-    return _rows_against_oracle("thm2.1", pbar_convolution_totals, 0, r_max, param_max)
+
+    @lru_cache(maxsize=None)
+    def cell_row(r: int, t1: int, b1: int, t2: int, b2: int) -> tuple[int, ...]:
+        # the module's name, read at call time, so a replacement is checked
+        return tuple(pbar_convolution_totals(r, b1, b2, t1 - b1, t2 - b2))
+
+    def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
+        return cell_row(r, n1 + k1, n1 if n1 < k1 else k1, n2 + k2, n2 if n2 < k2 else k2)
+
+    return _rows_against_oracle("thm2.1", route, 0, r_max, param_max)
 
 
 def verify_thm22(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Generating-function coefficients against the enumeration oracle."""
 
     def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
-        # named arguments, not *args: a star call costs more than the memo read
+        # the bounds spelled out, not *args: a star call costs more than the
+        # memo read
         return pbar_gf(r, n1, n2, k1, k2).coeffs
 
     return _rows_against_oracle("thm2.2", route, 0, r_max, param_max)
@@ -670,7 +694,7 @@ def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     """
 
     def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
-        # named arguments, as in thm2.2
+        # the bounds spelled out, no star call, as in thm2.2
         return pbar_gf(r, n1 - k1, n2 - k2, k1, k2).coeffs
 
     return _rows_against_oracle("thm2.6", route, 1, r_max, param_max)

@@ -1029,6 +1029,26 @@ class TestOracleRows:
         assert verify(*grid) == first
         assert len(calls) == 2 * lists
 
+    def test_convolution_row_is_read_once_per_cell_pair(self, monkeypatch):
+        # a kind's (N, k) with N, k <= 4 are 15 Gaussian cells [N+k, min(N, k)],
+        # so 4 r read 4 * 15**2 rows, not one per point of the 4 * 5**4 grid
+        calls = []
+        real = identities.pbar_convolution_totals
+
+        def counted(*bounds):
+            calls.append(bounds)
+            return real(*bounds)
+
+        monkeypatch.setattr(identities, "pbar_convolution_totals", counted)
+        first = verify_thm21(4, 4)
+        assert first.passed and first.checked == 4 * 5**4
+        assert len(calls) == len(set(calls)) == 4 * 15**2
+        # each row is read at its cells' own orientation, N <= k in each kind
+        assert all(n1 <= k1 and n2 <= k2 for _, n1, n2, k1, k2 in calls)
+        # a second call reads them all again: no cache outlives a call
+        assert verify_thm21(4, 4) == first
+        assert len(calls) == 2 * 4 * 15**2
+
     def test_distinct_failure_is_reported_at_its_point(self, monkeypatch):
         # the row at (2, 2, 1, 1, 1) is q^3 + q^5: one part 2 or 4, one part
         # 1.  The route reads it as 1 + q^2, pbar_gf at the lowered bounds

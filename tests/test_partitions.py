@@ -770,6 +770,19 @@ def _convolve_fault(monkeypatch):
     monkeypatch.setattr(identities, "_convolve", faulty)
 
 
+def _oriented_convolve_fault(monkeypatch):
+    """One more at target 1 in every convolution window with N1 > k1 that holds it."""
+    real = partitions._convolve
+
+    def faulty(r, n1, n2, k1, k2, low, high):
+        out = real(r, n1, n2, k1, k2, low, high)
+        if n1 > k1 and low <= 1 <= high:
+            out[1 - low] += 1
+        return out
+
+    monkeypatch.setattr(partitions, "_convolve", faulty)
+
+
 def _kind_sums_fault(monkeypatch):
     """The oracle grids' pick totals of one kind lose their last total."""
     real = identities._kind_sums
@@ -871,6 +884,25 @@ class TestConvolutionKernel:
             assert got == self.expected(row, low, high), (low, high)
         # no first-kind part allowed: the row is the second kind's alone
         assert partitions._convolve(3, 0, 2, 4, 2, -1, 5) == [0, 1, 1, 2, 1, 1, 0]
+
+    @staticmethod
+    def rows_off_the_oracle():
+        # every point with r <= 2 and bounds <= 4, so both orders (N, k) and
+        # (k, N) of each kind
+        return [
+            bounds for bounds in product_of((1, 2), *[range(5)] * 4)
+            if pbar_convolution_totals(*bounds) != pbar_enumerate_totals(*bounds)
+        ]
+
+    def test_rows_match_the_oracle_at_both_orders_of_each_kind(self):
+        # thm2.1 reads each row at N <= k in each kind only, so the other
+        # order is compared with the oracle here
+        assert self.rows_off_the_oracle() == []
+
+    def test_a_fault_at_one_order_fails_the_row_comparison(self, monkeypatch):
+        _oriented_convolve_fault(monkeypatch)
+        off = self.rows_off_the_oracle()
+        assert off and all(n1 > k1 for _, n1, _, k1, _ in off)
 
     @pytest.mark.parametrize("fault, failing, disagreement", FAULTS)
     def test_a_fault_in_the_kernel_fails_every_reader(
