@@ -190,9 +190,16 @@ def _report_lines(reports: list[VerificationReport]) -> Iterable[str]:
 
 def _cmd_verify(args) -> Output:
     # imported here, so that no other command loads the verifiers
-    from .identities import run_identity
+    from .identities import _REGISTRY, run_identity
 
     overrides = {name: getattr(args, name) for name in _GRID_BOUNDS}
+    if args.identity != "all":
+        # ``all`` hands each identity the flags it takes; one id takes only its own
+        _, accepted = _REGISTRY[args.identity]
+        for name, value in overrides.items():
+            if value is not None and name not in accepted:
+                flag = name.replace("_", "-")
+                raise ValueError(f"--{flag} is not valid for {args.identity}")
     ids = IDENTITY_IDS if args.identity == "all" else (args.identity,)
     reports = [run_identity(identity_id, **overrides) for identity_id in ids]
     passed = all(r.passed for r in reports)

@@ -43,14 +43,16 @@ every row of the grid, done once before the first point, so each point is a
 bare ``_tally`` of the oracle: each kind's list of pick totals is
 enumerated once per grid through the listings' walker, in caches made for
 the call, and every pair of picks is still tallied one by one at every
-point.  Thm 2.1's route row depends only on r and its two Gaussian cells,
-so it is read once per pair of cells per grid, in a cache made for the
-call, as ``pbar_gf`` keeps one product per pair of cells.  Thm 2.6 reads
-the distinct-part row from ``pbar_gf`` at the lowered bounds, from the
-staircase up, and its lists are lowered to match once per grid, so no
-point builds a shifted copy.  Where a kind has no pick, k > N, a Thm 2.6
-point is counted as checked and not compared: both sides are the zero row
-there, so one test decides it before anything is read.
+point.  Each of these oracle verifiers is a kernel and a gap: the kernel
+gives the route's row of counts at bounds (r, N1, N2, k1, k2), and the gap
+is 0 for parts with repetition (Thm 2.1 and 2.2) or 1 for distinct parts
+(Thm 2.6).  A route row depends only on r and its two Gaussian cells, so
+the oracle check reads it once per pair of cells per call, at the cells'
+own orientation; at gap 1 it reads the row from the staircase up and
+lowers the lists to match once per grid, so no point builds a shifted
+copy.  Where a kind has no pick, k > N at gap 1, a point is counted as
+checked and not compared: both sides are the zero row there, so one test
+decides it before anything is read.
 
 The registry at the bottom maps the stable identity ids of ``IDENTITY_IDS``
 (``"thm2.1"``, ``"eq2"``, ``"cor3.2"``, ...), kept in the light module
@@ -392,29 +394,39 @@ def _pbar_gf_cost(r_max: int, param_max: int) -> tuple[int, str, int]:
 
 
 def _rows_against_oracle(
-    identity_id: str, route: Callable, gap: int, r_max: int, param_max: int
+    identity_id: str, kernel: Callable, gap: int, r_max: int, param_max: int
 ) -> VerificationReport:
-    """Compare a route's row of counts with the oracle's ``_tally`` at ``gap``.
+    """Compare the rows of a count kernel with the oracle's ``_tally`` at ``gap``.
 
     The grid is admitted once, by ``cost``, and each point is a bare tally.
     A kind's pick totals depend only on its own (N, k), so the oracle reads
     them from caches of ``_kind_sums`` made for this call alone: each list
     is enumerated once per grid, not once per point, the first kind's is
     multiplied by each r once, and all are gone when the call returns.
-    Every pair of picks is still counted one by one at every point.  The
-    route is read as it is given: Thm 2.1 hands in one that reads its row
-    once per pair of Gaussian cells per grid, from a cache of its own call,
-    so a point that swaps N and k in a kind tallies that kind's conjugate
-    multisets against the row its cells share.  A point where a kind has
-    no pick, k > N at gap 1, is decided by that one test before anything
-    is read: both sides are the zero row there, so it counts as checked
-    and is not compared, and neither the route nor a list is asked for it.
+    Every pair of picks is still counted one by one at every point.  A
+    point where a kind has no pick, k > N at gap 1, is decided by that one
+    test before anything is read: both sides are the zero row there, so it
+    counts as checked and is not compared, and neither the route nor a list
+    is asked for it.
+
+    ``kernel(r, N1, N2, k1, k2)`` gives the row of counts of parts with
+    repetition, and this check alone sets the bounds it is read at.  At
+    gap 1 each kind's N is lowered by k, so that the row of k distinct
+    parts at most N is read as that of at most k parts at most N - k.  A
+    kind's row is then the Gaussian [N+k, N] == [N+k, k] (Andrews 1976,
+    ch. 3), so the route's row depends only on r and its two Gaussian
+    cells: ``route`` keeps it once per pair of cells, in a cache made for
+    this call and keyed as ``pbar_gf`` keys its products,
+    (r, N1+k1, min(N1, k1), N2+k2, min(N2, k2)), and reads the kernel at
+    the cells' own orientation, N <= k in each kind.  A point that swaps N
+    and k in a kind still tallies that kind's own picks, the conjugate
+    multisets, against the row its cells share.
 
     Entry m of a row counts the target m + s.  At gap 0, s is 0.  At gap 1
     the route's row starts at the staircase s = r*C(k1+1, 2) + C(k2+1, 2),
-    the least total of k1 and k2 distinct parts, so that it can read a
-    stored product unshifted; each list is lowered to match in its cache,
-    by its kind's C(k+1, 2), once per grid.  So a passing point compares two
+    the least total of k1 and k2 distinct parts, since it is read at the
+    lowered bounds; each list is lowered to match in its cache, by its
+    kind's C(k+1, 2), once per grid.  So a passing point compares two
     rows in one frame with no shifted copy and no arithmetic on s, and only
     a failing one lifts its counterexamples back to the real target n.  A
     list's least total is checked once per grid as well: one below its
@@ -450,6 +462,10 @@ def _rows_against_oracle(
     def scaled(r: int, n: int, k: int) -> list[int]:
         return [r * s for s in totals(n, k)]
 
+    @lru_cache(maxsize=None)
+    def route(r: int, t1: int, b1: int, t2: int, b2: int) -> tuple[int, ...]:
+        return tuple(kernel(r, b1, b2, t1 - b1, t2 - b2))
+
     def check(r: int, n1: int, n2: int, k1: int, k2: int):
         if gap and (k1 > n1 or k2 > n2):
             # no pick in a kind: both sides are the zero row
@@ -460,12 +476,14 @@ def _rows_against_oracle(
         # no row past ``MAX_DENSE_DEGREE``, so nothing that ``_row`` would
         # refuse reaches this tally.
         oracle = _tally(scaled(r, n1, k1), totals(n2, k2))
-        found = _row_failures((r, n1, n2, k1, k2), route(r, n1, n2, k1, k2), oracle)
+        m1, m2 = n1 - gap * k1, n2 - gap * k2
+        row = route(r, m1 + k1, m1 if m1 < k1 else k1, m2 + k2, m2 if m2 < k2 else k2)
+        found = _row_failures((r, n1, n2, k1, k2), row, oracle)
         if found or deficits:
             # again in the oracle's frame, which a list lowered short of its
             # staircase starts lower, and at the real targets
             pad = r * deficits.get((n1, k1), 0) + deficits.get((n2, k2), 0)
-            got = (0,) * pad + tuple(route(r, n1, n2, k1, k2))
+            got = (0,) * pad + row
             origin = gap * (r * comb(k1 + 1, 2) + comb(k2 + 1, 2)) - pad
             found = _row_failures((r, n1, n2, k1, k2), got, oracle, origin)
         return 1, found
@@ -482,43 +500,30 @@ def _rows_against_oracle(
     return _two_kind_sweep(identity_id, r_max, param_max, check, cost, ", all n")
 
 
+def _gf_row(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
+    """The coefficients of ``pbar_gf``: the kernel of Thm 2.2 and Thm 2.6."""
+    return pbar_gf(r, n1, n2, k1, k2).coeffs
+
+
 def verify_thm21(r_max: int = 3, param_max: int = 4) -> VerificationReport:
     """Convolution route against the enumeration oracle, every target.
 
-    The rows come from ``pbar_convolution_totals``, the whole-row window of
+    The kernel is ``pbar_convolution_totals``, the whole-row window of
     ``_convolve``, the one kernel that ``pbar_convolution`` and the Thm 3.x
-    expansions read as well.  Each kind's row p(N, k, .) is the Gaussian
-    [N+k, N] == [N+k, k], so a route row depends only on r and its two
-    Gaussian cells, and it is read once per pair of cells per grid, in a
-    cache made for this call: keyed as ``pbar_gf`` keys its products,
-    (r, N1+k1, min(N1, k1), N2+k2, min(N2, k2)), and computed at the cells'
-    own orientation, N <= k in each kind.  The oracle still tallies every
-    point's own picks, the conjugate multisets where a point swaps N and k,
-    so each point is still a route-against-oracle comparison.  Both orders
-    of each kind are compared with the oracle in the tests of
-    ``pbar_convolution_totals`` instead.
+    expansions read as well, at gap 0.  ``_rows_against_oracle`` reads it
+    at N <= k in each kind only, so both orders of each kind are compared
+    with the oracle in the tests of ``pbar_convolution_totals`` instead.
     """
-
-    @lru_cache(maxsize=None)
-    def cell_row(r: int, t1: int, b1: int, t2: int, b2: int) -> tuple[int, ...]:
-        # the module's name, read at call time, so a replacement is checked
-        return tuple(pbar_convolution_totals(r, b1, b2, t1 - b1, t2 - b2))
-
-    def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
-        return cell_row(r, n1 + k1, n1 if n1 < k1 else k1, n2 + k2, n2 if n2 < k2 else k2)
-
-    return _rows_against_oracle("thm2.1", route, 0, r_max, param_max)
+    # the module's name, read at call time, so a replacement is checked
+    return _rows_against_oracle("thm2.1", pbar_convolution_totals, 0, r_max, param_max)
 
 
 def verify_thm22(r_max: int = 3, param_max: int = 4) -> VerificationReport:
-    """Generating-function coefficients against the enumeration oracle."""
+    """Generating-function coefficients against the enumeration oracle.
 
-    def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
-        # the bounds spelled out, not *args: a star call costs more than the
-        # memo read
-        return pbar_gf(r, n1, n2, k1, k2).coeffs
-
-    return _rows_against_oracle("thm2.2", route, 0, r_max, param_max)
+    The kernel is ``pbar_gf``'s coefficients, at gap 0.
+    """
+    return _rows_against_oracle("thm2.2", _gf_row, 0, r_max, param_max)
 
 
 def verify_thm23(r_max: int = 3, param_max: int = 5) -> VerificationReport:
@@ -684,20 +689,12 @@ def verify_thm25(r_max: int = 3, param_max: int = 5) -> VerificationReport:
 def verify_thm26(r_max: int = 3, param_max: int = 5) -> VerificationReport:
     """Distinct-part generating function against the enumeration oracle.
 
-    The route reads the product that ``qbar_gf`` is a view of, ``pbar_gf``
-    at (N1-k1, N2-k2, k1, k2), with no shifted copy built: its row starts at
-    the staircase, and the oracle's lists are lowered to match (see
-    ``_rows_against_oracle``).  Counterexamples name the real target n.  A
-    point where a kind has no pick, k > N, never reaches the route: both
-    sides are the zero row there, so the oracle check counts it as checked
-    and compares nothing.
+    The kernel is ``pbar_gf``'s coefficients, as for Thm 2.2, at gap 1:
+    read at (N1-k1, N2-k2, k1, k2), it is the product that ``qbar_gf`` is a
+    view of, from the staircase up (see ``_rows_against_oracle``).
+    Counterexamples name the real target n.
     """
-
-    def route(r: int, n1: int, n2: int, k1: int, k2: int) -> tuple[int, ...]:
-        # the bounds spelled out, no star call, as in thm2.2
-        return pbar_gf(r, n1 - k1, n2 - k2, k1, k2).coeffs
-
-    return _rows_against_oracle("thm2.6", route, 1, r_max, param_max)
+    return _rows_against_oracle("thm2.6", _gf_row, 1, r_max, param_max)
 
 
 # ---------------------------------------------------------------------------

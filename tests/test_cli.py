@@ -357,6 +357,24 @@ class TestVerify:
         assert code == 2
         assert "invalid choice" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("thm2.1", "--n-max", "5"), "--n-max"),
+            (("eq2", "--m-max", "3", "--r-max", "1"), "--r-max"),
+            (("cor3.2", "--param-max", "2"), "--param-max"),
+        ],
+    )
+    def test_grid_flag_the_identity_does_not_take(self, capsys, monkeypatch, argv, flag):
+        # refused before any verifier runs, as `count` refuses a stray flag
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a verifier ran")
+
+        monkeypatch.setattr(identities, "run_identity", unreachable)
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} is not valid for {argv[0]}\n"
+
     def test_json_report_round_trips(self, capsys):
         code, out, _ = run(
             capsys, "verify", "thm2.5", "--r-max", "2", "--param-max", "2",

@@ -1029,45 +1029,60 @@ class TestOracleRows:
         assert verify(*grid) == first
         assert len(calls) == 2 * lists
 
-    def test_convolution_row_is_read_once_per_cell_pair(self, monkeypatch):
-        # a kind's (N, k) with N, k <= 4 are 15 Gaussian cells [N+k, min(N, k)],
-        # so 4 r read 4 * 15**2 rows, not one per point of the 4 * 5**4 grid
+    @pytest.mark.parametrize(
+        "verify, grid, kernel, points, reads",
+        [
+            # a kind's (N, k) with N, k <= 4 are 15 Gaussian cells
+            # [N+k, min(N, k)], so 4 r read 4 * 15**2 rows, not one per point
+            (verify_thm21, (4, 4), "pbar_convolution_totals", 4 * 5**4, 4 * 15**2),
+            (verify_thm22, (5, 4), "pbar_gf", 5 * 5**4, 5 * 15**2),
+            # a kind's k <= N <= 7, lowered to (N - k, k), are 20 cells
+            (verify_thm26, (4, 7), "pbar_gf", 4 * 8**4, 4 * 20**2),
+        ],
+    )
+    def test_convolution_row_is_read_once_per_cell_pair(
+        self, monkeypatch, verify, grid, kernel, points, reads
+    ):
         calls = []
-        real = identities.pbar_convolution_totals
+        real = getattr(identities, kernel)
 
         def counted(*bounds):
             calls.append(bounds)
             return real(*bounds)
 
-        monkeypatch.setattr(identities, "pbar_convolution_totals", counted)
-        first = verify_thm21(4, 4)
-        assert first.passed and first.checked == 4 * 5**4
-        assert len(calls) == len(set(calls)) == 4 * 15**2
+        monkeypatch.setattr(identities, kernel, counted)
+        first = verify(*grid)
+        assert first.passed and first.checked == points
+        assert len(calls) == len(set(calls)) == reads
         # each row is read at its cells' own orientation, N <= k in each kind
         assert all(n1 <= k1 and n2 <= k2 for _, n1, n2, k1, k2 in calls)
         # a second call reads them all again: no cache outlives a call
-        assert verify_thm21(4, 4) == first
-        assert len(calls) == 2 * 4 * 15**2
+        assert verify(*grid) == first
+        assert len(calls) == 2 * reads
 
     def test_distinct_failure_is_reported_at_its_point(self, monkeypatch):
         # the row at (2, 2, 1, 1, 1) is q^3 + q^5: one part 2 or 4, one part
-        # 1.  The route reads it as 1 + q^2, pbar_gf at the lowered bounds
-        # (2, 1, 0, 1, 1), from the staircase s = 2 * 1 + 1 up, so a fault
-        # at q^0 and q^4 there is reported at the targets 3 and 7
+        # 1.  It is read as 1 + q^2 from the staircase s = 2 * 1 + 1 up, at
+        # the lowered bounds (2, 1, 0, 1, 1): the cells [2, 1] and [1, 0].
+        # (2, 2, 1, 1, 0) reads the same cells, as 1 + q^2 from s = 2 up,
+        # for its row q^2 + q^4: a fault at q^0 and q^4 of that one product
+        # is reported at both points, at their real targets
         extra = IntPolynomial((1, 0, 0, 0, 1))
         perturb(monkeypatch, "pbar_gf", {(2, 1, 0, 1, 1): extra})
         report = verify_thm26(r_max=2, param_max=3)
         assert report.checked == 2 * 4**4
         assert failures(report) == [
+            {"params": [2, 2, 1, 1, 0, 2], "lhs": "2", "rhs": "1"},
+            {"params": [2, 2, 1, 1, 0, 6], "lhs": "1", "rhs": "0"},
             {"params": [2, 2, 1, 1, 1, 3], "lhs": "2", "rhs": "1"},
             {"params": [2, 2, 1, 1, 1, 7], "lhs": "1", "rhs": "0"},
         ]
 
     def test_no_generating_function_is_read_where_a_kind_has_no_pick(self, monkeypatch):
         # where k > N in a kind, both sides are the zero row: the point is
-        # counted as checked and decided before any read, so pbar_gf is
-        # read and the oracle tallied only at the points with k <= N in
-        # both kinds, pbar_gf at their lowered bounds
+        # counted as checked and decided before any read, so the oracle is
+        # tallied only at the points with k <= N in both kinds, and pbar_gf
+        # read once for each pair of cells of their lowered bounds
         read, tallied = [], []
         real_gf, real_tally = identities.pbar_gf, identities._tally
 
@@ -1091,7 +1106,12 @@ class TestOracleRows:
             if k1 <= n1 and k2 <= n2
         ]
         assert len(picked) == len(tallied) == 2 * 10**2
-        assert sorted(read) == sorted(picked)
+        cells = {
+            (r, min(m1, k1), min(m2, k2), max(m1, k1), max(m2, k2))
+            for r, m1, m2, k1, k2 in picked
+        }
+        assert len(read) == len(cells) == 2 * 6**2
+        assert set(read) == cells
         assert all(first and second for first, second in tallied)
 
     def test_a_total_below_its_staircase_is_a_failure(self, monkeypatch):
@@ -1149,17 +1169,13 @@ class TestOracleRows:
 
     def test_oracle_rows_need_no_polynomial_arithmetic(self, monkeypatch):
         grid = (2, 3)
-
-        def lowered(r, n1, n2, k1, k2):
-            # the gap-1 route's rows start at the staircase, as thm2.6's do
-            return pbar_gf(r, n1 - k1, n2 - k2, k1, k2)
-
+        # the kernel is read at lowered bounds, N <= k in each kind, so at
+        # gap 1 its rows start at the staircase, as thm2.6's do; a read at
+        # any other bounds is a KeyError
         rows = {
-            gap: {
-                bounds: list(gf(*bounds).coeffs)
-                for bounds in itertools.product(range(1, 3), *[range(4)] * 4)
-            }
-            for gap, gf in ((0, pbar_gf), (1, lowered))
+            bounds: list(pbar_gf(*bounds).coeffs)
+            for bounds in itertools.product(range(1, 3), *[range(4)] * 4)
+            if bounds[1] <= bounds[3] and bounds[2] <= bounds[4]
         }
 
         def public_rows():
@@ -1177,11 +1193,9 @@ class TestOracleRows:
         monkeypatch.setattr(partitions, "product", forbidden)
         assert public_rows() == before
         for gap in (0, 1):
-            # the route reads the rows made before the patch; an empty
-            # distinct-part row reads as the oracle's [0]
-            route = rows[gap].__getitem__
+            # the kernel reads the rows made before the patch
             report = identities._rows_against_oracle(
-                "x", lambda *b: route(b), gap, *grid
+                "x", lambda *b: rows[b], gap, *grid
             )
             assert report.passed and report.checked == 2 * 4**4
 
